@@ -3,11 +3,11 @@ indicator gives up.
 
 Tracing L of N qubits out of the Dicke state with M zeros leaves a
 binomial mixture of smaller Dicke states.  The sum of squared x/z
-correlation-tensor entries decides (necessarily) whether any two-setting
-full-correlation Bell inequality can still be violated: above 1 keeps
-the door open.  Scanning N at fixed (M, L) gives threshold sizes N0 that
-grow linearly in L; the inverse slope is the asymptotic fraction of
-parties that may be lost.
+correlation-tensor entries is an exact integer ratio S / C(N, M)^2;
+above 1 it is sufficient (Zukowski-Brukner) for the reduced state to
+violate a two-setting full-correlation Bell inequality.  Scanning N at
+fixed (M, L) gives threshold sizes N0 that grow linearly in L; the
+inverse slope is the asymptotic fraction of parties that may be lost.
 """
 
 from bellpersist import dicke, persistency

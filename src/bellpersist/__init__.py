@@ -36,6 +36,7 @@ from .dicke import (
     sigma_sum,
     solve_n0,
     sym_correlation,
+    sym_sigma,
 )
 from .errors import CapabilityError, NoCrossingError
 from .monogamy import (

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from . import qstate
-from .dicke import SymCorrelation
+from .dicke import SymCorrelation, sym_sigma
 from .errors import CapabilityError
 
 LR_MAX_PARTY_CAP = 8
@@ -364,14 +364,11 @@ def optimize_wwwzb_angles(
 def violation_indicator(sym: SymCorrelation) -> bool:
     """Whether the squared x/z correlation sum strictly exceeds 1.
 
-    Necessary condition for violating any two-setting full-correlation
-    inequality; exact rational arithmetic keeps boundary cases honest.
+    Zukowski-Brukner sufficient condition for violating some two-setting
+    full-correlation inequality; exact rational arithmetic keeps
+    boundary cases honest.
     """
-    total = sum(
-        (math.comb(sym.n, k) * v * v for k, v in enumerate(sym.values)),
-        start=Fraction(0),
-    )
-    return total > 1
+    return sym_sigma(sym) > 1
 
 
 # --- geometric-inequality constants ---------------------------------------

@@ -7,9 +7,14 @@ measurement choices collapses to one value per number of x factors, and
 the sum of its squares has a closed combinatorial form that scales
 polynomially in the register size.
 
-All correlation arithmetic here uses exact rationals so that threshold
-cases (sums exactly equal to 1) are decided without floating-point
-ambiguity.  The dense-state module provides the independent cross-check.
+In that sum the C(n, m) normalisations of the Dicke components cancel,
+so :func:`sigma_sum` is one integer S over C(N, M)^2 (see its
+docstring): threshold cases (sums exactly equal to 1) are decided on
+integers, without rational or floating-point arithmetic until the final
+value.  The readable route :func:`reduced_dicke` -> :func:`sym_correlation`
+-> :func:`sym_sigma` computes the same sum in exact rationals and is the
+second route the tests compare against; the dense-state module provides
+the independent cross-check.
 """
 
 from __future__ import annotations
@@ -103,16 +108,20 @@ def xz_component(n: int, m: int, k: int) -> Fraction:
     return Fraction(sign * math.comb(k, half) * math.comb(n - k, m - half), math.comb(n, m))
 
 
+def _check_reduction(n_total: int, m_zeros: int, n_traced: int) -> None:
+    if not 0 <= m_zeros <= n_total:
+        raise ValueError(f"need 0 <= M <= N, got M={m_zeros}, N={n_total}")
+    if not 0 <= n_traced < n_total:
+        raise ValueError(f"traced count L={n_traced} must satisfy 0 <= L < N={n_total}")
+
+
 def reduced_dicke(n_total: int, m_zeros: int, n_traced: int) -> DickeMixture:
     """Mixture left after tracing ``n_traced`` qubits out of a Dicke state.
 
     The surviving component with m_zeros - l zeros has weight
     C(L, l) C(N-L, M-l) / C(N, M).
     """
-    if not 0 <= m_zeros <= n_total:
-        raise ValueError(f"need 0 <= M <= N, got M={m_zeros}, N={n_total}")
-    if not 0 <= n_traced < n_total:
-        raise ValueError(f"traced count L={n_traced} must satisfy 0 <= L < N={n_total}")
+    _check_reduction(n_total, m_zeros, n_traced)
     n = n_total - n_traced
     denom = math.comb(n_total, m_zeros)
     components = []
@@ -137,19 +146,48 @@ def sym_correlation(mix: DickeMixture) -> SymCorrelation:
     return SymCorrelation(mix.n, tuple(values))
 
 
+def sym_sigma(sym: SymCorrelation) -> Fraction:
+    """Sum of squared x/z correlation-tensor entries, sum_k C(n, k) v_k^2.
+
+    Each x-count k is shared by C(n, k) tensor entries of equal value.
+    """
+    return sum(
+        (math.comb(sym.n, k) * v * v for k, v in enumerate(sym.values)),
+        start=Fraction(0),
+    )
+
+
 def sigma_sum(n_total: int, m_zeros: int, n_traced: int) -> Fraction:
     """Sum of squared x/z correlation-tensor entries of the reduced state.
 
-    Exceeding 1 is the necessary condition for the reduced state to
-    violate a two-setting full-correlation Bell inequality.
+    Exceeding 1 is the Zukowski-Brukner sufficient condition (PRL 88,
+    210401, 2002) for the reduced state to violate a two-setting
+    full-correlation Bell inequality; the persistency lower bounds rest
+    on it.
+
+    Substituting the weights of :func:`reduced_dicke` into
+    :func:`xz_component`, the C(n, m) factors cancel and, with
+    n = N - L and h = k/2 over even k,
+
+        sigma = S / C(N, M)^2,
+        S = sum_k C(n, k) C(k, h)^2 (sum_l (-1)^(n-(M-l)-h) C(L, l) C(n-k, M-l-h))^2,
+
+    where terms with M-l > n or M-l-h outside 0..n-k vanish exactly as
+    in the readable route.  The sign (-1)^(n-M-h) is common to every
+    term of the inner sum and drops out when it is squared.
     """
-    mix = reduced_dicke(n_total, m_zeros, n_traced)
-    sym = sym_correlation(mix)
-    n = mix.n
-    return sum(
-        (math.comb(n, k) * v * v for k, v in enumerate(sym.values)),
-        start=Fraction(0),
-    )
+    _check_reduction(n_total, m_zeros, n_traced)
+    n = n_total - n_traced
+    total = 0
+    for k in range(0, n + 1, 2):
+        h = k // 2
+        inner = 0
+        # math.comb is 0 once M-l-h > n-k, which also covers M-l > n
+        for lost in range(min(n_traced, m_zeros - h) + 1):
+            term = math.comb(n_traced, lost) * math.comb(n - k, m_zeros - lost - h)
+            inner += -term if lost % 2 else term
+        total += math.comb(n, k) * math.comb(k, h) ** 2 * inner * inner
+    return Fraction(total, math.comb(n_total, m_zeros) ** 2)
 
 
 def dense_sigma_sum(n_total: int, m_zeros: int, n_traced: int) -> float:

@@ -17,8 +17,9 @@ a = sqrt(2), and exact rationals against a 50-digit pi bracket for the
 geometric family.
 
 Dicke-state persistency uses the squared-correlation indicator from the
-dicke module: tracing L parties keeps the necessary condition satisfied
-as long as the correlation sum stays above 1.
+dicke module: a correlation sum above 1 is the Zukowski-Brukner
+sufficient condition for a two-setting full-correlation violation, so
+tracing L parties keeps a violation as long as the sum stays above 1.
 
 Everything here is a lower bound: better inequalities can only raise
 the numbers.  Upper bounds (for single-zero Dicke states half the
@@ -203,22 +204,23 @@ def dicke_persistency(n_parties: int, m_zeros: int) -> PersistencyResult:
     """Indicator-level persistency of the Dicke state with M zeros.
 
     ``max_traced`` is the largest L for which the squared-correlation
-    sum of the reduced state still exceeds 1 (a necessary condition for
-    violation, so the persistency claim is the lower bound
-    P >= max_traced + 1); ``margin`` is the sum at that L.
+    sum of the reduced state still exceeds 1 (the Zukowski-Brukner
+    sufficient condition for violation, so the persistency claim is the
+    lower bound P >= max_traced + 1); ``margin`` is the sum at that L,
+    or at L = 1 when no L qualifies (at L = 0 for two parties).
     """
     if not 0 <= m_zeros <= n_parties:
         raise ValueError("need 0 <= M <= N")
     if n_parties < 2:
         raise ValueError("need at least two parties")
-    best = 0
-    for traced in range(1, n_parties - 1):
-        if dicke.sigma_sum(n_parties, m_zeros, traced) > 1:
-            best = traced
-    margin_l = best if best else 1
-    margin = float(dicke.sigma_sum(n_parties, m_zeros, margin_l)) if n_parties > 2 else float(
-        dicke.sigma_sum(n_parties, m_zeros, 0)
-    )
+    if n_parties == 2:
+        return PersistencyResult(2, 0, 2, float(dicke.sigma_sum(2, m_zeros, 0)))
+    sums = {
+        traced: dicke.sigma_sum(n_parties, m_zeros, traced)
+        for traced in range(1, n_parties - 1)
+    }
+    best = max((traced for traced, value in sums.items() if value > 1), default=0)
+    margin = float(sums[best if best else 1])
     return PersistencyResult(n_parties, best, n_parties - best, margin)
 
 

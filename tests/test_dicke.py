@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellpersist import dicke, qstate
+from bellpersist import bell, dicke, qstate
 from bellpersist.dicke import (
     DickeMixture,
     fit_n0_line,
@@ -14,6 +14,7 @@ from bellpersist.dicke import (
     sigma_sum,
     solve_n0,
     sym_correlation,
+    sym_sigma,
     xz_component,
 )
 from bellpersist.errors import NoCrossingError
@@ -110,6 +111,40 @@ class TestSigmaSum:
         assert float(sigma_sum(n, m, l)) == pytest.approx(
             dicke.dense_sigma_sum(n, m, l), abs=1e-10
         )
+
+    def test_integer_kernel_matches_readable_route(self):
+        for n in range(1, 25):
+            for m in range(n + 1):
+                for l in range(n):
+                    readable = sym_sigma(sym_correlation(reduced_dicke(n, m, l)))
+                    assert sigma_sum(n, m, l) == readable, (n, m, l)
+
+    @pytest.mark.parametrize(
+        "n,m,l",
+        [(40, 0, 7), (40, 3, 39), (40, 12, 20), (60, 1, 20), (60, 7, 33),
+         (60, 12, 5), (80, 4, 15), (80, 9, 60), (80, 12, 79)],
+    )
+    def test_integer_kernel_matches_readable_route_large(self, n, m, l):
+        assert sigma_sum(n, m, l) == sym_sigma(sym_correlation(reduced_dicke(n, m, l)))
+
+    def test_validation_matches_reduction(self):
+        for args in [(3, 4, 0), (3, -1, 0), (3, 1, 3), (3, 1, -1)]:
+            with pytest.raises(ValueError):
+                sigma_sum(*args)
+
+    def test_above_one_is_sufficient_for_violation(self):
+        # Zukowski-Brukner: sigma > 1 guarantees that some two-setting
+        # full-correlation inequality is violated by x-z plane settings
+        violating = []
+        for n in range(3, 11):
+            for l in range(max(0, n - 4), n):
+                for m in range(n + 1):
+                    if sigma_sum(n, m, l) > 1:
+                        state = reduced_dicke(n, m, l).dense()
+                        value = bell.optimize_wwwzb_angles(state)[0]
+                        assert value > 1, (n, m, l, value)
+                        violating.append((n, m, l))
+        assert (5, 1, 1) in violating and len(violating) == 7
 
     def test_exchange_symmetry_exact(self):
         for n in range(2, 10):

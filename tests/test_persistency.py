@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from bellpersist import dicke
 from bellpersist.persistency import (
     PersistencyResult,
     QcrModel,
@@ -127,6 +128,21 @@ class TestDickePersistency:
 
     def test_four_one_fails_indicator(self):
         assert dicke_persistency(4, 1).max_traced == 0
+
+    @pytest.mark.parametrize("n,m,calls", [(2, 1, 1), (4, 1, 2), (9, 4, 7)])
+    def test_one_sum_per_traced_count(self, monkeypatch, n, m, calls):
+        seen = []
+        inner = dicke.sigma_sum
+
+        def counting(*args):
+            seen.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(dicke, "sigma_sum", counting)
+        result = dicke_persistency(n, m)
+        assert len(seen) == calls
+        margin_l = max(result.max_traced, 1) if n > 2 else 0
+        assert result.margin == float(inner(n, m, margin_l))
 
     @pytest.mark.parametrize("n,m", [(7, 3), (5, 2), (8, 4)])
     def test_preceding_instances_fail(self, n, m):
