@@ -30,7 +30,6 @@ from .errors import CapabilityError
 LR_MAX_PARTY_CAP = 8
 WWWZB_VALUE_CAP = 6
 WWWZB_MAX_CAP = 4
-GBI_RATIONAL_CAP = 30
 GBI_INTEGRATION_CAP = 10
 
 Number = Union[int, float, Fraction]
@@ -412,8 +411,8 @@ def gbi_classical(n: int) -> Fraction:
     by n!; see :func:`gbi_classical_by_integration` for the independent
     integral route.
     """
-    if not 2 <= n <= GBI_RATIONAL_CAP:
-        raise CapabilityError(f"party count {n} outside supported range 2..{GBI_RATIONAL_CAP}")
+    if n < 2:
+        raise ValueError("need at least two parties")
     return _classical_exact(n)
 
 

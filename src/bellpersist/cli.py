@@ -86,19 +86,24 @@ def _emit(args, rows: list[dict], fields: list[str]) -> None:
             "rows": [{k: _fmt(v) for k, v in row.items()} for row in rows],
         }
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.output:
-        directory = os.path.dirname(os.path.abspath(args.output))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, args.output)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    else:
+    _write(args, text)
+
+
+def _write(args, text: str) -> None:
+    """Write ``text`` to ``--output`` atomically (temp file, then rename), else to stdout."""
+    if not args.output:
         sys.stdout.write(text)
+        return
+    directory = os.path.dirname(os.path.abspath(args.output))
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, args.output)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _cmd_gamma_crit(args) -> None:
@@ -298,12 +303,7 @@ def _cmd_qccr_make_game(args) -> None:
         game = qccr.makb_game(args.n, args.n_total)
     else:
         game = qccr.gbi_game(args.n, args.grid)
-    text = qccr.game_to_json(game) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, qccr.game_to_json(game) + "\n")
 
 
 class UsageError(Exception):
@@ -313,9 +313,6 @@ class UsageError(Exception):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", help="write output atomically to this path")
-    parser.add_argument("--seed", type=int, help="RNG seed recorded in the output")
-    parser.add_argument("--jobs", type=int, help="parallel worker streams")
-    parser.add_argument("--tolerance", type=float, help="numeric tolerance override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma-crit", help="critical preserved fraction for ratio growth a")
     p.add_argument("--a", action="append", required=True, help="growth base (number, sqrt2, pi/2)")
+    p.add_argument("--tolerance", type=float, help="bisection tolerance (default 1e-8)")
     _add_common(p)
     p.set_defaults(func=_cmd_gamma_crit, command_path="gamma-crit")
 
@@ -400,6 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", required=True, help="game spec JSON path")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--subset", help="comma-separated party indices")
+    p.add_argument("--seed", type=int, help="RNG seed recorded in the output")
+    p.add_argument("--jobs", type=int, help="parallel worker streams")
     _add_common(p)
     p.set_defaults(func=_cmd_qccr_simulate, command_path="qccr simulate")
     p = qccr_sub.add_parser("feasibility", help="exchangeable-marginal check")
@@ -425,7 +425,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.func(args)
     except UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, OverflowError) as exc:
         sys.stderr.write(f"{parser.prog}: {exc}\n")
         return 1
     return 0

@@ -34,7 +34,6 @@ from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import bell, dicke
 from .errors import CapabilityError
@@ -118,53 +117,34 @@ def gamma_crit(a: float, tol: float = 1e-8) -> float:
     return 0.5 * (lo + hi)
 
 
-def _violates_makb_exact(n: int, m: int) -> bool:
-    # (1/sqrt2) sqrt2^m > C(n, m)  <=>  2^(m-1) > C(n, m)^2
-    return 2 ** (m - 1) > math.comb(n, m) ** 2
+def _log_condition(model: QcrModel, ms: np.ndarray, log_binom: np.ndarray) -> np.ndarray:
+    """log(C(N, M)^-1 b a^M) for each M in ``ms``, given log C(N, M): the
+    one float form of the condition, for float rows and for the margin.
+
+    The geometric constant C_M = A_M / M! equals 2 (2/pi)^(M+1) to within
+    3^-M relative error, so below M = 34, where that gap exceeds double
+    precision, the exact ratio (2/pi) / C_M replaces b a^M (C_1 = 1 for
+    the lone party left at N = 2).
+    """
+    logs = math.log(model.b) + ms * math.log(model.a) - log_binom
+    for i in np.flatnonzero(ms < 34) if model.family == "gbi" else ():
+        coeff = bell.gbi_qcr_coefficient(int(ms[i])) if ms[i] > 1 else 2
+        logs[i] = math.log(float(coeff) / math.pi) - log_binom[i]
+    return logs
 
 
-def _violates_gbi_exact(n: int, m: int) -> bool:
-    # (2/pi) / C_m > C(n, m)  <=>  ratio > pi with exact rational ratio
-    coeff = bell.gbi_qcr_coefficient(m) if m <= bell.GBI_RATIONAL_CAP else (
-        Fraction(2) / bell._classical_exact(m)
-    )
-    ratio = coeff / math.comb(n, m)
+def _violates(model: QcrModel, n: int, m: int) -> bool:
+    """Certified C(n, m)^-1 b a^m > 1 for the makb and gbi families."""
+    if model.family == "makb":
+        # (1/sqrt2) sqrt2^m > C(n, m)  <=>  2^(m-1) > C(n, m)^2
+        return 2 ** (m - 1) > math.comb(n, m) ** 2
+    # (2/pi) / C_m > C(n, m)  <=>  exact rational ratio > pi
+    ratio = bell.gbi_qcr_coefficient(m) / math.comb(n, m)
     if ratio > _PI_HI:
         return True
     if ratio < _PI_LO:
         return False
     raise RuntimeError("pi bracket too coarse to certify the frontier")
-
-
-def _condition_value(model: QcrModel, n: int, m: int) -> float:
-    log_binom = float(gammaln(n + 1) - gammaln(m + 1) - gammaln(n - m + 1))
-    if model.family == "gbi" and m <= 80:
-        coeff = Fraction(2) / bell._classical_exact(m)
-        if n <= 60:
-            return float(coeff) / math.pi / math.comb(n, m)
-        # big-int logs: the raw rational overflows floats long before its log does
-        log_coeff = math.log(coeff.numerator) - math.log(coeff.denominator)
-        return math.exp(log_coeff - math.log(math.pi) - log_binom)
-    # for large m the classical constant equals 2 (2/pi)^(m+1) to within
-    # 3^-m relative error, which makes the (a, b) form exact at float precision
-    return math.exp(math.log(model.b) + m * math.log(model.a) - log_binom)
-
-
-def _violating_mask(model: QcrModel, n: int, exact: bool) -> np.ndarray:
-    """Boolean mask over M = 0..n of the violation condition (entries for
-    M < 2 forced False)."""
-    if exact and model.family == "makb":
-        # plain ints: the powers here overflow any fixed-width type
-        mask = np.array([m >= 2 and _violates_makb_exact(n, m) for m in range(n + 1)])
-    elif exact and model.family == "gbi":
-        mask = np.array([m >= 2 and _violates_gbi_exact(n, m) for m in range(n + 1)])
-    else:
-        ms = np.arange(n + 1)
-        log_binom = gammaln(n + 1) - gammaln(ms + 1) - gammaln(n - ms + 1)
-        logs = math.log(model.b) + ms * math.log(model.a) - log_binom
-        mask = logs > 0
-        mask[:2] = False
-    return mask
 
 
 def ghz_persistency(model: QcrModel, n_parties: int, exact: bool | None = None) -> PersistencyResult:
@@ -173,9 +153,19 @@ def ghz_persistency(model: QcrModel, n_parties: int, exact: bool | None = None) 
 
     ``max_traced`` is the largest t such that subgroups of M = N - t
     parties satisfy C(N, M)^-1 b a^M > 1 (zero if even t = 1 fails);
-    ``witness_m`` is the subgroup size at that frontier and ``margin``
-    the condition value there.  ``exact`` defaults to certified
-    arithmetic for the built-in families at desk scale.
+    ``witness_m`` is the subgroup size at that frontier (N - 1 when
+    nothing may be traced) and ``margin`` the condition value there.
+    ``exact`` defaults to certified arithmetic for the built-in families
+    at desk scale.
+
+    The smallest float-violating M in [2, N-1] is a proposal; certified
+    runs step it until M violates exactly and M - 1 does not (or
+    M - 1 < 2).  That pair fixes the frontier because, for both built-in
+    families on 2 <= M <= N-1, the violating set is {M >= M*}: no
+    M <= N/2 violates, and above N/2 the condition grows with M (the
+    ratio of successive values is a (M+1) / (N-M) > 1 in the b a^M form
+    and (C_M / C_(M+1)) (M+1) / (N-M) > 1 for the exact geometric
+    constants).
     """
     if n_parties < 2:
         raise ValueError("need at least two parties")
@@ -183,18 +173,25 @@ def ghz_persistency(model: QcrModel, n_parties: int, exact: bool | None = None) 
         exact = model.family in ("makb", "gbi") and n_parties <= _EXACT_N_CAP
     if exact and model.family not in ("makb", "gbi"):
         raise CapabilityError("exact certificates exist for the makb/gbi families only")
-    mask = _violating_mask(model, n_parties, exact)
-    # traced counts t = N - M for M in [2, N-1]
-    violating_t = [n_parties - m for m in range(2, n_parties) if mask[m]]
-    max_traced = max(violating_t) if violating_t else 0
-    witness = n_parties - max_traced if max_traced else n_parties - 1
-    margin = _condition_value(model, n_parties, witness)
-    return PersistencyResult(n_parties, max_traced, witness, margin)
+    n = n_parties
+    ms = np.arange(2, n)
+    # log-factorial row: log C(n, m) = lf[n] - lf[m] - lf[n - m]
+    lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+    hits = np.flatnonzero(_log_condition(model, ms, lf[n] - lf[ms] - lf[n - ms]) > 0)
+    m = int(ms[hits[0]]) if hits.size else n  # m == n: no subgroup violates
+    if exact:
+        while m < n and not _violates(model, n, m):
+            m += 1
+        while m > 2 and _violates(model, n, m - 1):
+            m -= 1
+    witness = min(m, n - 1)
+    margin = _log_condition(model, np.array([witness]), np.array([math.log(math.comb(n, witness))]))
+    return PersistencyResult(n, n - m, witness, math.exp(margin[0]))
 
 
 def frontier_fraction(model: QcrModel, n_parties: int) -> float:
     """Fraction M/N of the smallest subgroup size still violating."""
-    result = ghz_persistency(model, n_parties, exact=None if n_parties <= _EXACT_N_CAP else False)
+    result = ghz_persistency(model, n_parties)
     if result.max_traced == 0:
         raise ValueError(f"no violating subgroup at N = {n_parties}")
     return result.witness_m / n_parties

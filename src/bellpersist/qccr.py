@@ -539,22 +539,26 @@ def game_to_json(game: GameSpec) -> str:
 
 
 def game_from_json(text: str) -> GameSpec:
+    """Inverse of :func:`game_to_json`; a missing key raises ValueError naming it."""
     payload = json.loads(text)
-    functional = bell.BellFunctional.from_json(json.dumps(payload["functional"]))
-    if functional.settings_distribution is None:
-        functional = functional.with_game_distribution()
-    observables = tuple(
-        tuple(
-            qstate.PlaneObservable(o["plane"], 2.0 * math.pi * o["turns"])
-            for o in per_party
+    try:
+        functional = bell.BellFunctional.from_json(json.dumps(payload["functional"]))
+        if functional.settings_distribution is None:
+            functional = functional.with_game_distribution()
+        observables = tuple(
+            tuple(
+                qstate.PlaneObservable(o["plane"], 2.0 * math.pi * o["turns"])
+                for o in per_party
+            )
+            for per_party in payload["observables"]
         )
-        for per_party in payload["observables"]
-    )
-    state_info = payload["state"]
-    if state_info["kind"] == "ghz_mixture":
-        state: StateModel = GhzMixture(state_info["n_parties"], state_info["block_size"])
-    elif state_info["kind"] == "visibility":
-        state = VisibilityModel(state_info["v"])
-    else:
-        raise ValueError(f"unknown state kind {state_info['kind']!r}")
-    return GameSpec(functional, observables, state, name=payload.get("name", "game"))
+        state_info = payload["state"]
+        if state_info["kind"] == "ghz_mixture":
+            state: StateModel = GhzMixture(state_info["n_parties"], state_info["block_size"])
+        elif state_info["kind"] == "visibility":
+            state = VisibilityModel(state_info["v"])
+        else:
+            raise ValueError(f"unknown state kind {state_info['kind']!r}")
+        return GameSpec(functional, observables, state, name=payload.get("name", "game"))
+    except KeyError as exc:
+        raise ValueError(f"game spec lacks key {exc}") from None

@@ -293,10 +293,19 @@ class TestGbiConstants:
         assert abs(ratio - math.pi / 2) < 1e-3
 
     def test_range_caps(self):
-        with pytest.raises(CapabilityError):
-            gbi_classical(31)
+        with pytest.raises(ValueError):
+            gbi_classical(1)
         with pytest.raises(CapabilityError):
             gbi_classical_by_integration(11)
+
+    def test_no_rational_cap(self):
+        # alternating-permutation counts from 2 A(k+1) = sum_j C(k, j) A(j) A(k-j)
+        counts = [1, 1]
+        for k in range(1, 60):
+            counts.append(sum(math.comb(k, j) * counts[j] * counts[k - j] for j in range(k + 1)) // 2)
+        for n in (31, 45, 60):
+            assert gbi_classical(n) == F(counts[n], math.factorial(n))
+            assert bell.gbi_qcr_coefficient(n) == 2 / gbi_classical(n)
 
 
 class TestJsonRoundTrip:

@@ -110,6 +110,34 @@ class TestExitCodes:
         result = run_cli(["monogamy", "bound", "--file", "/nonexistent/x.txt"])
         assert result.returncode == 1
 
+    def test_gbi_constants_past_float_range_exit_one(self):
+        # the ratio (pi/2)^n / 2 leaves the double range near n = 1570
+        result = run_cli(["gbi", "constants", "--max-n", "1600"])
+        assert result.returncode == 1
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("key", ["functional", "observables", "state"])
+    def test_game_spec_missing_key_exit_one(self, tmp_path, key):
+        spec = json.loads((DATA / "chsh_game.json").read_text())
+        del spec[key]
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(spec))
+        result = run_cli(["qccr", "simulate", "--game", str(path), "--trials", "10"])
+        assert result.returncode == 1
+        assert result.stderr == f"bellpersist: game spec lacks key '{key}'\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["persistency", "ghz", "--family", "makb", "--n", "9", "--seed", "1"],
+            ["dicke", "sigma", "--n", "5", "--m", "1", "--l", "1", "--jobs", "2"],
+            ["qccr", "simulate", "--game", str(DATA / "chsh_game.json"), "--trials", "10",
+             "--tolerance", "1e-6"],
+        ],
+    )
+    def test_flags_only_where_read(self, argv):
+        assert run_cli(argv).returncode == 2
+
 
 class TestGameSpecWorkflow:
     def test_make_game_then_simulate(self, tmp_path):
@@ -122,6 +150,13 @@ class TestGameSpecWorkflow:
         # perfect correlations: the three-player game is won every round
         success = float(result.stdout.splitlines()[1].split(",")[4])
         assert success == 1.0
+
+    def test_make_game_output_file_matches_stdout(self, tmp_path):
+        argv = ["qccr", "make-game", "--type", "makb", "--n", "3"]
+        target = tmp_path / "makb3.json"
+        assert main(argv + ["--output", str(target)]) == 0
+        assert target.read_bytes() == run_cli(argv).stdout.encode()
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_seed_changes_output(self):
         base = GOLDEN_COMMANDS["qccr_simulate.csv"]

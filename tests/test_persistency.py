@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import pytest
 
-from bellpersist import dicke
+from bellpersist import bell, dicke, persistency
 from bellpersist.persistency import (
     PersistencyResult,
     QcrModel,
@@ -13,6 +14,19 @@ from bellpersist.persistency import (
     gamma_crit,
     ghz_persistency,
 )
+
+# pi to 50 decimals, rounded down, and one unit of the last digit above it
+PI_LO = Fraction(314159265358979323846264338327950288419716939937510, 10**50)
+PI_HI = PI_LO + Fraction(1, 10**50)
+
+
+def _violates_by_scan(family, n, m):
+    """Reference test of C(n, m)^-1 b a^m > 1, exact for one M at a time."""
+    if family == "makb":
+        return 2 ** (m - 1) > math.comb(n, m) ** 2
+    ratio = bell.gbi_qcr_coefficient(m) / math.comb(n, m)
+    assert not PI_LO <= ratio <= PI_HI, (n, m)
+    return ratio > PI_HI
 
 
 class TestBinaryEntropy:
@@ -87,11 +101,39 @@ class TestGhzPersistency:
         assert r7.margin == pytest.approx(1440 / (427 * math.pi), abs=1e-9)
 
     def test_exact_and_float_agree(self):
+        # includes the makb tie at N = 8, where 2^6 = C(8, 7)^2
         for model in (QcrModel.makb(), QcrModel.gbi()):
-            for n in (20, 60, 150):
+            for n in range(2, 601):
                 exact = ghz_persistency(model, n, exact=True)
                 approx = ghz_persistency(model, n, exact=False)
                 assert exact.max_traced == approx.max_traced, (model.family, n)
+
+    @pytest.mark.parametrize("family", ["makb", "gbi"])
+    def test_certified_matches_per_m_scan(self, family):
+        model = QcrModel.makb() if family == "makb" else QcrModel.gbi()
+        for n in range(2, 301):
+            frontier = next((m for m in range(2, n) if _violates_by_scan(family, n, m)), n)
+            result = ghz_persistency(model, n, exact=True)
+            assert (result.max_traced, result.witness_m) == (n - frontier, min(frontier, n - 1)), n
+            m = result.witness_m
+            if m >= 2:
+                if family == "makb":
+                    value = math.sqrt(Fraction(2 ** (m - 1), math.comb(n, m) ** 2))
+                else:
+                    value = float(bell.gbi_qcr_coefficient(m) / math.comb(n, m)) / math.pi
+                assert result.margin == pytest.approx(value, rel=1e-12), n
+
+    @pytest.mark.parametrize("shift", [-0.7, 0.7])
+    def test_certificate_corrects_a_wrong_proposal(self, monkeypatch, shift):
+        # a float row off by a factor of two proposes the wrong M; the
+        # exact steps must still land on the per-M scan's frontier
+        inner = persistency._log_condition
+        monkeypatch.setattr(persistency, "_log_condition", lambda *args: inner(*args) + shift)
+        for family in ("makb", "gbi"):
+            model = QcrModel.makb() if family == "makb" else QcrModel.gbi()
+            for n in range(2, 121):
+                frontier = next((m for m in range(2, n) if _violates_by_scan(family, n, m)), n)
+                assert ghz_persistency(model, n, exact=True).max_traced == n - frontier, (family, n)
 
     def test_monotone_in_n(self):
         for model in (QcrModel.makb(), QcrModel.gbi()):
