@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -34,6 +35,14 @@ GBI_INTEGRATION_CAP = 10
 
 Number = Union[int, float, Fraction]
 ObservablePair = tuple[qstate.SiteOperator, qstate.SiteOperator]
+
+
+def _check_number(value):
+    """Reject a coefficient or probability that is not a real number."""
+    # the exact float test spares the common case the slower ABC check
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ValueError(f"coefficient or probability {value!r} is not a number")
+    return value
 
 
 class BellFunctional:
@@ -61,10 +70,12 @@ class BellFunctional:
         self.n_parties = n_parties
         self.settings_per_party = settings_per_party
         self.coefficients = {
-            self._check_key(k): v for k, v in coefficients.items() if v != 0
+            self._check_key(k): v for k, v in coefficients.items() if _check_number(v) != 0
         }
         if settings_distribution is not None:
-            dist = {self._check_key(k): v for k, v in settings_distribution.items()}
+            dist = {
+                self._check_key(k): _check_number(v) for k, v in settings_distribution.items()
+            }
             if any(v < 0 for v in dist.values()):
                 raise ValueError("settings probabilities must be nonnegative")
             total = sum(dist.values())

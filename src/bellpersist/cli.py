@@ -15,11 +15,11 @@ import json
 import math
 import os
 import sys
-import tempfile
 from fractions import Fraction
 from typing import Sequence
 
 from . import __version__, bell, dicke, monogamy, persistency, qccr, qstate
+from .errors import CapabilityError
 
 _SYMBOLIC = {
     "sqrt2": math.sqrt(2.0),
@@ -76,12 +76,11 @@ def _emit(args, rows: list[dict], fields: list[str]) -> None:
     else:
         payload = {
             "version": __version__,
-            "command": args.command_path,
+            "command": " ".join(filter(None, (args.command, getattr(args, "subcommand", None)))),
             "config": {
                 k: v
                 for k, v in sorted(vars(args).items())
-                if k not in ("func", "command_path", "format", "output")
-                and v is not None
+                if k not in ("func", "format", "output") and v is not None
             },
             "rows": [{k: _fmt(v) for k, v in row.items()} for row in rows],
         }
@@ -94,26 +93,25 @@ def _write(args, text: str) -> None:
     if not args.output:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(args.output))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # mode "x" creates a new file with the permissions plain open() gives
+    tmp = f"{args.output}.{os.urandom(4).hex()}.tmp"
+    handle = open(tmp, "x", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with handle:
             handle.write(text)
         os.replace(tmp, args.output)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
 def _cmd_gamma_crit(args) -> None:
-    tol = args.tolerance if args.tolerance else 1e-8
     rows = []
     for token in args.a:
         a = _parse_scalar(token)
         if a <= 1.0:
             raise UsageError(f"growth base must exceed 1, got {token!r}")
-        gamma = persistency.gamma_crit(a, tol=tol)
+        gamma = persistency.gamma_crit(a, tol=args.tolerance)
         residual = persistency.binary_entropy(gamma) - gamma * math.log2(a)
         rows.append({"a": a, "gamma_crit": gamma, "residual": residual})
     _emit(args, rows, ["a", "gamma_crit", "residual"])
@@ -161,7 +159,7 @@ def _cmd_persistency_ghz(args) -> None:
     model = persistency.QcrModel.makb() if args.family == "makb" else persistency.QcrModel.gbi()
     rows = []
     for n in args.n:
-        result = persistency.ghz_persistency(model, n, exact=not args.asymptotic or None)
+        result = persistency.ghz_persistency(model, n, exact=not args.asymptotic)
         rows.append(
             {
                 "N": n,
@@ -250,10 +248,11 @@ def _cmd_qccr_simulate(args) -> None:
     subset = None
     if args.subset:
         subset = [int(tok) for tok in args.subset.split(",")]
-    seed = args.seed if args.seed is not None else 0
-    result = qccr.simulate(
-        game, trials=args.trials, seed=seed, subset=subset, jobs=args.jobs or 1
-    )
+    result = qccr.simulate(game, trials=args.trials, seed=args.seed, subset=subset, jobs=args.jobs)
+    try:
+        classical = qccr.classical_best(game)
+    except CapabilityError:
+        classical = ""
     rows = [
         {
             "game": result.game,
@@ -263,10 +262,7 @@ def _cmd_qccr_simulate(args) -> None:
             "success": result.success_rate,
             "stderr": result.stderr,
             "analytic": qccr.quantum_success(game, subset),
-            "classical_best": qccr.classical_best(game)
-            if game.functional.settings_per_party == 2
-            and game.n_parties <= bell.LR_MAX_PARTY_CAP
-            else "",
+            "classical_best": classical,
         }
     ]
     _emit(
@@ -278,9 +274,7 @@ def _cmd_qccr_simulate(args) -> None:
 
 def _cmd_qccr_feasibility(args) -> None:
     with open(args.dist, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
-    dist = {tuple(int(ch) for ch in key): Fraction(value) for key, value in raw.items()}
-    result = qccr.marginal_feasibility(dist, args.n_total)
+        result = qccr.marginal_feasibility(json.load(handle), args.n_total)
     rows = [
         {
             "k": result.k,
@@ -326,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma-crit", help="critical preserved fraction for ratio growth a")
     p.add_argument("--a", action="append", required=True, help="growth base (number, sqrt2, pi/2)")
-    p.add_argument("--tolerance", type=float, help="bisection tolerance (default 1e-8)")
+    p.add_argument("--tolerance", type=float, default=1e-8, help="bisection tolerance, > 0")
     _add_common(p)
-    p.set_defaults(func=_cmd_gamma_crit, command_path="gamma-crit")
+    p.set_defaults(func=_cmd_gamma_crit)
 
     dicke_p = sub.add_parser("dicke", help="Dicke-state correlation sums and fits")
     dicke_sub = dicke_p.add_subparsers(dest="subcommand", required=True)
@@ -336,18 +330,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-range", type=_parse_range, default=list(range(1, 5)))
     p.add_argument("--l-range", type=_parse_range, default=list(range(5, 41)))
     _add_common(p)
-    p.set_defaults(func=_cmd_dicke_table, command_path="dicke fit")
+    p.set_defaults(func=_cmd_dicke_table)
     p = dicke_sub.add_parser("n0", help="threshold party counts N0(M, L)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--l-range", type=_parse_range, required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_dicke_n0, command_path="dicke n0")
+    p.set_defaults(func=_cmd_dicke_n0)
     p = dicke_sub.add_parser("sigma", help="squared-correlation sum of a reduced Dicke state")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_dicke_sigma, command_path="dicke sigma")
+    p.set_defaults(func=_cmd_dicke_sigma)
 
     pers_p = sub.add_parser("persistency", help="how many parties may be lost")
     pers_sub = pers_p.add_subparsers(dest="subcommand", required=True)
@@ -360,37 +354,37 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the b*a^M growth model instead of exact certificates",
     )
     _add_common(p)
-    p.set_defaults(func=_cmd_persistency_ghz, command_path="persistency ghz")
+    p.set_defaults(func=_cmd_persistency_ghz)
     p = pers_sub.add_parser("dicke", help="Dicke states via the correlation indicator")
     p.add_argument("--n", type=_parse_range, required=True)
     p.add_argument("--m", type=int, required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_persistency_dicke, command_path="persistency dicke")
+    p.set_defaults(func=_cmd_persistency_dicke)
 
     gbi_p = sub.add_parser("gbi", help="geometric-inequality constants")
     gbi_sub = gbi_p.add_subparsers(dest="subcommand", required=True)
     p = gbi_sub.add_parser("constants", help="exact classical values and ratios")
     p.add_argument("--max-n", type=int, default=12)
     _add_common(p)
-    p.set_defaults(func=_cmd_gbi_constants, command_path="gbi constants")
+    p.set_defaults(func=_cmd_gbi_constants)
 
     makb_p = sub.add_parser("makb", help="Mermin-type functionals")
     makb_sub = makb_p.add_subparsers(dest="subcommand", required=True)
     p = makb_sub.add_parser("qcr", help="quantum-to-classical ratios by enumeration")
     p.add_argument("--n-range", type=_parse_range, default=list(range(2, 9)))
     _add_common(p)
-    p.set_defaults(func=_cmd_makb_qcr, command_path="makb qcr")
+    p.set_defaults(func=_cmd_makb_qcr)
     p = makb_sub.add_parser("coefficients", help="functional coefficients")
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_makb_coefficients, command_path="makb coefficients")
+    p.set_defaults(func=_cmd_makb_coefficients)
 
     mono_p = sub.add_parser("monogamy", help="anticommutation-graph bounds")
     mono_sub = mono_p.add_subparsers(dest="subcommand", required=True)
     p = mono_sub.add_parser("bound", help="squared-mean bound for a Pauli list file")
     p.add_argument("--file", required=True, help="text file, one Pauli string per line")
     _add_common(p)
-    p.set_defaults(func=_cmd_monogamy_bound, command_path="monogamy bound")
+    p.set_defaults(func=_cmd_monogamy_bound)
 
     qccr_p = sub.add_parser("qccr", help="distributed sign-guessing game")
     qccr_sub = qccr_p.add_subparsers(dest="subcommand", required=True)
@@ -398,22 +392,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", required=True, help="game spec JSON path")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--subset", help="comma-separated party indices")
-    p.add_argument("--seed", type=int, help="RNG seed recorded in the output")
-    p.add_argument("--jobs", type=int, help="parallel worker streams")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed recorded in the output")
+    p.add_argument("--jobs", type=int, default=1, help="independently seeded streams")
     _add_common(p)
-    p.set_defaults(func=_cmd_qccr_simulate, command_path="qccr simulate")
+    p.set_defaults(func=_cmd_qccr_simulate)
     p = qccr_sub.add_parser("feasibility", help="exchangeable-marginal check")
     p.add_argument("--dist", required=True, help="JSON mapping settings strings to probabilities")
     p.add_argument("--n-total", type=int, required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_qccr_feasibility, command_path="qccr feasibility")
+    p.set_defaults(func=_cmd_qccr_feasibility)
     p = qccr_sub.add_parser("make-game", help="write a ready-made game spec")
     p.add_argument("--type", choices=("chsh", "makb", "gbi"), required=True)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--n-total", type=int)
     p.add_argument("--grid", type=int, default=32)
-    _add_common(p)
-    p.set_defaults(func=_cmd_qccr_make_game, command_path="qccr make-game")
+    p.add_argument("--output", help="write the game spec atomically to this path")
+    p.set_defaults(func=_cmd_qccr_make_game)
 
     return parser
 

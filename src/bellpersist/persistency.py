@@ -72,6 +72,15 @@ class QcrModel:
 
 @dataclass(frozen=True)
 class PersistencyResult:
+    """How many of ``n_parties`` may be traced out while a violation survives.
+
+    ``witness_m`` counts the parties left where ``margin``, the condition
+    value, is taken: N - max_traced at the frontier, or N - 1 when not
+    even one party may be traced (the first loss, which fails).  The
+    two-party Dicke state is the one exception: it reports its margin at
+    L = 0 with witness_m = 2.
+    """
+
     n_parties: int
     max_traced: int
     witness_m: int
@@ -96,10 +105,15 @@ def gamma_crit(a: float, tol: float = 1e-8) -> float:
 
     This is the asymptotic fraction of parties that must be preserved
     for the condition C(N, gamma N)^-1 * b * a^(gamma N) > 1 to hold.
-    The root lies in (1/2, 1) iff 1 < a < 4.
+    The root lies in (1/2, 1) iff 1 < a < 4.  Bisection stops once the
+    bracket is within ``tol`` or its midpoint no longer moves in double
+    precision, so a ``tol`` below the float spacing near the root still
+    returns.
     """
     if not 1.0 < a < 4.0:
         raise ValueError("root lies in (1/2, 1) only for 1 < a < 4")
+    if not tol > 0:
+        raise ValueError(f"bisection tolerance must be positive, got {tol}")
     log2a = math.log2(a)
 
     def g(x: float) -> float:
@@ -110,6 +124,8 @@ def gamma_crit(a: float, tol: float = 1e-8) -> float:
         raise RuntimeError("bisection bracket failed")  # unreachable for 1 < a < 4
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if g(mid) > 0:
             lo = mid
         else:
@@ -204,7 +220,8 @@ def dicke_persistency(n_parties: int, m_zeros: int) -> PersistencyResult:
     sum of the reduced state still exceeds 1 (the Zukowski-Brukner
     sufficient condition for violation, so the persistency claim is the
     lower bound P >= max_traced + 1); ``margin`` is the sum at that L,
-    or at L = 1 when no L qualifies (at L = 0 for two parties).
+    or at L = 1 when no L qualifies (at L = 0 for two parties), and
+    ``witness_m`` the N - L parties left there.
     """
     if not 0 <= m_zeros <= n_parties:
         raise ValueError("need 0 <= M <= N")
@@ -217,8 +234,8 @@ def dicke_persistency(n_parties: int, m_zeros: int) -> PersistencyResult:
         for traced in range(1, n_parties - 1)
     }
     best = max((traced for traced, value in sums.items() if value > 1), default=0)
-    margin = float(sums[best if best else 1])
-    return PersistencyResult(n_parties, best, n_parties - best, margin)
+    at = max(best, 1)
+    return PersistencyResult(n_parties, best, n_parties - at, float(sums[at]))
 
 
 def dicke_asymptotic(m_zeros: int, l_values: Iterable[int] = range(5, 41)) -> float:

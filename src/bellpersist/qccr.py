@@ -95,6 +95,8 @@ class GameSpec:
         f = self.functional
         if f.settings_distribution is None:
             raise ValueError("game functionals need a settings distribution")
+        if not f.coefficients:
+            raise ValueError("game functionals need a nonzero coefficient")
         if len(self.observables) != f.n_parties:
             raise ValueError("need one observable tuple per party")
         for per_party in self.observables:
@@ -370,15 +372,14 @@ class FeasibilityResult:
 
 
 def _exactify(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+    """Exact probability from a Fraction, an int, a rational string such
+    as "1/4", or a float (read as the nearest fraction with denominator
+    at most 10^12, so 0.1 is 1/10)."""
     if isinstance(value, float):
         return Fraction(value).limit_denominator(10**12)
-    raise TypeError(f"cannot interpret probability {value!r}")
+    if isinstance(value, (Fraction, int, str)) and not isinstance(value, bool):
+        return Fraction(value)
+    raise ValueError(f"cannot interpret probability {value!r}")
 
 
 def _phase_one_simplex(
@@ -435,34 +436,34 @@ def _phase_one_simplex(
     return None, farkas
 
 
-def marginal_feasibility(
-    dist: Union[Mapping[tuple[int, ...], object], np.ndarray],
-    n_parties: int,
-) -> FeasibilityResult:
+def marginal_feasibility(dist: Mapping, n_parties: int) -> FeasibilityResult:
     """Can a k-party settings distribution be every k-marginal of an
     exchangeable N-party distribution?
 
-    The distribution must be permutation symmetric (a marginal of an
-    exchangeable distribution always is).  Writing q_j for the
-    probability of one N-party tuple with j primed settings, the
-    requirement is sum_j C(N-k, j-i) q_j = m_i for each primed count i
-    of the marginal, q_j >= 0: a linear program solved exactly.
+    ``dist`` maps settings tuples over {0, 1}, or strings of 0s and 1s
+    as in the JSON form, to probabilities (see :func:`_exactify`);
+    absent tuples have probability 0.  The distribution must be
+    permutation symmetric (a marginal of an exchangeable distribution
+    always is).  Writing q_j for the probability of one N-party tuple
+    with j primed settings, the requirement is
+    sum_j C(N-k, j-i) q_j = m_i for each primed count i of the marginal,
+    q_j >= 0: a linear program solved exactly.
     """
-    if isinstance(dist, np.ndarray):
-        k = dist.ndim
-        entries = {key: dist[key] for key in itertools.product((0, 1), repeat=k)}
-    else:
-        entries = {tuple(int(s) for s in key): v for key, v in dist.items()}
-        k = len(next(iter(entries)))
+    if not isinstance(dist, Mapping) or not dist:
+        raise ValueError("settings distribution must be a nonempty mapping")
+    entries = {}
+    for key, value in dist.items():
+        if not isinstance(key, (str, tuple)) or any(s not in (0, 1, "0", "1") for s in key):
+            raise ValueError(f"settings key {key!r} is not a tuple of 0s and 1s")
+        entries[tuple(int(s) for s in key)] = _exactify(value)
+    if len({len(key) for key in entries}) > 1:
+        raise ValueError("settings tuples differ in length")
+    k = len(next(iter(entries)))
     if not 1 <= k <= n_parties <= MAX_FEASIBILITY_PARTIES:
         raise ValueError(
             f"need k <= N <= {MAX_FEASIBILITY_PARTIES}, got k={k}, N={n_parties}"
         )
-    table = {}
-    for key in itertools.product((0, 1), repeat=k):
-        if len(key) != k:
-            raise ValueError("ragged settings tuples")
-        table[key] = _exactify(entries.get(key, 0))
+    table = {key: entries.get(key, Fraction(0)) for key in itertools.product((0, 1), repeat=k)}
     if any(v < 0 for v in table.values()):
         raise ValueError("probabilities must be nonnegative")
     total = sum(table.values())
@@ -539,8 +540,15 @@ def game_to_json(game: GameSpec) -> str:
 
 
 def game_from_json(text: str) -> GameSpec:
-    """Inverse of :func:`game_to_json`; a missing key raises ValueError naming it."""
+    """Inverse of :func:`game_to_json`.
+
+    A missing key raises ValueError naming it; a top level that is not
+    an object, or a container or value of the wrong type inside, raises
+    ValueError too.
+    """
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("game spec must be a JSON object")
     try:
         functional = bell.BellFunctional.from_json(json.dumps(payload["functional"]))
         if functional.settings_distribution is None:
@@ -562,3 +570,5 @@ def game_from_json(text: str) -> GameSpec:
         return GameSpec(functional, observables, state, name=payload.get("name", "game"))
     except KeyError as exc:
         raise ValueError(f"game spec lacks key {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed game spec: {exc}") from None

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellpersist.cli import main
 
@@ -70,6 +75,18 @@ class TestOutputModes:
         assert lines[1].startswith("1.41421356237,0.905117917995,")
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_output_file_mode_matches_open(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            target = tmp_path / "game.json"
+            assert main(["qccr", "make-game", "--type", "chsh", "--output", str(target)]) == 0
+            plain = tmp_path / "plain.json"
+            with open(plain, "w"):
+                pass
+        finally:
+            os.umask(old)
+        assert target.stat().st_mode == plain.stat().st_mode
+
     def test_json_envelope_records_seed(self, tmp_path):
         target = tmp_path / "sim.json"
         code = main(
@@ -133,10 +150,159 @@ class TestExitCodes:
             ["dicke", "sigma", "--n", "5", "--m", "1", "--l", "1", "--jobs", "2"],
             ["qccr", "simulate", "--game", str(DATA / "chsh_game.json"), "--trials", "10",
              "--tolerance", "1e-6"],
+            ["qccr", "make-game", "--type", "chsh", "--format", "json"],
         ],
     )
     def test_flags_only_where_read(self, argv):
         assert run_cli(argv).returncode == 2
+
+    @pytest.mark.parametrize(
+        "where,value",
+        [
+            ((), []),
+            (("functional",), []),
+            (("functional", "settings_distribution", "00"), "1/4"),
+            (("observables",), {"0": 1}),
+            (("state",), ["ghz_mixture"]),
+        ],
+    )
+    def test_game_spec_wrong_type_exit_one(self, tmp_path, capsys, where, value):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(_replaced(_GAME, where, value)))
+        assert main(["qccr", "simulate", "--game", str(path), "--trials", "10"]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_jobs_zero_exit_one(self):
+        argv = ["qccr", "simulate", "--game", str(DATA / "chsh_game.json"), "--trials", "10"]
+        assert main(argv + ["--jobs", "0"]) == 1
+
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_nonpositive_tolerance_exit_one(self, tol):
+        # a subprocess with a timeout: a negative tolerance used to loop forever
+        result = run_cli(["gamma-crit", "--a", "sqrt2", "--tolerance", tol], timeout=60)
+        assert result.returncode == 1
+
+    def test_tolerance_below_float_spacing_returns(self):
+        result = run_cli(["gamma-crit", "--a", "sqrt2", "--tolerance", "1e-20"], timeout=60)
+        assert result.returncode == 0
+        assert abs(float(result.stdout.splitlines()[1].split(",")[2])) < 1e-12
+
+
+class TestFeasibilityInput:
+    def test_decimal_probabilities_accepted(self, tmp_path, capsys):
+        path = tmp_path / "dist.json"
+        path.write_text('{"00": 0.1, "11": 0.9, "01": 0, "10": 0}')
+        assert main(["qccr", "feasibility", "--dist", str(path), "--n-total", "4"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[2:4] == ["true", "1/10;0;0;0;9/10"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"00": 0.5, "11": 0.5, "0": 0}',
+            '{"00": 0.5, "11": 0.5, "012": 0}',
+            '{"00": 0.5, "11": 0.5, "02": 0}',
+            "{}",
+            "[]",
+            "null",
+        ],
+    )
+    def test_malformed_distribution_exit_one(self, tmp_path, capsys, text):
+        path = tmp_path / "dist.json"
+        path.write_text(text)
+        assert main(["qccr", "feasibility", "--dist", str(path), "--n-total", "4"]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+
+
+class TestLibraryDecides:
+    @pytest.mark.parametrize("family", ["makb", "gbi"])
+    def test_asymptotic_rows_equal_default(self, capsys, family):
+        argv = ["persistency", "ghz", "--family", family, "--n", "2:600"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--asymptotic"]) == 0
+        assert capsys.readouterr().out == default
+
+    @pytest.mark.parametrize(
+        "make_args,classical",
+        [(["--type", "gbi", "--n", "3"], ""), (["--type", "makb", "--n", "4"], "0.625")],
+    )
+    def test_classical_best_column(self, tmp_path, capsys, make_args, classical):
+        path = tmp_path / "game.json"
+        assert main(["qccr", "make-game", *make_args, "--output", str(path)]) == 0
+        assert main(["qccr", "simulate", "--game", str(path), "--trials", "100"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[-1] == classical
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(value, prefix=()):
+    """Every path of keys and indices into a JSON value."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(value, path, new):
+    """A copy of ``value`` with the subtree at ``path`` set to ``new``."""
+    if not path:
+        return new
+    value = json.loads(json.dumps(value))
+    node = value
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = new
+    return value
+
+
+def _corrupted(base):
+    """Raw bytes, any JSON value, or ``base`` with one subtree replaced."""
+    paths = list(_paths(base))
+    return st.one_of(
+        st.binary(max_size=20),
+        _JSON.map(lambda v: json.dumps(v).encode()),
+        st.builds(
+            lambda path, new: json.dumps(_replaced(base, path, new)).encode(),
+            st.sampled_from(paths),
+            _JSON,
+        ),
+    )
+
+
+_GAME = json.loads((DATA / "chsh_game.json").read_text())
+_DIST = {"00": "1/4", "01": 0.25, "10": "1/4", "11": 0.25}
+
+
+class TestMalformedInputFuzz:
+    """Malformed input never escapes as an exception: exit 0 or 1, and at
+    most one stderr line."""
+
+    @staticmethod
+    def _run(tmp_path_factory, data, argv):
+        """Run ``argv`` with ``data`` in the file named by its last flag."""
+        path = tmp_path_factory.getbasetemp() / "fuzz_input.json"
+        path.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + [str(path)])
+        assert code in (0, 1)
+        assert err.getvalue().count("\n") <= 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=_corrupted(_GAME))
+    def test_simulate_game(self, tmp_path_factory, data):
+        self._run(tmp_path_factory, data, ["qccr", "simulate", "--trials", "20", "--game"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=_corrupted(_DIST))
+    def test_feasibility_dist(self, tmp_path_factory, data):
+        self._run(tmp_path_factory, data, ["qccr", "feasibility", "--n-total", "4", "--dist"])
 
 
 class TestGameSpecWorkflow:

@@ -186,6 +186,17 @@ class TestDickePersistency:
         margin_l = max(result.max_traced, 1) if n > 2 else 0
         assert result.margin == float(inner(n, m, margin_l))
 
+    def test_witness_is_where_margin_is_taken(self):
+        # both solvers: witness_m = N - max(max_traced, 1), the margin taken there
+        for n in range(3, 13):
+            for m in range(n + 1):
+                result = dicke_persistency(n, m)
+                assert result.witness_m == n - max(result.max_traced, 1), (n, m)
+                assert result.margin == float(dicke.sigma_sum(n, m, n - result.witness_m))
+            ghz = ghz_persistency(QcrModel.makb(), n)
+            assert ghz.witness_m == n - max(ghz.max_traced, 1), n
+        assert dicke_persistency(2, 1).witness_m == 2
+
     @pytest.mark.parametrize("n,m", [(7, 3), (5, 2), (8, 4)])
     def test_preceding_instances_fail(self, n, m):
         assert dicke_persistency(n, m).max_traced == 0
