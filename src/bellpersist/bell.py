@@ -13,8 +13,8 @@ deterministic strategies, never heuristically.
 
 from __future__ import annotations
 
+import copy
 import itertools
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -45,15 +45,27 @@ def _check_number(value):
     return value
 
 
+def _check_count(value, name: str) -> int:
+    """Reject a party or settings count that is not an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return value
+
+
+def _key_string(key: tuple[int, ...], settings_per_party: int) -> str:
+    """The one JSON spelling of a settings tuple; commas above ten settings."""
+    return ("" if settings_per_party <= 10 else ",").join(str(s) for s in key)
+
+
 class BellFunctional:
     """Linear functional over full correlators of a two-(or more-)setting
     Bell scenario.
 
     ``coefficients`` maps settings tuples (one entry per party, each in
-    ``range(settings_per_party)``) to real weights.  An optional
-    probability distribution over settings tuples rides along for
-    communication-game use; the local-realistic maximum is cached after
-    the first computation.
+    ``range(settings_per_party)``) to real weights.  An optional settings
+    distribution rides along for communication-game use; it must be the
+    one :meth:`with_game_distribution` derives, P(s) = |g(s)| / sum |g|
+    (checked in floats to 1e-12 relative).
     """
 
     def __init__(
@@ -63,28 +75,28 @@ class BellFunctional:
         settings_per_party: int = 2,
         settings_distribution: Mapping[tuple[int, ...], Number] | None = None,
     ):
-        if n_parties < 1:
+        if _check_count(n_parties, "party count") < 1:
             raise ValueError("need at least one party")
-        if settings_per_party < 2:
+        if _check_count(settings_per_party, "settings count") < 2:
             raise ValueError("need at least two settings per party")
         self.n_parties = n_parties
         self.settings_per_party = settings_per_party
         self.coefficients = {
             self._check_key(k): v for k, v in coefficients.items() if _check_number(v) != 0
         }
+        self.settings_distribution = None
         if settings_distribution is not None:
             dist = {
                 self._check_key(k): _check_number(v) for k, v in settings_distribution.items()
             }
-            if any(v < 0 for v in dist.values()):
-                raise ValueError("settings probabilities must be nonnegative")
-            total = sum(dist.values())
-            if abs(float(total) - 1.0) > 1e-12:
-                raise ValueError(f"settings probabilities sum to {total}")
+            weights = {k: abs(float(c)) for k, c in self.coefficients.items()}
+            total = math.fsum(weights.values())
+            # |P(s) - w(s)/total| <= 1e-12 w(s)/total, scaled by total; NaN fails
+            if dist.keys() != weights.keys() or not all(
+                abs(float(dist[k]) * total - w) <= 1e-12 * w for k, w in weights.items()
+            ):
+                raise ValueError("settings probabilities are not |coefficient| / sum |coefficients|")
             self.settings_distribution = dist
-        else:
-            self.settings_distribution = None
-        self._lr_max: float | None = None
 
     def _check_key(self, key: tuple[int, ...]) -> tuple[int, ...]:
         key = tuple(int(s) for s in key)
@@ -98,49 +110,51 @@ class BellFunctional:
         return sum((abs(Fraction(c)) for c in self.coefficients.values()), Fraction(0))
 
     def with_game_distribution(self) -> "BellFunctional":
-        """Attach the distribution P(s) proportional to |coefficient(s)|."""
+        """A copy, sharing the checked coefficients, with P(s) = |g(s)| / sum |g|."""
+        game = copy.copy(self)
         total = self.abs_total()
-        dist = {k: abs(Fraction(c)) / total for k, c in self.coefficients.items()}
-        return BellFunctional(
-            self.n_parties, self.coefficients, self.settings_per_party, dist
-        )
+        game.settings_distribution = {k: abs(Fraction(c)) / total for k, c in self.coefficients.items()}
+        return game
 
-    def _key_string(self, key: tuple[int, ...]) -> str:
-        if self.settings_per_party <= 10:
-            return "".join(str(s) for s in key)
-        return ",".join(str(s) for s in key)
+    def to_json(self) -> dict:
+        """The functional as a JSON object, keys spelled by :func:`_key_string`."""
 
-    def to_json(self) -> str:
+        def table(values: Mapping[tuple[int, ...], Number]) -> dict[str, float]:
+            return {
+                _key_string(k, self.settings_per_party): float(v) for k, v in sorted(values.items())
+            }
+
         payload = {
             "n_parties": self.n_parties,
             "settings_per_party": self.settings_per_party,
-            "coefficients": {
-                self._key_string(k): float(v) for k, v in sorted(self.coefficients.items())
-            },
+            "coefficients": table(self.coefficients),
         }
         if self.settings_distribution is not None:
-            payload["settings_distribution"] = {
-                self._key_string(k): float(v)
-                for k, v in sorted(self.settings_distribution.items())
-            }
-        return json.dumps(payload, sort_keys=True)
+            payload["settings_distribution"] = table(self.settings_distribution)
+        return payload
 
     @classmethod
-    def from_json(cls, text: str) -> "BellFunctional":
-        payload = json.loads(text)
-        spp = int(payload.get("settings_per_party", 2))
+    def from_json(cls, payload: dict) -> "BellFunctional":
+        """Inverse of :meth:`to_json`; a key not spelled as :func:`_key_string`
+        writes it raises ValueError, so no two keys name one tuple."""
+        spp = payload.get("settings_per_party", 2)
 
-        def parse_key(s: str) -> tuple[int, ...]:
-            if "," in s:
-                return tuple(int(tok) for tok in s.split(","))
-            return tuple(int(ch) for ch in s)
+        def table(values: dict) -> dict[tuple[int, ...], Number]:
+            parsed = {}
+            for text, value in values.items():
+                key = tuple(int(tok) for tok in (text.split(",") if "," in text else text))
+                spelled = _key_string(key, spp)
+                if spelled != text:
+                    raise ValueError(f"settings key {text!r} must be spelled {spelled!r}")
+                parsed[key] = value
+            return parsed
 
         dist = payload.get("settings_distribution")
         return cls(
-            int(payload["n_parties"]),
-            {parse_key(k): v for k, v in payload["coefficients"].items()},
+            payload["n_parties"],
+            table(payload["coefficients"]),
             spp,
-            None if dist is None else {parse_key(k): v for k, v in dist.items()},
+            None if dist is None else table(dist),
         )
 
 
@@ -195,11 +209,8 @@ def lr_max(f: BellFunctional) -> float:
 
     Enumerates all 2^(2n) assignments of +-1 outcomes to every party's
     two settings (exactly; strategies of parties 2..n are enumerated and
-    party 1 is optimized in closed form per strategy).  The result is
-    cached on the functional.
+    party 1 is optimized in closed form per strategy).
     """
-    if f._lr_max is not None:
-        return f._lr_max
     if f.settings_per_party != 2:
         raise CapabilityError("exhaustive search implemented for two settings only")
     n = f.n_parties
@@ -209,15 +220,12 @@ def lr_max(f: BellFunctional) -> float:
     for key, value in f.coefficients.items():
         coeff[key] = float(value)
     if n == 1:
-        best = float(np.abs(coeff).sum())
-    else:
-        # rows of `strategies`: outcome pairs (a(0), a(1)) per trailing party
-        base = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-        strategies = reduce(np.kron, [base] * (n - 1))
-        grouped = strategies @ coeff.reshape(2, -1).T
-        best = float(np.max(np.abs(grouped).sum(axis=1)))
-    f._lr_max = best
-    return best
+        return float(np.abs(coeff).sum())
+    # rows of `strategies`: outcome pairs (a(0), a(1)) per trailing party
+    base = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    strategies = reduce(np.kron, [base] * (n - 1))
+    grouped = strategies @ coeff.reshape(2, -1).T
+    return float(np.max(np.abs(grouped).sum(axis=1)))
 
 
 def quantum_value(

@@ -206,7 +206,7 @@ def dense_sigma_sum(n_total: int, m_zeros: int, n_traced: int) -> float:
     return total
 
 
-def solve_n0(m_zeros: int, n_traced: int, max_n: int | None = None) -> float:
+def solve_n0(m_zeros: int, n_traced: int) -> float:
     """Party count at which the reduced correlation sum crosses up through 1.
 
     For fixed (M, L) with L >= M the sum is below 1 for small registers
@@ -223,8 +223,7 @@ def solve_n0(m_zeros: int, n_traced: int, max_n: int | None = None) -> float:
     if m_zeros < 0:
         raise ValueError("zeros count must be nonnegative")
     start = max(m_zeros, n_traced + 1, 2)
-    if max_n is None:
-        max_n = 4 * (n_traced + m_zeros) + 16
+    max_n = 4 * (n_traced + m_zeros) + 16
     # the mirror-degenerate region ends once n exceeds both 2M and 2(N-M)
     settled = 2 * m_zeros + n_traced + 1
     crossing = None

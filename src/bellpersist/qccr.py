@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -54,7 +54,8 @@ class GhzMixture:
     block_size: int
 
     def __post_init__(self):
-        if not 1 <= self.block_size <= self.n_parties:
+        bell._check_count(self.n_parties, "party count")
+        if not 1 <= bell._check_count(self.block_size, "block size") <= self.n_parties:
             raise ValueError("block size must lie in [1, n_parties]")
 
     def visibility(self, subset_size: int) -> float:
@@ -504,31 +505,20 @@ def marginal_feasibility(dist: Mapping, n_parties: int) -> FeasibilityResult:
     return FeasibilityResult(False, n_parties, k, None, tuple(farkas))
 
 
-def game_distribution(game: GameSpec) -> dict[tuple[int, ...], Fraction]:
-    """The game's settings distribution with exact rational weights."""
-    f = game.functional
-    total = f.abs_total()
-    return {k: abs(Fraction(c)) / total for k, c in f.coefficients.items()}
-
-
 # --- JSON round trip --------------------------------------------------------
 
 
 def game_to_json(game: GameSpec) -> str:
     if isinstance(game.state, GhzMixture):
-        state = {
-            "kind": "ghz_mixture",
-            "n_parties": game.state.n_parties,
-            "block_size": game.state.block_size,
-        }
+        state = {"kind": "ghz_mixture", **asdict(game.state)}
     elif isinstance(game.state, VisibilityModel):
-        state = {"kind": "visibility", "v": game.state.v}
+        state = {"kind": "visibility", **asdict(game.state)}
     else:
         raise CapabilityError("dense oracle states are not serialized")
     return json.dumps(
         {
             "name": game.name,
-            "functional": json.loads(game.functional.to_json()),
+            "functional": game.functional.to_json(),
             "observables": [
                 [{"plane": obs.plane, "turns": obs.turns} for obs in per_party]
                 for per_party in game.observables
@@ -550,7 +540,7 @@ def game_from_json(text: str) -> GameSpec:
     if not isinstance(payload, dict):
         raise ValueError("game spec must be a JSON object")
     try:
-        functional = bell.BellFunctional.from_json(json.dumps(payload["functional"]))
+        functional = bell.BellFunctional.from_json(payload["functional"])
         if functional.settings_distribution is None:
             functional = functional.with_game_distribution()
         observables = tuple(

@@ -223,7 +223,7 @@ def test_c11_marginal_feasibility():
             assert result.witness is not None
             assert sum(math.comb(n, j) * q for j, q in enumerate(result.witness)) == 1
 
-    odd = qccr.marginal_feasibility(qccr.game_distribution(qccr.makb_game(3)), 4)
+    odd = qccr.marginal_feasibility(qccr.makb_game(3).functional.settings_distribution, 4)
     elapsed = time.monotonic() - start
     assert not odd.feasible
     assert odd.certificate is not None and all(isinstance(y, F) for y in odd.certificate)

@@ -318,6 +318,19 @@ class TestJsonRoundTrip:
         }
         assert restored.settings_distribution is not None
 
+    def test_comma_keys_round_trip(self):
+        f = BellFunctional(2, {(0, 11): 0.5, (10, 1): -0.25}, settings_per_party=12)
+        assert f.to_json()["coefficients"] == {"0,11": 0.5, "10,1": -0.25}
+        assert BellFunctional.from_json(f.to_json()).coefficients == f.coefficients
+
+    @pytest.mark.parametrize(
+        "spp,key", [(2, "0,1"), (2, "+1,0"), (2, "\u0660\u0661"), (12, "011"), (12, "0,+11")]
+    )
+    def test_other_key_spellings_rejected(self, spp, key):
+        payload = {"n_parties": 2, "settings_per_party": spp, "coefficients": {key: 1.0}}
+        with pytest.raises(ValueError, match="spelled"):
+            BellFunctional.from_json(payload)
+
     def test_distribution_validation(self):
         with pytest.raises(ValueError):
             BellFunctional(2, {(0, 0): 1.0}, settings_distribution={(0, 0): 0.5})

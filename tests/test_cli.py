@@ -164,6 +164,14 @@ class TestExitCodes:
             (("functional", "settings_distribution", "00"), "1/4"),
             (("observables",), {"0": 1}),
             (("state",), ["ghz_mixture"]),
+            (("functional", "n_parties"), 2.7),
+            (("functional", "settings_per_party"), 2.9),
+            (("state", "n_parties"), 2.5),
+            (("state", "block_size"), True),
+            (("functional", "coefficients", " 0,+1"), 0.0),
+            (("functional", "coefficients"), {"0,0": 1.0, "0,1": 1.0, "1,0": 1.0, "1,1": -1.0}),
+            (("functional", "settings_distribution"), {"00": 0.5, "01": 0.5}),
+            (("functional", "settings_distribution"), {"00": 0.4, "01": 0.2, "10": 0.2, "11": 0.2}),
         ],
     )
     def test_game_spec_wrong_type_exit_one(self, tmp_path, capsys, where, value):
@@ -277,6 +285,10 @@ def _corrupted(base):
 
 _GAME = json.loads((DATA / "chsh_game.json").read_text())
 _DIST = {"00": "1/4", "01": 0.25, "10": "1/4", "11": 0.25}
+# raw bytes, or lines drawn mostly from Pauli letters, blanks and comments
+_PAULI_FILES = st.binary(max_size=40) | st.lists(
+    st.text(alphabet="IXYZxz0 #\t\u00e9", max_size=6), max_size=30
+).map(lambda lines: "\n".join(lines).encode())
 
 
 class TestMalformedInputFuzz:
@@ -303,6 +315,11 @@ class TestMalformedInputFuzz:
     @given(data=_corrupted(_DIST))
     def test_feasibility_dist(self, tmp_path_factory, data):
         self._run(tmp_path_factory, data, ["qccr", "feasibility", "--n-total", "4", "--dist"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=_PAULI_FILES)
+    def test_monogamy_file(self, tmp_path_factory, data):
+        self._run(tmp_path_factory, data, ["monogamy", "bound", "--file"])
 
 
 class TestGameSpecWorkflow:

@@ -230,23 +230,23 @@ class TestMarginalFeasibility:
         assert total == 1
 
     def test_makb3_distribution_infeasible_in_four(self):
-        dist = qccr.game_distribution(makb_game(3))
+        dist = makb_game(3).functional.settings_distribution
         result = marginal_feasibility(dist, 4)
         assert not result.feasible
         assert result.certificate is not None
 
     def test_makb3_infeasible_in_all_larger(self):
-        dist = qccr.game_distribution(makb_game(3))
+        dist = makb_game(3).functional.settings_distribution
         for n in range(4, 9):
             assert not marginal_feasibility(dist, n).feasible
 
     def test_makb_even_distribution_extends(self):
-        dist = qccr.game_distribution(makb_game(4))
+        dist = makb_game(4).functional.settings_distribution
         for n in (5, 6, 8):
             assert marginal_feasibility(dist, n).feasible
 
     def test_self_extension_iff_exchangeable(self):
-        dist = qccr.game_distribution(makb_game(3))
+        dist = makb_game(3).functional.settings_distribution
         assert marginal_feasibility(dist, 3).feasible
         skew = {(0, 0): F(1, 2), (0, 1): F(1, 2), (1, 0): F(0), (1, 1): F(0)}
         result = marginal_feasibility(skew, 2)
@@ -254,7 +254,7 @@ class TestMarginalFeasibility:
         assert "symmetric" in result.reason
 
     def test_certificate_is_exact(self):
-        dist = qccr.game_distribution(makb_game(3))
+        dist = makb_game(3).functional.settings_distribution
         result = marginal_feasibility(dist, 4)
         y = result.certificate
         marginal = [F(0), F(1, 4), F(0), F(1, 4)]
