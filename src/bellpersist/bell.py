@@ -46,7 +46,7 @@ def _check_number(value):
 
 
 def _check_count(value, name: str) -> int:
-    """Reject a party or settings count that is not an integer."""
+    """Reject a party or settings count, or a setting, that is not an integer."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} {value!r} is not an integer")
     return value
@@ -54,7 +54,7 @@ def _check_count(value, name: str) -> int:
 
 def _key_string(key: tuple[int, ...], settings_per_party: int) -> str:
     """The one JSON spelling of a settings tuple; commas above ten settings."""
-    return ("" if settings_per_party <= 10 else ",").join(str(s) for s in key)
+    return ("" if settings_per_party <= 10 else ",").join(map(str, key))
 
 
 class BellFunctional:
@@ -99,55 +99,91 @@ class BellFunctional:
             self.settings_distribution = dist
 
     def _check_key(self, key: tuple[int, ...]) -> tuple[int, ...]:
-        key = tuple(int(s) for s in key)
+        key = tuple(key)
         if len(key) != self.n_parties:
             raise ValueError(f"settings tuple {key} has wrong arity")
-        if any(not 0 <= s < self.settings_per_party for s in key):
-            raise ValueError(f"settings tuple {key} out of range")
+        for s in key:
+            if type(s) is not int:
+                # other integer types convert; bools and non-integral
+                # settings raise rather than truncate
+                key = tuple(int(_check_count(s, "setting")) for s in key)
+                break
+        for s in key:
+            if not 0 <= s < self.settings_per_party:
+                raise ValueError(f"settings tuple {key} out of range")
         return key
 
+    def _abs_numerators(self) -> tuple[list[int], int]:
+        """Each |c| written as n / D over one common denominator D.
+
+        A float's ``as_integer_ratio`` has a power-of-two denominator, so
+        for float coefficients D is the largest of them; the numerators
+        follow the order of ``coefficients``.
+        """
+        ratios = [
+            c.as_integer_ratio() if isinstance(c, float) else Fraction(c).as_integer_ratio()
+            for c in self.coefficients.values()
+        ]
+        denominators = {d for _, d in ratios}
+        common = math.lcm(*denominators)
+        scale = {d: common // d for d in denominators}
+        return [abs(p) * scale[d] for p, d in ratios], common
+
     def abs_total(self) -> Fraction:
-        return sum((abs(Fraction(c)) for c in self.coefficients.values()), Fraction(0))
+        """sum |c| over the coefficients, exactly: T / D from one integer
+        sum T of the numerators of :meth:`_abs_numerators`."""
+        numerators, common = self._abs_numerators()
+        return Fraction(sum(numerators), common)
 
     def with_game_distribution(self) -> "BellFunctional":
-        """A copy, sharing the checked coefficients, with P(s) = |g(s)| / sum |g|."""
+        """A copy, sharing the checked coefficients, with P(s) = |g(s)| / sum |g|.
+
+        With |g(s)| = n(s) / D and sum |g| = T / D, P(s) = n(s) / T.  For a
+        float coefficient P(s) is the float ``n(s) / T``: int/int true
+        division is correctly rounded, so it equals ``float(Fraction(|g(s)|)
+        / abs_total())`` bit for bit.  Any other coefficient gets the exact
+        ``Fraction(n(s), T)``.
+        """
         game = copy.copy(self)
-        total = self.abs_total()
-        game.settings_distribution = {k: abs(Fraction(c)) / total for k, c in self.coefficients.items()}
+        numerators, _ = self._abs_numerators()
+        total = sum(numerators)
+        game.settings_distribution = {
+            k: n / total if isinstance(c, float) else Fraction(n, total)
+            for (k, c), n in zip(self.coefficients.items(), numerators)
+        }
         return game
 
     def to_json(self) -> dict:
         """The functional as a JSON object, keys spelled by :func:`_key_string`."""
-
-        def table(values: Mapping[tuple[int, ...], Number]) -> dict[str, float]:
-            return {
-                _key_string(k, self.settings_per_party): float(v) for k, v in sorted(values.items())
-            }
-
+        # the distribution, when present, has the coefficients' key set
+        spelled = {k: _key_string(k, self.settings_per_party) for k in sorted(self.coefficients)}
         payload = {
             "n_parties": self.n_parties,
             "settings_per_party": self.settings_per_party,
-            "coefficients": table(self.coefficients),
+            "coefficients": {text: float(self.coefficients[k]) for k, text in spelled.items()},
         }
         if self.settings_distribution is not None:
-            payload["settings_distribution"] = table(self.settings_distribution)
+            dist = self.settings_distribution
+            payload["settings_distribution"] = {text: float(dist[k]) for k, text in spelled.items()}
         return payload
 
     @classmethod
     def from_json(cls, payload: dict) -> "BellFunctional":
         """Inverse of :meth:`to_json`; a key not spelled as :func:`_key_string`
-        writes it raises ValueError, so no two keys name one tuple."""
+        writes it raises ValueError, so no two keys name one tuple.  Each
+        key string is parsed once; both tables share the parsed tuples."""
         spp = payload.get("settings_per_party", 2)
+        parsed: dict[str, tuple[int, ...]] = {}
 
         def table(values: dict) -> dict[tuple[int, ...], Number]:
-            parsed = {}
-            for text, value in values.items():
-                key = tuple(int(tok) for tok in (text.split(",") if "," in text else text))
-                spelled = _key_string(key, spp)
-                if spelled != text:
-                    raise ValueError(f"settings key {text!r} must be spelled {spelled!r}")
-                parsed[key] = value
-            return parsed
+            for text in values:
+                if text not in parsed:
+                    key = tuple(map(int, text.split(",") if "," in text else text))
+                    spelled = _key_string(key, spp)
+                    if spelled != text:
+                        raise ValueError(f"settings key {text!r} must be spelled {spelled!r}")
+                    parsed[text] = key
+            return {parsed[text]: value for text, value in values.items()}
 
         dist = payload.get("settings_distribution")
         return cls(

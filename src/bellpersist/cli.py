@@ -261,7 +261,7 @@ def _cmd_qccr_simulate(args) -> None:
             "seed": result.seed,
             "success": result.success_rate,
             "stderr": result.stderr,
-            "analytic": qccr.quantum_success(game, subset),
+            "analytic": result.analytic,
             "classical_best": classical,
         }
     ]

@@ -29,6 +29,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -153,19 +154,24 @@ def gbi_game(n: int, grid: int = 32) -> GameSpec:
 
 
 def _settings_table(game: GameSpec, subset: Sequence[int]):
+    """Settings tuples in sorted order, as an int array of shape (count,
+    parties), with their probabilities, coefficients and correlators."""
     f = game.functional
     keys = sorted(f.settings_distribution)
-    probs = np.array([float(f.settings_distribution[k]) for k in keys])
-    coeffs = np.array([float(f.coefficients.get(k, 0)) for k in keys])
+    components = np.array(keys, dtype=np.int64)
+    probs = np.array([f.settings_distribution[k] for k in keys], dtype=float)
+    coeffs = np.array([f.coefficients[k] for k in keys], dtype=float)
     if isinstance(game.state, qstate.DenseState):
         corr = np.array([_dense_correlator(game, subset, k) for k in keys])
     else:
         v = game.state.visibility(len(subset))
-        angle_sums = np.array(
-            [sum(game.observables[i][s].angle for i, s in enumerate(k)) for k in keys]
-        )
+        # added left to right, party by party, as sum() adds a tuple's angles
+        angle_sums = 0
+        for party, per_party in enumerate(game.observables):
+            angles = np.array([obs.angle for obs in per_party])
+            angle_sums = angle_sums + angles[components[:, party]]
         corr = v * np.cos(angle_sums)
-    return keys, probs, coeffs, corr
+    return components, probs, coeffs, corr
 
 
 def _dense_correlator(game: GameSpec, subset: Sequence[int], key: tuple[int, ...]) -> float:
@@ -202,12 +208,15 @@ def classical_best(game: GameSpec) -> float:
     return 0.5 * (1.0 + value / float(game.functional.abs_total()))
 
 
-def quantum_success(game: GameSpec, subset: Sequence[int] | None = None) -> float:
-    """Analytic success probability of the measure-and-broadcast protocol."""
-    subset = _resolve_subset(game, subset)
-    _, _, coeffs, corr = _settings_table(game, subset)
+def _success_probability(game: GameSpec, coeffs: np.ndarray, corr: np.ndarray) -> float:
     quantum = float(np.dot(coeffs, corr))
     return 0.5 * (1.0 + quantum / float(game.functional.abs_total()))
+
+
+def quantum_success(game: GameSpec, subset: Sequence[int] | None = None) -> float:
+    """Analytic success probability of the measure-and-broadcast protocol."""
+    _, _, coeffs, corr = _settings_table(game, _resolve_subset(game, subset))
+    return _success_probability(game, coeffs, corr)
 
 
 @dataclass(frozen=True)
@@ -218,35 +227,49 @@ class SimulationResult:
     seed: int
     success_rate: float
     stderr: float
+    # quantum_success(game, subset), from the settings table the run used
+    analytic: float
 
 
 def _simulate_chunk(
     rng: np.random.Generator,
     trials: int,
     probs: np.ndarray,
-    signs: np.ndarray,
+    negative: np.ndarray,
     corr: np.ndarray,
     k: int,
     strategy: np.ndarray | None,
     settings_components: np.ndarray,
     drop_player: int | None,
 ) -> int:
+    """Successes in ``trials`` rounds drawn from ``rng``.
+
+    Every +-1 value v is carried as its sign bit, v == -1, so a product
+    of +-1 values is the XOR of their bits.  ``negative`` holds the sign
+    bit of each coefficient and ``strategy`` the sign bits of the
+    answers.  The draws are those of the +-1 form: the setting index,
+    y_i = 2 u - 1 from a 0/1 draw u, the parity against its bias, then
+    m_i from 0/1 draws with the last one fixed so the product of all m_i
+    is the parity.  The guess is the product of y_i m_i over the players
+    heard and the target is y_1 ... y_k sign(g), so a round succeeds when
+    guess * y_1 ... y_k has the sign of g.  Each heard y_i cancels from
+    that product, so its sign bit is the XOR of the heard m_i and of the
+    dropped player's y_i.
+    """
     s_idx = rng.choice(len(probs), size=trials, p=probs)
-    y = rng.integers(0, 2, size=(trials, k)) * 2 - 1
+    y = rng.integers(0, 2, size=(trials, k))
     if strategy is None:
-        parity_prob = 0.5 * (1.0 + corr[s_idx])
-        parity = np.where(rng.random(trials) < parity_prob, 1, -1)
-        m = rng.integers(0, 2, size=(trials, k)) * 2 - 1
-        m[:, -1] = parity * np.prod(m[:, :-1], axis=1)
+        parity = ~(rng.random(trials) < 0.5 * (1.0 + corr[s_idx]))
+        m = rng.integers(0, 2, size=(trials, k)) == 0
+        m[:, -1] = reduce(np.logical_xor, m[:, :-1].T, parity)
     else:
-        comps = settings_components[s_idx]  # (trials, k) setting of each party
-        m = strategy[np.arange(k)[None, :], comps]
-    broadcast = y * m
-    if drop_player is not None:
-        broadcast = np.delete(broadcast, drop_player, axis=1)
-    guess = np.prod(broadcast, axis=1)
-    target = np.prod(y, axis=1) * signs[s_idx]
-    return int(np.sum(guess == target))
+        m = strategy[np.arange(k)[None, :], settings_components[s_idx]]
+    # sign bit of guess * y_1 ... y_k
+    product_bit = np.zeros(trials, dtype=bool) if drop_player is None else y[:, drop_player] == 0
+    for player in range(k):
+        if player != drop_player:
+            product_bit ^= m[:, player]
+    return int(np.count_nonzero(product_bit == negative[s_idx]))
 
 
 def simulate(
@@ -267,24 +290,24 @@ def simulate(
     seeded streams spawned from the master seed; counts merge by
     addition, so the result depends only on (seed, jobs).
     ``drop_player`` omits one player's broadcast from the guess, which
-    should destroy the correlation entirely.
+    should destroy the correlation entirely.  The result carries
+    :func:`quantum_success` for the same subset.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if jobs < 1:
         raise ValueError("need at least one job")
     subset = _resolve_subset(game, subset)
-    keys, probs, coeffs, corr = _settings_table(game, subset)
-    signs = np.sign(coeffs)
+    components, probs, coeffs, corr = _settings_table(game, subset)
     k = game.n_parties
-    strategy_arr = None
+    strategy_bits = None
     if strategy is not None:
         strategy_arr = np.asarray(strategy, dtype=np.int64)
         if strategy_arr.shape != (k, game.functional.settings_per_party):
             raise ValueError("strategy must give a +-1 answer per party per setting")
         if not np.all(np.abs(strategy_arr) == 1):
             raise ValueError("strategy answers must be +-1")
-    components = np.array(keys, dtype=np.int64)
+        strategy_bits = strategy_arr < 0
     if drop_player is not None and not 0 <= drop_player < k:
         raise ValueError("drop_player out of range")
 
@@ -298,16 +321,18 @@ def simulate(
             np.random.default_rng(child),
             int(chunk),
             probs,
-            signs,
+            coeffs < 0,
             corr,
             k,
-            strategy_arr,
+            strategy_bits,
             components,
             drop_player,
         )
     rate = successes / trials
     stderr = math.sqrt(max(rate * (1.0 - rate), 1e-300) / trials)
-    return SimulationResult(game.name, subset, trials, seed, rate, stderr)
+    return SimulationResult(
+        game.name, subset, trials, seed, rate, stderr, _success_probability(game, coeffs, corr)
+    )
 
 
 def outcome_distribution(game: GameSpec, subset: Sequence[int], key: tuple[int, ...]) -> np.ndarray:

@@ -334,3 +334,20 @@ class TestJsonRoundTrip:
     def test_distribution_validation(self):
         with pytest.raises(ValueError):
             BellFunctional(2, {(0, 0): 1.0}, settings_distribution={(0, 0): 0.5})
+
+
+class TestSettingsKeys:
+    @pytest.mark.parametrize(
+        "key", [(0.7, 1), (True, 0), (0, False), (1.0, 0), ("0", "1"), (0, 2), (-1, 0), (0,)]
+    )
+    def test_invalid_settings_raise(self, key):
+        # a float, bool or string setting raises rather than being truncated by int()
+        with pytest.raises(ValueError):
+            BellFunctional(2, {key: 1, (0, 0): 2})
+        with pytest.raises(ValueError):
+            BellFunctional(2, {(0, 0): 1}, settings_distribution={key: 1.0})
+
+    def test_other_integer_types_convert(self):
+        f = BellFunctional(2, {(np.int64(1), np.int8(0)): 1})
+        assert list(f.coefficients) == [(1, 0)]
+        assert all(type(s) is int for s in next(iter(f.coefficients)))

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -345,3 +346,69 @@ class TestGameSpecWorkflow:
         base = GOLDEN_COMMANDS["qccr_simulate.csv"]
         alt = [tok if tok != "7" else "8" for tok in base]
         assert run_cli(base).stdout != run_cli(alt).stdout
+
+
+# `qccr make-game` bytes (sha256) and `qccr simulate --trials 200000` rows
+# at seeds 1 and 7 with --jobs 1 and 2, as the Fraction-sum, +-1-product
+# implementation of the game path wrote them; any rewrite of that path
+# must keep them byte for byte
+PINNED_GAMES = {
+    "gbi3x32": (
+        ["--type", "gbi", "--n", "3"],
+        "0c0e2340e64816c1b6d83d31e905681a01029246603efa095b4e9b304c986a03",
+    ),
+    "gbi2x16": (
+        ["--type", "gbi", "--n", "2", "--grid", "16"],
+        "156cc7ecfb3a9168f307beab3e1256f32d2599424e96363965482af722b404d5",
+    ),
+    "makb3": (
+        ["--type", "makb", "--n", "3"],
+        "84fecf4e0f132715a476d8e121f8b43f483c20f93aa23a6e92a4ea37b68ae444",
+    ),
+    "makb4": (
+        ["--type", "makb", "--n", "4", "--n-total", "6"],
+        "94bafe7099cc9a5a5e434bc3f242eb3abb5b93b675a33c8acd4d52c4952cdc58",
+    ),
+    "chsh": (
+        ["--type", "chsh"],
+        "86685a225d1aa2a5d6e98321efb1d36ebb890c0bdd296f948e92e6c5d81a4e14",
+    ),
+}
+PINNED_SIMULATE_ROWS = {
+    "gbi3x32": {
+        ("1", "1"): "gbi3x32,0+1+2,200000,1,0.893105,0.000690899627207,0.893965613429,",
+        ("1", "2"): "gbi3x32,0+1+2,200000,1,0.893275,0.000690415723948,0.893965613429,",
+        ("7", "1"): "gbi3x32,0+1+2,200000,7,0.89377,0.000689003581631,0.893965613429,",
+        ("7", "2"): "gbi3x32,0+1+2,200000,7,0.893885,0.000688674839002,0.893965613429,",
+    },
+    "chsh": {
+        ("1", "1"): "chsh,0+1,200000,1,0.85394,0.000789703983781,0.853553390593,0.75",
+        ("1", "2"): "chsh,0+1,200000,1,0.853735,0.00079016311536,0.853553390593,0.75",
+        ("7", "1"): "chsh,0+1,200000,7,0.852815,0.000792217065504,0.853553390593,0.75",
+        ("7", "2"): "chsh,0+1,200000,7,0.853335,0.000791057449794,0.853553390593,0.75",
+    },
+    "makb4": {
+        ("1", "1"): "makb4,0+1+2+3,200000,1,0.52331,0.00111681834669,0.52357022604,0.625",
+        ("1", "2"): "makb4,0+1+2+3,200000,1,0.52173,0.00111697763429,0.52357022604,0.625",
+        ("7", "1"): "makb4,0+1+2+3,200000,7,0.523295,0.00111681991157,0.52357022604,0.625",
+        ("7", "2"): "makb4,0+1+2+3,200000,7,0.52249,0.0011169024127,0.52357022604,0.625",
+    },
+}
+
+
+class TestPinnedGameOutputs:
+    @pytest.mark.parametrize("name", sorted(PINNED_GAMES))
+    def test_make_game_bytes(self, tmp_path, name):
+        make_args, digest = PINNED_GAMES[name]
+        spec = tmp_path / "game.json"
+        assert main(["qccr", "make-game", *make_args, "--output", str(spec)]) == 0
+        assert hashlib.sha256(spec.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SIMULATE_ROWS))
+    def test_simulate_rows(self, tmp_path, capsys, name):
+        spec = tmp_path / "game.json"
+        assert main(["qccr", "make-game", *PINNED_GAMES[name][0], "--output", str(spec)]) == 0
+        for (seed, jobs), row in PINNED_SIMULATE_ROWS[name].items():
+            argv = ["--game", str(spec), "--trials", "200000", "--seed", seed, "--jobs", jobs]
+            assert main(["qccr", "simulate", *argv]) == 0
+            assert capsys.readouterr().out.splitlines()[1] == row, (seed, jobs)

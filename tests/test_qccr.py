@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -210,6 +211,85 @@ class TestSimulation:
         # grid averages approach (1 + pi/4)/2 for perfect visibility
         value = quantum_success(gbi_game(2, grid=64))
         assert value == pytest.approx(0.5 * (1 + math.pi / 4), abs=2e-3)
+
+
+def _signed_chunk(rng, trials, probs, signs, corr, k, strategy, settings_components, drop_player):
+    """The Monte Carlo round as products of +-1 int64 values; the reference
+    for the sign-bit form of qccr._simulate_chunk."""
+    s_idx = rng.choice(len(probs), size=trials, p=probs)
+    y = rng.integers(0, 2, size=(trials, k)) * 2 - 1
+    if strategy is None:
+        parity_prob = 0.5 * (1.0 + corr[s_idx])
+        parity = np.where(rng.random(trials) < parity_prob, 1, -1)
+        m = rng.integers(0, 2, size=(trials, k)) * 2 - 1
+        m[:, -1] = parity * np.prod(m[:, :-1], axis=1)
+    else:
+        comps = settings_components[s_idx]
+        m = strategy[np.arange(k)[None, :], comps]
+    broadcast = y * m
+    if drop_player is not None:
+        broadcast = np.delete(broadcast, drop_player, axis=1)
+    guess = np.prod(broadcast, axis=1)
+    target = np.prod(y, axis=1) * signs[s_idx]
+    return int(np.sum(guess == target))
+
+
+class TestSignBitOracle:
+    @pytest.mark.parametrize(
+        "builder",
+        [chsh_game, lambda: makb_game(4, 6), lambda: gbi_game(2, grid=16)],
+        ids=["chsh", "makb4in6", "gbi2x16"],
+    )
+    def test_counts_match_signed_products(self, builder):
+        game = builder()
+        k, spp = game.n_parties, game.functional.settings_per_party
+        components, probs, coeffs, corr = qccr._settings_table(game, tuple(range(k)))
+        answers = np.random.default_rng(0).choice([-1, 1], size=(k, spp))
+        for strategy in (None, answers):
+            for drop_player in (None, 0, k - 1):
+                for seed in range(1, 6):
+                    expected = _signed_chunk(
+                        np.random.default_rng(seed), 10_000, probs, np.sign(coeffs), corr,
+                        k, strategy, components, drop_player,
+                    )
+                    got = qccr._simulate_chunk(
+                        np.random.default_rng(seed), 10_000, probs, coeffs < 0, corr,
+                        k, None if strategy is None else strategy < 0, components, drop_player,
+                    )
+                    assert got == expected, (game.name, strategy is None, drop_player, seed)
+
+
+def _without_distribution(game):
+    payload = json.loads(game_to_json(game))
+    del payload["functional"]["settings_distribution"]
+    return game_from_json(json.dumps(payload))
+
+
+class TestGameDistributionExactRoute:
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            lambda: gbi_game(3),
+            lambda: gbi_game(2, grid=16),
+            lambda: _without_distribution(gbi_game(2, grid=16)),
+            lambda: makb_game(3),
+            lambda: makb_game(4, 6),
+            chsh_game,
+        ],
+        ids=["gbi3x32", "gbi2x16", "gbi2x16-json", "makb3", "makb4in6", "chsh"],
+    )
+    def test_matches_fraction_sums(self, builder):
+        f = builder().functional
+        # the former route: an exact Fraction sum, each P rounded from it
+        total = sum((abs(Fraction(c)) for c in f.coefficients.values()), Fraction(0))
+        assert f.abs_total() == total
+        assert f.settings_distribution.keys() == f.coefficients.keys()
+        for key, c in f.coefficients.items():
+            p, exact = f.settings_distribution[key], abs(Fraction(c)) / total
+            if isinstance(c, float):
+                assert type(p) is float and p == float(exact), key
+            else:
+                assert type(p) is Fraction and p == exact, key
 
 
 class TestMarginalFeasibility:
