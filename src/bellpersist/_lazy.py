@@ -1,0 +1,28 @@
+"""Deferred module imports, so commands that compute nothing with arrays
+never pay for loading numpy."""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from types import ModuleType
+
+
+def lazy_import(name: str) -> ModuleType:
+    """The module ``name``, executed on its first attribute access.
+
+    Follows the ``importlib.util.LazyLoader`` recipe of the importlib
+    documentation; a module that is already imported is returned as is.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"no module named {name!r}", name=name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module

@@ -22,11 +22,12 @@ from fractions import Fraction
 from functools import reduce
 from typing import Mapping, Sequence, Union
 
-import numpy as np
-
 from . import qstate
+from ._lazy import lazy_import
 from .dicke import SymCorrelation, sym_sigma
 from .errors import CapabilityError
+
+np = lazy_import("numpy")
 
 LR_MAX_PARTY_CAP = 8
 WWWZB_VALUE_CAP = 6

@@ -235,7 +235,7 @@ def _cmd_monogamy_bound(args) -> None:
         {
             "operators": len(operators),
             "qubits": len(operators[0]),
-            "edges": int(graph.adjacency.sum()) // 2,
+            "edges": sum(mask.bit_count() for mask in graph.neighbor_masks) // 2,
             "bound": bound,
         }
     ]

@@ -24,10 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-import numpy as np
-
 from . import qstate
+from ._lazy import lazy_import
 from .errors import NoCrossingError
+
+np = lazy_import("numpy")
 
 
 @dataclass(frozen=True)

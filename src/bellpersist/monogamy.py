@@ -16,34 +16,48 @@ the bound is what matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import CapabilityError
 from .qstate import PauliString, anticommutes
+
+np = lazy_import("numpy")
 
 MAX_VERTICES = 24
 
 
 @dataclass(frozen=True)
 class AnticommGraph:
+    """Vertices with their neighbours as int bitmasks: bit j of
+    ``neighbor_masks[i]`` is set iff vertices i and j are adjacent."""
+
     vertices: tuple[PauliString, ...]
-    adjacency: np.ndarray
+    neighbor_masks: tuple[int, ...]
 
     def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=bool)
+        masks = tuple(self.neighbor_masks)
         n = len(self.vertices)
-        if adj.shape != (n, n):
-            raise ValueError("adjacency shape does not match vertex count")
-        if adj.diagonal().any() or not np.array_equal(adj, adj.T):
-            raise ValueError("adjacency must be symmetric with empty diagonal")
-        adj.setflags(write=False)
-        object.__setattr__(self, "adjacency", adj)
+        if len(masks) != n or any(not 0 <= mask < 1 << n for mask in masks):
+            raise ValueError("neighbour masks do not match the vertex count")
+        for i, mask in enumerate(masks):
+            if mask >> i & 1 or any((masks[j] >> i ^ mask >> j) & 1 for j in range(n)):
+                raise ValueError("adjacency must be symmetric with empty diagonal")
+        object.__setattr__(self, "neighbor_masks", masks)
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Read-only boolean adjacency matrix."""
+        n = self.n_vertices
+        rows = [[mask >> j & 1 for j in range(n)] for mask in self.neighbor_masks]
+        adj = np.array(rows, dtype=bool).reshape(n, n)
+        adj.setflags(write=False)
+        return adj
 
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
@@ -61,15 +75,16 @@ def build_graph(operators: Sequence[Union[PauliString, str]]) -> AnticommGraph:
     if any(len(op) != width for op in ops):
         raise ValueError("all Pauli strings must act on the same register")
     n = len(ops)
-    adj = np.zeros((n, n), dtype=bool)
+    masks = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
             if anticommutes(ops[i], ops[j]):
-                adj[i, j] = adj[j, i] = True
-    return AnticommGraph(ops, adj)
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return AnticommGraph(ops, tuple(masks))
 
 
-def _clique_cover_bound(candidates: int, neighbor_masks: list[int]) -> int:
+def _clique_cover_bound(candidates: int, neighbor_masks: Sequence[int]) -> int:
     """Greedy partition of the candidate set into cliques; an independent
     set picks at most one vertex per clique."""
     remaining = candidates
@@ -92,8 +107,7 @@ def independence_number(graph: AnticommGraph) -> int:
     n = graph.n_vertices
     if n > MAX_VERTICES:
         raise CapabilityError(f"vertex count capped at {MAX_VERTICES}")
-    adj = graph.adjacency
-    neighbor_masks = [int(sum(1 << j for j in range(n) if adj[i, j])) for i in range(n)]
+    neighbor_masks = graph.neighbor_masks
     best = 0
 
     def expand(candidates: int, size: int) -> None:

@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-import numpy as np
-
 from . import bell, dicke
 from .errors import CapabilityError
 
@@ -45,6 +43,9 @@ _PI_HI = _PI_LO + Fraction(1, 10 ** (len(_PI_DIGITS) - 1))
 
 # above this size the exact frontier scan switches to log-domain floats
 _EXACT_N_CAP = 600
+
+# log k! for k = 0, 1, 2, ..., grown on demand by _log_factorials
+_log_factorial_cache: list[float] = [0.0]
 
 
 @dataclass(frozen=True)
@@ -133,20 +134,28 @@ def gamma_crit(a: float, tol: float = 1e-8) -> float:
     return 0.5 * (lo + hi)
 
 
-def _log_condition(model: QcrModel, ms: np.ndarray, log_binom: np.ndarray) -> np.ndarray:
-    """log(C(N, M)^-1 b a^M) for each M in ``ms``, given log C(N, M): the
-    one float form of the condition, for float rows and for the margin.
+def _log_factorials(n: int) -> list[float]:
+    """log k! for 0 <= k <= n (at least), by a left-to-right running sum
+    of log k, cached incrementally."""
+    cache = _log_factorial_cache
+    while len(cache) <= n:
+        cache.append(cache[-1] + math.log(len(cache)))
+    return cache
+
+
+def _log_condition(model: QcrModel, m: int, log_binom: float) -> float:
+    """log(C(N, M)^-1 b a^M), given log C(N, M): the one float form of the
+    condition, for the float proposal and for the margin.
 
     The geometric constant C_M = A_M / M! equals 2 (2/pi)^(M+1) to within
     3^-M relative error, so below M = 34, where that gap exceeds double
     precision, the exact ratio (2/pi) / C_M replaces b a^M (C_1 = 1 for
     the lone party left at N = 2).
     """
-    logs = math.log(model.b) + ms * math.log(model.a) - log_binom
-    for i in np.flatnonzero(ms < 34) if model.family == "gbi" else ():
-        coeff = bell.gbi_qcr_coefficient(int(ms[i])) if ms[i] > 1 else 2
-        logs[i] = math.log(float(coeff) / math.pi) - log_binom[i]
-    return logs
+    if model.family == "gbi" and m < 34:
+        coeff = bell.gbi_qcr_coefficient(m) if m > 1 else 2
+        return math.log(float(coeff) / math.pi) - log_binom
+    return math.log(model.b) + m * math.log(model.a) - log_binom
 
 
 def _violates(model: QcrModel, n: int, m: int) -> bool:
@@ -174,14 +183,22 @@ def ghz_persistency(model: QcrModel, n_parties: int, exact: bool | None = None) 
     ``exact`` defaults to certified arithmetic for the built-in families
     at desk scale.
 
-    The smallest float-violating M in [2, N-1] is a proposal; certified
-    runs step it until M violates exactly and M - 1 does not (or
-    M - 1 < 2).  That pair fixes the frontier because, for both built-in
-    families on 2 <= M <= N-1, the violating set is {M >= M*}: no
-    M <= N/2 violates, and above N/2 the condition grows with M (the
-    ratio of successive values is a (M+1) / (N-M) > 1 in the b a^M form
-    and (C_M / C_(M+1)) (M+1) / (N-M) > 1 for the exact geometric
-    constants).
+    The condition's logarithm f(M) = log b + M log a - log C(N, M) is
+    convex in M on 2 <= M <= N-1: log C(N, M) has second difference
+    -log[(M+1)(N-M+1) / (M (N-M))] < -log(1 + 1/M), and log(b a^M) is
+    linear (the exact geometric ratio (2/pi) / C_M used below M = 34 has
+    second differences of size at most 0.065, below log(1 + 1/M) there).
+    So the M with f(M) <= 0 form an interval, and if M = 2 does not
+    violate, the violating M are exactly {M >= M_f}.  The float proposal
+    is therefore M = 2 when f(2) > 0, else M_f, found by bisection.
+
+    Certified runs step the proposal until M violates exactly and
+    M - 1 does not (or M - 1 < 2).  That pair fixes the frontier
+    because, for both built-in families on 2 <= M <= N-1, the violating
+    set is {M >= M*}: no M <= N/2 violates, and above N/2 the condition
+    grows with M (the ratio of successive values is a (M+1) / (N-M) > 1
+    in the b a^M form and (C_M / C_(M+1)) (M+1) / (N-M) > 1 for the
+    exact geometric constants).
     """
     if n_parties < 2:
         raise ValueError("need at least two parties")
@@ -190,19 +207,31 @@ def ghz_persistency(model: QcrModel, n_parties: int, exact: bool | None = None) 
     if exact and model.family not in ("makb", "gbi"):
         raise CapabilityError("exact certificates exist for the makb/gbi families only")
     n = n_parties
-    ms = np.arange(2, n)
-    # log-factorial row: log C(n, m) = lf[n] - lf[m] - lf[n - m]
-    lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
-    hits = np.flatnonzero(_log_condition(model, ms, lf[n] - lf[ms] - lf[n - ms]) > 0)
-    m = int(ms[hits[0]]) if hits.size else n  # m == n: no subgroup violates
+    lf = _log_factorials(n)
+
+    def float_violates(m: int) -> bool:
+        # log C(n, m) = lf[n] - lf[m] - lf[n - m]
+        return _log_condition(model, m, lf[n] - lf[m] - lf[n - m]) > 0
+
+    # first float-violating m in [2, n-1], or m == n when none violates
+    if n > 2 and float_violates(2):
+        m = 2
+    else:
+        lo, m = 2, n  # lo does not violate; m violates or is n
+        while m - lo > 1:
+            mid = (lo + m) // 2
+            if float_violates(mid):
+                m = mid
+            else:
+                lo = mid
     if exact:
         while m < n and not _violates(model, n, m):
             m += 1
         while m > 2 and _violates(model, n, m - 1):
             m -= 1
     witness = min(m, n - 1)
-    margin = _log_condition(model, np.array([witness]), np.array([math.log(math.comb(n, witness))]))
-    return PersistencyResult(n, n - m, witness, math.exp(margin[0]))
+    margin = _log_condition(model, witness, math.log(math.comb(n, witness)))
+    return PersistencyResult(n, n - m, witness, math.exp(margin))
 
 
 def frontier_fraction(model: QcrModel, n_parties: int) -> float:

@@ -32,10 +32,11 @@ from fractions import Fraction
 from functools import reduce
 from typing import Mapping, Sequence, Union
 
-import numpy as np
-
 from . import bell, qstate
+from ._lazy import lazy_import
 from .errors import CapabilityError
+
+np = lazy_import("numpy")
 
 MAX_FEASIBILITY_PARTIES = 12
 

@@ -10,13 +10,15 @@ computational value 0 of a qubit is the +1 eigenstate of sigma_z.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .errors import CapabilityError
+
+np = lazy_import("numpy")
 
 MAX_QUBITS = 12
 
@@ -26,12 +28,22 @@ _EIG_FLOOR = -1e-10
 # Spectrum checks cost O(8^n); run them automatically only below this size.
 _EIG_CHECK_DIM = 256
 
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
+
+@functools.cache
+def _pauli_matrices() -> dict[str, np.ndarray]:
+    return {
+        "I": np.eye(2, dtype=complex),
+        "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+        "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    }
+
+
+def __getattr__(name: str):
+    # PAULI_MATRICES is built on first access, so importing stays numpy-free
+    if name == "PAULI_MATRICES":
+        return _pauli_matrices()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +63,8 @@ class PlaneObservable:
     def __post_init__(self):
         if self.plane not in ("xz", "xy"):
             raise ValueError(f"unknown plane {self.plane!r}, expected 'xz' or 'xy'")
+        if not math.isfinite(self.angle):
+            raise ValueError(f"observable angle {self.angle!r} is not finite")
 
     @classmethod
     def xy_turns(cls, alpha: float) -> "PlaneObservable":
@@ -97,7 +111,7 @@ class PauliString:
             raise CapabilityError(f"dense matrix for {len(self)} qubits exceeds cap")
         out = np.array([[1.0 + 0.0j]])
         for ch in self.letters:
-            out = np.kron(out, PAULI_MATRICES[ch])
+            out = np.kron(out, _pauli_matrices()[ch])
         return out
 
 
@@ -252,7 +266,7 @@ def random_pure_state(n: int, rng: Union[np.random.Generator, int, None] = None)
     return DenseState(n, vec, pure=True)
 
 
-SiteOperator = Union[PlaneObservable, str, np.ndarray]
+SiteOperator = Union[PlaneObservable, str, "np.ndarray"]
 
 
 def _site_matrix(op: SiteOperator) -> tuple[np.ndarray, bool]:
@@ -261,9 +275,10 @@ def _site_matrix(op: SiteOperator) -> tuple[np.ndarray, bool]:
         return op.matrix(), True
     if isinstance(op, str):
         key = op.upper().replace("0", "I")
-        if key not in PAULI_MATRICES:
+        matrices = _pauli_matrices()
+        if key not in matrices:
             raise ValueError(f"unknown single-qubit operator {op!r}")
-        return PAULI_MATRICES[key], True
+        return matrices[key], True
     arr = np.asarray(op, dtype=complex)
     if arr.shape != (2, 2):
         raise ValueError(f"site operator must be 2x2, got shape {arr.shape}")

@@ -173,6 +173,8 @@ class TestExitCodes:
             (("functional", "coefficients"), {"0,0": 1.0, "0,1": 1.0, "1,0": 1.0, "1,1": -1.0}),
             (("functional", "settings_distribution"), {"00": 0.5, "01": 0.5}),
             (("functional", "settings_distribution"), {"00": 0.4, "01": 0.2, "10": 0.2, "11": 0.2}),
+            (("observables", 0, 0, "turns"), float("nan")),
+            (("observables", 0, 0, "turns"), float("inf")),
         ],
     )
     def test_game_spec_wrong_type_exit_one(self, tmp_path, capsys, where, value):
@@ -412,3 +414,48 @@ class TestPinnedGameOutputs:
             argv = ["--game", str(spec), "--trials", "200000", "--seed", seed, "--jobs", jobs]
             assert main(["qccr", "simulate", *argv]) == 0
             assert capsys.readouterr().out.splitlines()[1] == row, (seed, jobs)
+
+
+# golden commands that compute with arrays: the dense oracle and LR
+# enumeration, polyfit, and the Monte Carlo
+_NUMPY_COMMANDS = {"makb_qcr.csv", "dicke_fit_m1.csv", "qccr_simulate.csv"}
+_NUMPY_FREE = {"version": ["--version"]} | {
+    name: GOLDEN_COMMANDS[name] for name in sorted(set(GOLDEN_COMMANDS) - _NUMPY_COMMANDS)
+}
+
+
+def _run_python(script, argv=()):
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120
+    )
+
+
+class TestStartup:
+    @pytest.mark.parametrize("name", sorted(_NUMPY_FREE))
+    def test_exact_commands_leave_numpy_unloaded(self, name):
+        script = (
+            "import sys\n"
+            "from bellpersist.cli import main\n"
+            "try:\n"
+            "    code = main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "assert code == 0, code\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
+            "assert 'numpy._core' not in sys.modules and not loaded, loaded\n"
+        )
+        result = _run_python(script, _NUMPY_FREE[name])
+        assert result.returncode == 0, result.stderr
+
+    def test_cli_import_loads_every_module(self):
+        # perfbench/trace_launch.py wraps functions in these modules right
+        # after importing bellpersist.cli, so cli must import them eagerly
+        modules = ("cli", "dicke", "persistency", "bell", "qccr", "qstate", "monogamy")
+        script = (
+            "import sys\n"
+            "import bellpersist.cli\n"
+            f"missing = [m for m in {modules!r} if 'bellpersist.' + m not in sys.modules]\n"
+            "assert not missing, missing\n"
+        )
+        result = _run_python(script)
+        assert result.returncode == 0, result.stderr

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bellpersist import bell, dicke, persistency
@@ -27,6 +28,29 @@ def _violates_by_scan(family, n, m):
     ratio = bell.gbi_qcr_coefficient(m) / math.comb(n, m)
     assert not PI_LO <= ratio <= PI_HI, (n, m)
     return ratio > PI_HI
+
+
+def _row_scan_log_condition(model, ms, log_binom):
+    """log(C(N, M)^-1 b a^M) over an array of M, as the numpy row scan
+    that preceded the bisection computed it."""
+    logs = math.log(model.b) + ms * math.log(model.a) - log_binom
+    for i in np.flatnonzero(ms < 34) if model.family == "gbi" else ():
+        coeff = bell.gbi_qcr_coefficient(int(ms[i])) if ms[i] > 1 else 2
+        logs[i] = math.log(float(coeff) / math.pi) - log_binom[i]
+    return logs
+
+
+def _row_scan(model, n):
+    """Reference float frontier: evaluate every M in [2, N-1] and take the
+    first violating one; returns (max_traced, witness_m, margin)."""
+    ms = np.arange(2, n)
+    lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+    hits = np.flatnonzero(_row_scan_log_condition(model, ms, lf[n] - lf[ms] - lf[n - ms]) > 0)
+    m = int(ms[hits[0]]) if hits.size else n
+    witness = min(m, n - 1)
+    log_binom = np.array([math.log(math.comb(n, witness))])
+    margin = _row_scan_log_condition(model, np.array([witness]), log_binom)
+    return n - m, witness, math.exp(margin[0])
 
 
 class TestBinaryEntropy:
@@ -134,6 +158,26 @@ class TestGhzPersistency:
             for n in range(2, 121):
                 frontier = next((m for m in range(2, n) if _violates_by_scan(family, n, m)), n)
                 assert ghz_persistency(model, n, exact=True).max_traced == n - frontier, (family, n)
+
+    def test_log_factorials_match_numpy_cumsum(self):
+        lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 2601)))))
+        assert persistency._log_factorials(2600)[:2601] == lf.tolist()
+
+    @pytest.mark.parametrize("family", ["makb", "gbi"])
+    def test_float_proposal_matches_row_scan(self, family):
+        model = QcrModel.makb() if family == "makb" else QcrModel.gbi()
+        for n in range(2, 2601):
+            result = ghz_persistency(model, n, exact=False)
+            assert (result.max_traced, result.witness_m, result.margin) == _row_scan(model, n), n
+
+    @pytest.mark.parametrize("a,b", [(2.0, 1.0), (1.2, 50.0)])
+    def test_float_proposal_matches_row_scan_custom(self, a, b):
+        # b = 50 violates already at M = 2, on the falling side of the
+        # convex condition, where a rising-branch search would miss it
+        model = QcrModel(a, b)
+        for n in range(2, 201):
+            result = ghz_persistency(model, n, exact=False)
+            assert (result.max_traced, result.witness_m, result.margin) == _row_scan(model, n), n
 
     def test_monotone_in_n(self):
         for model in (QcrModel.makb(), QcrModel.gbi()):
