@@ -447,10 +447,6 @@ def _zigzag_numbers(n: int) -> list[int]:
     return _zigzag_cache[: n + 1]
 
 
-def _classical_exact(n: int) -> Fraction:
-    return Fraction(_zigzag_numbers(n)[n], math.factorial(n))
-
-
 def gbi_quantum(n: int) -> float:
     """Quantum side of the equatorial geometric inequality: the average
     of |cos(2 pi sum_i alpha_i)| over independent uniform angles, which
@@ -469,7 +465,7 @@ def gbi_classical(n: int) -> Fraction:
     """
     if n < 2:
         raise ValueError("need at least two parties")
-    return _classical_exact(n)
+    return Fraction(_zigzag_numbers(n)[n], math.factorial(n))
 
 
 def gbi_qcr(n: int) -> float:

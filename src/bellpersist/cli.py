@@ -189,6 +189,8 @@ def _cmd_persistency_dicke(args) -> None:
 
 
 def _cmd_gbi_constants(args) -> None:
+    if args.max_n < 2:
+        raise UsageError(f"--max-n must be at least 2, got {args.max_n}")
     rows = []
     for n in range(2, args.max_n + 1):
         c = bell.gbi_classical(n)
@@ -291,12 +293,14 @@ def _cmd_qccr_feasibility(args) -> None:
 
 
 def _cmd_qccr_make_game(args) -> None:
-    if args.type == "chsh":
-        game = qccr.chsh_game()
-    elif args.type == "makb":
-        game = qccr.makb_game(args.n, args.n_total)
-    else:
-        game = qccr.gbi_game(args.n, args.grid)
+    # the size flags that qccr.<type>_game reads, with the CLI's defaults
+    sizes = {"chsh": {}, "makb": {"n": 3, "n_total": None}, "gbi": {"n": 3, "grid": 32}}[args.type]
+    for name, value in (("n", args.n), ("n_total", args.n_total), ("grid", args.grid)):
+        if value is not None:
+            if name not in sizes:
+                raise UsageError(f"--type {args.type} does not read --{name.replace('_', '-')}")
+            sizes[name] = value
+    game = getattr(qccr, f"{args.type}_game")(**sizes)
     _write(args, qccr.game_to_json(game) + "\n")
 
 
@@ -403,9 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_qccr_feasibility)
     p = qccr_sub.add_parser("make-game", help="write a ready-made game spec")
     p.add_argument("--type", choices=("chsh", "makb", "gbi"), required=True)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--n-total", type=int)
-    p.add_argument("--grid", type=int, default=32)
+    p.add_argument("--n", type=int, help="players, for makb and gbi (default 3)")
+    p.add_argument("--n-total", type=int, help="parties holding the GHZ mixture, for makb")
+    p.add_argument("--grid", type=int, help="settings per party, for gbi (default 32)")
     p.add_argument("--output", help="write the game spec atomically to this path")
     p.set_defaults(func=_cmd_qccr_make_game)
 

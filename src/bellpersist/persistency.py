@@ -12,9 +12,15 @@ violate follows from scanning M; asymptotically the fraction M/N that
 must be preserved tends to the root of H(gamma) = gamma * log2(a) with
 H the binary entropy.
 
-Frontier decisions near 1 are certified exactly: integer arithmetic for
-a = sqrt(2), and exact rationals against a 50-digit pi bracket for the
-geometric family.
+Frontier decisions are certified in integers at every N.  For a = sqrt(2)
+the test is 2^(M-1) > C(N, M)^2.  For the geometric family Euler's zigzag series
+(N. D. Elkies, Amer. Math. Monthly 110 (2003) 561) gives, with s = M + 1,
+C_M = A_M / M! = 2 (2/pi)^s sum_{k>=0} (-1)^(ks) (2k+1)^-s = 2 (2/pi)^s (1 + eps)
+with |eps| <= sum_{k>=1} (2k+1)^-s <= 3^-s + int_1^inf (2x+1)^-s dx =
+3^-s (1 + 3 / (2 (s-1))) < 2 * 3^-s for s >= 3.  So (2/pi) / C_M > C(N, M),
+i.e. (pi/2)^M > 2 (1 + eps) C(N, M), is decided against 2 (1 -+ 2 * 3^-s)
+C(N, M) with the continued-fraction convergents 103993/33102 < pi <
+104348/33215 (the even-indexed ones lie below pi, the odd-indexed above).
 
 Dicke-state persistency uses the squared-correlation indicator from the
 dicke module: a correlation sum above 1 is the Zukowski-Brukner
@@ -30,19 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from . import bell, dicke
 from .errors import CapabilityError
 
-# directed 50-digit bracket around pi, for exact frontier certificates
-_PI_DIGITS = "314159265358979323846264338327950288419716939937510"
-_PI_LO = Fraction(int(_PI_DIGITS), 10 ** (len(_PI_DIGITS) - 1))
-_PI_HI = _PI_LO + Fraction(1, 10 ** (len(_PI_DIGITS) - 1))
-
-# above this size the exact frontier scan switches to log-domain floats
-_EXACT_N_CAP = 600
+# continued-fraction convergents (p, q) of pi, just below and just above it
+_PI_LO, _PI_HI = (103993, 33102), (104348, 33215)
 
 # log k! for k = 0, 1, 2, ..., grown on demand by _log_factorials
 _log_factorial_cache: list[float] = [0.0]
@@ -159,20 +159,22 @@ def _log_condition(model: QcrModel, m: int, log_binom: float) -> float:
 
 
 def _violates(model: QcrModel, n: int, m: int) -> bool:
-    """Certified C(n, m)^-1 b a^m > 1 for the makb and gbi families."""
+    """Certified C(n, m)^-1 b a^m > 1 for the makb and gbi families, 2 <= m < n."""
     if model.family == "makb":
         # (1/sqrt2) sqrt2^m > C(n, m)  <=>  2^(m-1) > C(n, m)^2
         return 2 ** (m - 1) > math.comb(n, m) ** 2
-    # (2/pi) / C_m > C(n, m)  <=>  exact rational ratio > pi
-    ratio = bell.gbi_qcr_coefficient(m) / math.comb(n, m)
-    if ratio > _PI_HI:
+    # (2/pi) / C_m > C(n, m) <=> (pi/2)^m > 2 (1 + eps) C(n, m), |eps| < 2 / 3^(m+1);
+    # both sides times 3^(m+1) (2q)^m for a bracket p/q of pi
+    three, binom = 3 ** (m + 1), math.comb(n, m)
+    (p_lo, q_lo), (p_hi, q_hi) = _PI_LO, _PI_HI
+    if p_lo**m * three > 2 * (2 * q_lo) ** m * (three + 2) * binom:
         return True
-    if ratio < _PI_LO:
+    if p_hi**m * three < 2 * (2 * q_hi) ** m * (three - 2) * binom:
         return False
     raise RuntimeError("pi bracket too coarse to certify the frontier")
 
 
-def ghz_persistency(model: QcrModel, n_parties: int, exact: bool | None = None) -> PersistencyResult:
+def ghz_persistency(model: QcrModel, n_parties: int, exact: bool = True) -> PersistencyResult:
     """Largest number of parties that may be traced out of the
     symmetrized GHZ-block mixture while some subgroup still violates.
 
@@ -180,8 +182,8 @@ def ghz_persistency(model: QcrModel, n_parties: int, exact: bool | None = None) 
     parties satisfy C(N, M)^-1 b a^M > 1 (zero if even t = 1 fails);
     ``witness_m`` is the subgroup size at that frontier (N - 1 when
     nothing may be traced) and ``margin`` the condition value there.
-    ``exact`` defaults to certified arithmetic for the built-in families
-    at desk scale.
+    ``exact`` (the default) certifies each row in integers at any N, for
+    the makb and gbi families only; a custom model passes ``exact=False``.
 
     The condition's logarithm f(M) = log b + M log a - log C(N, M) is
     convex in M on 2 <= M <= N-1: log C(N, M) has second difference
@@ -202,8 +204,6 @@ def ghz_persistency(model: QcrModel, n_parties: int, exact: bool | None = None) 
     """
     if n_parties < 2:
         raise ValueError("need at least two parties")
-    if exact is None:
-        exact = model.family in ("makb", "gbi") and n_parties <= _EXACT_N_CAP
     if exact and model.family not in ("makb", "gbi"):
         raise CapabilityError("exact certificates exist for the makb/gbi families only")
     n = n_parties
@@ -235,7 +235,7 @@ def ghz_persistency(model: QcrModel, n_parties: int, exact: bool | None = None) 
 
 
 def frontier_fraction(model: QcrModel, n_parties: int) -> float:
-    """Fraction M/N of the smallest subgroup size still violating."""
+    """Certified fraction M/N of the smallest violating subgroup (makb, gbi)."""
     result = ghz_persistency(model, n_parties)
     if result.max_traced == 0:
         raise ValueError(f"no violating subgroup at N = {n_parties}")

@@ -137,8 +137,8 @@ def makb_game(n: int, n_total: int | None = None) -> GameSpec:
 def gbi_game(n: int, grid: int = 32) -> GameSpec:
     """Geometric game with settings discretized to ``grid`` uniform
     equatorial angles per party (practical stand-in for the continuum)."""
-    if grid < 2:
-        raise ValueError("need at least two settings per party")
+    if n < 2 or grid < 2:
+        raise ValueError("need at least two parties and two settings per party")
     if grid**n > 200_000:
         raise CapabilityError("explicit geometric game too large; reduce grid or parties")
     coeffs = {}

@@ -271,7 +271,7 @@ class TestGbiConstants:
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_integration_route_agrees(self, n):
-        assert gbi_classical_by_integration(n) == bell._classical_exact(n)
+        assert gbi_classical_by_integration(n) == gbi_classical(n)
 
     def test_classical_monte_carlo_oracle(self):
         rng = np.random.default_rng(17)

@@ -152,10 +152,27 @@ class TestExitCodes:
             ["qccr", "simulate", "--game", str(DATA / "chsh_game.json"), "--trials", "10",
              "--tolerance", "1e-6"],
             ["qccr", "make-game", "--type", "chsh", "--format", "json"],
+            ["qccr", "make-game", "--type", "chsh", "--n", "9"],
+            ["qccr", "make-game", "--type", "chsh", "--grid", "4"],
+            ["qccr", "make-game", "--type", "chsh", "--n-total", "5"],
+            ["qccr", "make-game", "--type", "makb", "--grid", "4"],
+            ["qccr", "make-game", "--type", "gbi", "--n-total", "5"],
         ],
     )
     def test_flags_only_where_read(self, argv):
         assert run_cli(argv).returncode == 2
+
+    @pytest.mark.parametrize("max_n", ["1", "0", "-3"])
+    def test_gbi_constants_empty_range_exit_two(self, max_n):
+        result = run_cli(["gbi", "constants", "--max-n", max_n])
+        assert result.returncode == 2 and result.stdout == ""
+
+    def test_one_party_geometric_game_exit_one(self, tmp_path):
+        target = tmp_path / "game.json"
+        result = run_cli(["qccr", "make-game", "--type", "gbi", "--n", "1", "--output", str(target)])
+        assert result.returncode == 1
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+        assert not target.exists()
 
     @pytest.mark.parametrize(
         "where,value",
@@ -233,6 +250,13 @@ class TestLibraryDecides:
         default = capsys.readouterr().out
         assert main(argv + ["--asymptotic"]) == 0
         assert capsys.readouterr().out == default
+
+    def test_large_n_certified_row_equals_asymptotic(self):
+        # a subprocess with a timeout: certifying N = 10^4 through zigzag numbers takes minutes
+        argv = ["persistency", "ghz", "--family", "gbi", "--n", "10000"]
+        certified = run_cli(argv, timeout=60)
+        assert certified.returncode == 0, certified.stderr
+        assert certified.stdout == run_cli(argv + ["--asymptotic"], timeout=60).stdout
 
     @pytest.mark.parametrize(
         "make_args,classical",

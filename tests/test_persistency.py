@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bellpersist import bell, dicke, persistency
+from bellpersist.errors import CapabilityError
 from bellpersist.persistency import (
     PersistencyResult,
     QcrModel,
@@ -127,10 +128,24 @@ class TestGhzPersistency:
     def test_exact_and_float_agree(self):
         # includes the makb tie at N = 8, where 2^6 = C(8, 7)^2
         for model in (QcrModel.makb(), QcrModel.gbi()):
-            for n in range(2, 601):
+            for n in range(2, 2601):
                 exact = ghz_persistency(model, n, exact=True)
                 approx = ghz_persistency(model, n, exact=False)
                 assert exact.max_traced == approx.max_traced, (model.family, n)
+
+    def test_gbi_constant_closed_form_bound(self):
+        # C_M = 2 (2/pi)^(M+1) (1 + eps_M) with |eps_M| < 2 * 3^-(M+1), the
+        # bound the certificate relies on; past M ~ 90 the 50-digit pi
+        # bracket is wider than 3^-M and cannot show it
+        for m in range(2, 91):
+            delta = Fraction(2, 3 ** (m + 1))
+            for pi in (PI_LO, PI_HI):
+                ratio = bell.gbi_classical(m) * pi ** (m + 1) / 2 ** (m + 2)
+                assert abs(ratio - 1) < delta, m
+
+    def test_pi_bracket_encloses_pi(self):
+        assert Fraction(*persistency._PI_LO) < PI_LO
+        assert Fraction(*persistency._PI_HI) > PI_HI
 
     @pytest.mark.parametrize("family", ["makb", "gbi"])
     def test_certified_matches_per_m_scan(self, family):
@@ -195,6 +210,10 @@ class TestGhzPersistency:
     def test_custom_model(self):
         result = ghz_persistency(QcrModel(2.0, 1.0), 12, exact=False)
         assert 0 <= result.max_traced < 12
+
+    def test_custom_model_has_no_certificate(self):
+        with pytest.raises(CapabilityError):
+            ghz_persistency(QcrModel(2.0, 1.0), 12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
