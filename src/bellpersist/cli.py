@@ -426,6 +426,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, RuntimeError, OSError, OverflowError) as exc:
         sys.stderr.write(f"{parser.prog}: {exc}\n")
         return 1
+    except MemoryError as exc:
+        sys.stderr.write(f"{parser.prog}: {str(exc) or 'out of memory'}\n")
+        return 1
     return 0
 
 

@@ -232,6 +232,47 @@ class SimulationResult:
     analytic: float
 
 
+# forward steps inside a guide bucket before the rest fall back to a
+# binary search over the whole cdf
+_GUIDE_STEPS = 8
+
+
+def _draw_settings(rng: np.random.Generator, trials: int, probs: np.ndarray) -> np.ndarray:
+    """``rng.choice(len(probs), size=trials, p=probs)``, index for index.
+
+    With ``p``, numpy's choice is ``cdf = p.cumsum(); cdf /= cdf[-1]``
+    followed by ``cdf.searchsorted(rng.random(trials), side="right")``;
+    this takes the same uniforms u and finds the same indices through a
+    guide table (Chen and Asau 1974).  With B >= len(cdf) a power of
+    two, u * B is exact, so the index for u lies in
+    [guide[floor(u B)], guide[floor(u B) + 1]], where guide[j] counts the
+    cdf entries <= j / B.  Each trial steps forward from the low end
+    while cdf[index] <= u.  A trial in bucket j needs at most
+    guide[j + 1] - guide[j] steps; those spreads sum to len(cdf) <= B
+    and each bucket holds u with probability 1/B, so in expectation at
+    most a fraction 1/(s + 1) of trials is still unresolved after s
+    steps.  After ``_GUIDE_STEPS`` passes, each over the unresolved
+    trials only, those left take the binary search, so a skewed ``p``
+    never costs much more than the plain search.  A chunk of fewer
+    trials than buckets takes the plain search at once.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(trials)
+    buckets = 1 << (len(cdf) - 1).bit_length()
+    if trials < buckets:
+        # the table would cost more than the search it saves
+        return cdf.searchsorted(u, side="right")
+    guide = cdf.searchsorted(np.arange(buckets + 1) / buckets, side="right")
+    index = guide[(u * buckets).astype(np.intp)]
+    active = np.flatnonzero(cdf[index] <= u)
+    for _ in range(_GUIDE_STEPS):
+        index[active] += 1
+        active = active[cdf[index[active]] <= u[active]]
+    index[active] = cdf.searchsorted(u[active], side="right")
+    return index
+
+
 def _simulate_chunk(
     rng: np.random.Generator,
     trials: int,
@@ -256,8 +297,24 @@ def _simulate_chunk(
     guess * y_1 ... y_k has the sign of g.  Each heard y_i cancels from
     that product, so its sign bit is the XOR of the heard m_i and of the
     dropped player's y_i.
+
+    Two identities keep the stream of ``rng.choice`` and the +-1 form
+    while doing less work.  The setting index is numpy's choice, which
+    is a right searchsorted of the uniforms on the normalized cdf;
+    :func:`_draw_settings` finds the same index from the same uniforms
+    through a guide table, in at most ``_GUIDE_STEPS`` forward passes
+    over the still-unresolved trials and one binary search of those
+    left.  With no strategy and every player heard, the XOR of all m_i
+    is the parity itself, so the m_i, the chunk's last draw, are not
+    drawn; each chunk owns its generator, so skipping them changes no
+    other number.  The y_i still are drawn, since they come before the
+    parity in the stream.
     """
-    s_idx = rng.choice(len(probs), size=trials, p=probs)
+    s_idx = _draw_settings(rng, trials, probs)
+    if strategy is None and drop_player is None:
+        rng.integers(0, 2, size=(trials, k))  # the y_i, which cancel
+        parity = ~(rng.random(trials) < 0.5 * (1.0 + corr[s_idx]))
+        return int(np.count_nonzero(parity == negative[s_idx]))
     y = rng.integers(0, 2, size=(trials, k))
     if strategy is None:
         parity = ~(rng.random(trials) < 0.5 * (1.0 + corr[s_idx]))
@@ -289,9 +346,11 @@ def simulate(
     ``strategy``, a per-party table of deterministic +-1 answers, for
     classical play).  ``jobs`` splits the trials into independently
     seeded streams spawned from the master seed; counts merge by
-    addition, so the result depends only on (seed, jobs).
-    ``drop_player`` omits one player's broadcast from the guess, which
-    should destroy the correlation entirely.  The result carries
+    addition, so the result depends only on (seed, jobs).  ``jobs``
+    above ``trials`` runs ``trials`` streams of one round each, which is
+    what those ``jobs`` streams would play.  ``drop_player`` omits one
+    player's broadcast from the guess, which should destroy the
+    correlation entirely.  The result carries
     :func:`quantum_success` for the same subset.
     """
     if trials < 1:
@@ -312,12 +371,13 @@ def simulate(
     if drop_player is not None and not 0 <= drop_player < k:
         raise ValueError("drop_player out of range")
 
-    counts = np.full(jobs, trials // jobs)
-    counts[: trials % jobs] += 1
+    # child i of spawn() does not depend on how many are spawned, and
+    # streams past the trial count would play no round
+    streams = min(jobs, trials)
+    counts = np.full(streams, trials // streams)
+    counts[: trials % streams] += 1
     successes = 0
-    for child, chunk in zip(np.random.SeedSequence(seed).spawn(jobs), counts):
-        if chunk == 0:
-            continue
+    for child, chunk in zip(np.random.SeedSequence(seed).spawn(streams), counts):
         successes += _simulate_chunk(
             np.random.default_rng(child),
             int(chunk),

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellpersist import qccr
 from bellpersist.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -203,6 +205,29 @@ class TestExitCodes:
     def test_jobs_zero_exit_one(self):
         argv = ["qccr", "simulate", "--game", str(DATA / "chsh_game.json"), "--trials", "10"]
         assert main(argv + ["--jobs", "0"]) == 1
+
+    @pytest.mark.parametrize(
+        "message,line",
+        [("", "out of memory"), ("Unable to allocate 72.8 TiB", "Unable to allocate 72.8 TiB")],
+    )
+    def test_memory_error_exit_one(self, monkeypatch, capsys, message, line):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(qccr, "simulate", exhausted)
+        argv = ["qccr", "simulate", "--game", str(DATA / "chsh_game.json"), "--trials", "10"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"bellpersist: {line}\n"
+
+    def test_jobs_above_trials_run_trials_streams(self):
+        def capped():
+            # a wrong implementation fails fast instead of eating memory
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        argv = ["qccr", "simulate", "--game", str(DATA / "chsh_game.json"), "--trials", "5"]
+        many = run_cli(argv + ["--jobs", "1000000000000"], preexec_fn=capped, timeout=120)
+        assert many.returncode == 0, many.stderr
+        assert many.stdout == run_cli(argv + ["--jobs", "5"]).stdout
 
     @pytest.mark.parametrize("tol", ["0", "-1"])
     def test_nonpositive_tolerance_exit_one(self, tol):

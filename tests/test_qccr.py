@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellpersist import bell, qccr, qstate
 from bellpersist.errors import CapabilityError
@@ -193,6 +195,10 @@ class TestSimulation:
         sigma = math.hypot(max(r_model.stderr, 1e-4), max(r_oracle.stderr, 1e-4))
         assert abs(r_model.success_rate - r_oracle.success_rate) < 4 * sigma
 
+    def test_jobs_above_trials_run_one_stream_per_trial(self):
+        game = chsh_game()
+        assert simulate(game, 7, 3, jobs=50) == simulate(game, 7, 3, jobs=7)
+
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             simulate(chsh_game(), trials=0, seed=1)
@@ -257,6 +263,63 @@ class TestSignBitOracle:
                         k, None if strategy is None else strategy < 0, components, drop_player,
                     )
                     assert got == expected, (game.name, strategy is None, drop_player, seed)
+
+
+def _normalized(weights):
+    weights = np.asarray(weights, dtype=float)
+    return weights / weights.sum()
+
+
+def _table_probs(game):
+    return qccr._settings_table(game, tuple(range(game.n_parties)))[1]
+
+
+_TINY = np.full(30_000, 1e-9)
+# settings probabilities that qccr._draw_settings must draw exactly as
+# numpy's Generator.choice does
+DRAW_CASES = {
+    "len1": lambda: np.ones(1),
+    "len2": lambda: _normalized([0.3, 0.7]),
+    "len4": lambda: _normalized([1, 1, 1, 1]),
+    "len16": lambda: _normalized(np.random.default_rng(0).random(16)),
+    # fifteen weights share the first of 16 buckets, past the forward steps
+    "len16-skew": lambda: _normalized(np.r_[np.full(15, 1e-6), 1.0]),
+    "gbi3x32": lambda: _table_probs(gbi_game(3)),
+    "gbi2x16": lambda: _table_probs(gbi_game(2, grid=16)),
+    "geometric": lambda: _normalized(0.5 ** np.arange(60)),
+    "tiny-then-large": lambda: _normalized(np.r_[_TINY, 1.0]),
+    "large-then-tiny": lambda: _normalized(np.r_[1.0, _TINY]),
+}
+
+
+def _assert_draw_matches_choice(probs, seed, trials):
+    expected_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = expected_rng.choice(len(probs), size=trials, p=probs)
+    got = qccr._draw_settings(rng, trials, probs)
+    assert np.array_equal(got, expected)
+    # the same stream is consumed, so later draws match too
+    assert rng.random() == expected_rng.random()
+
+
+class TestSettingsDraw:
+    """The guide-table draw equals numpy's weighted choice index for index;
+    a numpy whose choice changes must fail here."""
+
+    @pytest.mark.parametrize("case", sorted(DRAW_CASES))
+    def test_equals_numpy_choice(self, case):
+        probs = DRAW_CASES[case]()
+        for seed in range(1, 6):
+            # with and, for the larger tables, without the guide table
+            for trials in (200_000, 1_000):
+                _assert_draw_matches_choice(probs, seed, trials)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_positive_weights(self, weights, seed):
+        _assert_draw_matches_choice(_normalized(weights), seed, 5_000)
 
 
 def _without_distribution(game):
