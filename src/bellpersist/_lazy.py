@@ -1,5 +1,13 @@
-"""Deferred module imports, so commands that compute nothing with arrays
-never pay for loading numpy."""
+"""Deferred module imports.
+
+The package registers each of its compute modules through
+:func:`lazy_import`, and those modules bind numpy the same way.  A
+command therefore compiles and executes only the modules it touches:
+``--version`` runs none of them, ``dicke n0`` runs ``dicke`` alone, and
+only commands that compute with arrays load numpy.  A deferred module
+still sits in ``sys.modules`` from the start, so code that looks it up
+there finds it; its first attribute access executes it.
+"""
 
 from __future__ import annotations
 

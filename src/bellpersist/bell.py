@@ -22,9 +22,8 @@ from fractions import Fraction
 from functools import reduce
 from typing import Mapping, Sequence, Union
 
-from . import qstate
+from . import dicke, qstate
 from ._lazy import lazy_import
-from .dicke import SymCorrelation, sym_sigma
 from .errors import CapabilityError
 
 np = lazy_import("numpy")
@@ -35,7 +34,7 @@ WWWZB_MAX_CAP = 4
 GBI_INTEGRATION_CAP = 10
 
 Number = Union[int, float, Fraction]
-ObservablePair = tuple[qstate.SiteOperator, qstate.SiteOperator]
+ObservablePair = tuple["qstate.SiteOperator", "qstate.SiteOperator"]
 
 
 def _check_number(value):
@@ -416,14 +415,14 @@ def optimize_wwwzb_angles(
     return best, [(float(angles[2 * i]), float(angles[2 * i + 1])) for i in range(n)]
 
 
-def violation_indicator(sym: SymCorrelation) -> bool:
+def violation_indicator(sym: dicke.SymCorrelation) -> bool:
     """Whether the squared x/z correlation sum strictly exceeds 1.
 
     Zukowski-Brukner sufficient condition for violating some two-setting
     full-correlation inequality; exact rational arithmetic keeps
     boundary cases honest.
     """
-    return sym_sigma(sym) > 1
+    return dicke.sym_sigma(sym) > 1
 
 
 # --- geometric-inequality constants ---------------------------------------

@@ -53,6 +53,15 @@ def _parse_range(token: str) -> list[int]:
     return values
 
 
+def _parse_subset(token: str) -> list[int]:
+    try:
+        return [int(part) for part in token.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"cannot parse subset {token!r}; use comma-separated party indices"
+        )
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
@@ -247,10 +256,9 @@ def _cmd_monogamy_bound(args) -> None:
 def _cmd_qccr_simulate(args) -> None:
     with open(args.game, "r", encoding="utf-8") as handle:
         game = qccr.game_from_json(handle.read())
-    subset = None
-    if args.subset:
-        subset = [int(tok) for tok in args.subset.split(",")]
-    result = qccr.simulate(game, trials=args.trials, seed=args.seed, subset=subset, jobs=args.jobs)
+    result = qccr.simulate(
+        game, trials=args.trials, seed=args.seed, subset=args.subset, jobs=args.jobs
+    )
     try:
         classical = qccr.classical_best(game)
     except CapabilityError:
@@ -395,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = qccr_sub.add_parser("simulate", help="Monte Carlo play of a game spec")
     p.add_argument("--game", required=True, help="game spec JSON path")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--subset", help="comma-separated party indices")
+    p.add_argument("--subset", type=_parse_subset, help="comma-separated party indices")
     p.add_argument("--seed", type=int, default=0, help="RNG seed recorded in the output")
     p.add_argument("--jobs", type=int, default=1, help="independently seeded streams")
     _add_common(p)

@@ -81,7 +81,7 @@ class VisibilityModel:
         return self.v
 
 
-StateModel = Union[GhzMixture, VisibilityModel, qstate.DenseState]
+StateModel = Union[GhzMixture, VisibilityModel, "qstate.DenseState"]
 
 
 @dataclass(frozen=True)
@@ -235,6 +235,8 @@ class SimulationResult:
 # forward steps inside a guide bucket before the rest fall back to a
 # binary search over the whole cdf
 _GUIDE_STEPS = 8
+# rows per slice of a discarded draw, which bounds the memory it takes
+_DISCARD_ROWS = 1 << 16
 
 
 def _draw_settings(rng: np.random.Generator, trials: int, probs: np.ndarray) -> np.ndarray:
@@ -273,6 +275,20 @@ def _draw_settings(rng: np.random.Generator, trials: int, probs: np.ndarray) -> 
     return index
 
 
+def _discard_bits(
+    rng: np.random.Generator, rows: int, k: int, slice_rows: int = _DISCARD_ROWS
+) -> None:
+    """Advance ``rng`` as ``rng.integers(0, 2, size=(rows, k))`` does,
+    holding at most ``slice_rows`` rows at a time.
+
+    An int64 draw below 2 takes its bits from the bit generator alone,
+    with no buffer kept by the call, so draws in row slices leave the
+    generator in the state one whole draw leaves it in.
+    """
+    for start in range(0, rows, slice_rows):
+        rng.integers(0, 2, size=(min(slice_rows, rows - start), k))
+
+
 def _simulate_chunk(
     rng: np.random.Generator,
     trials: int,
@@ -308,11 +324,11 @@ def _simulate_chunk(
     is the parity itself, so the m_i, the chunk's last draw, are not
     drawn; each chunk owns its generator, so skipping them changes no
     other number.  The y_i still are drawn, since they come before the
-    parity in the stream.
+    parity in the stream, but in row slices that are dropped at once.
     """
     s_idx = _draw_settings(rng, trials, probs)
     if strategy is None and drop_player is None:
-        rng.integers(0, 2, size=(trials, k))  # the y_i, which cancel
+        _discard_bits(rng, trials, k)  # the y_i, which cancel
         parity = ~(rng.random(trials) < 0.5 * (1.0 + corr[s_idx]))
         return int(np.count_nonzero(parity == negative[s_idx]))
     y = rng.integers(0, 2, size=(trials, k))
@@ -376,13 +392,14 @@ def simulate(
     streams = min(jobs, trials)
     counts = np.full(streams, trials // streams)
     counts[: trials % streams] += 1
+    negative = coeffs < 0
     successes = 0
     for child, chunk in zip(np.random.SeedSequence(seed).spawn(streams), counts):
         successes += _simulate_chunk(
             np.random.default_rng(child),
             int(chunk),
             probs,
-            coeffs < 0,
+            negative,
             corr,
             k,
             strategy_bits,

@@ -202,6 +202,23 @@ class TestExitCodes:
         assert main(["qccr", "simulate", "--game", str(path), "--trials", "10"]) == 1
         assert capsys.readouterr().err.count("\n") == 1
 
+    @pytest.mark.parametrize("subset", ["", " ", "0,,1", "a"])
+    def test_malformed_subset_exit_two(self, subset):
+        argv = ["qccr", "simulate", "--game", str(DATA / "chsh_game.json"), "--trials", "10"]
+        result = run_cli(argv + ["--subset", subset])
+        assert result.returncode == 2 and result.stdout == ""
+        errors = [line for line in result.stderr.splitlines() if "error:" in line]
+        assert errors == [f"bellpersist qccr simulate: error: argument --subset: cannot parse "
+                          f"subset {subset!r}; use comma-separated party indices"]
+        assert "Traceback" not in result.stderr
+
+    def test_subset_of_every_party(self):
+        argv = ["qccr", "simulate", "--game", str(DATA / "chsh_game.json"), "--trials", "1000"]
+        result = run_cli(argv + ["--subset", "0,1"])
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == run_cli(argv).stdout
+        assert result.stdout.splitlines()[1].startswith("chsh,0+1,1000,")
+
     def test_jobs_zero_exit_one(self):
         argv = ["qccr", "simulate", "--game", str(DATA / "chsh_game.json"), "--trials", "10"]
         assert main(argv + ["--jobs", "0"]) == 1
@@ -498,7 +515,8 @@ class TestStartup:
 
     def test_cli_import_loads_every_module(self):
         # perfbench/trace_launch.py wraps functions in these modules right
-        # after importing bellpersist.cli, so cli must import them eagerly
+        # after importing bellpersist.cli, so cli must register them in
+        # sys.modules
         modules = ("cli", "dicke", "persistency", "bell", "qccr", "qstate", "monogamy")
         script = (
             "import sys\n"
@@ -508,3 +526,113 @@ class TestStartup:
         )
         result = _run_python(script)
         assert result.returncode == 0, result.stderr
+
+
+# compute modules each command executes; the package registers every
+# module lazily, so the others are never compiled
+_COMPUTE_MODULES = ("dicke", "persistency", "bell", "qccr", "qstate", "monogamy")
+_EXECUTED = {
+    "version": set(),
+    "gamma_crit.csv": {"persistency"},
+    "gbi_constants.csv": {"bell"},
+    "persistency_ghz_gbi.csv": {"persistency", "bell"},
+    "persistency_ghz_makb": {"persistency"},
+    "persistency_dicke_m1.csv": {"persistency", "dicke"},
+    "monogamy_bound.csv": {"monogamy", "qstate"},
+    "makb_qcr.csv": {"bell", "qstate"},
+    "dicke_fit_m1.csv": {"dicke"},
+    "dicke_sigma.json": {"dicke"},
+    "qccr_simulate.csv": {"qccr", "bell", "qstate"},
+    "qccr_feasibility.csv": {"qccr"},
+    "dicke_n0_m2.csv": {"dicke"},
+    "makb_coefficients_n3.csv": {"bell"},
+    "qccr_make_game_chsh.json": {"qccr", "bell", "qstate"},
+}
+_EXECUTED_ARGV = GOLDEN_COMMANDS | {
+    "version": ["--version"],
+    "persistency_ghz_makb": ["persistency", "ghz", "--family", "makb", "--n", "6:9"],
+}
+
+# the public names the package has always exported, by module
+_PUBLIC = {
+    "bell": (
+        "BellFunctional", "SignFunction", "gbi_classical", "gbi_classical_by_integration",
+        "gbi_qcr", "gbi_quantum", "lr_max", "makb", "makb_alignment_phase", "makb_xy_settings",
+        "optimize_wwwzb_angles", "quantum_value", "violation_indicator", "wwwzb_max",
+        "wwwzb_value",
+    ),
+    "dicke": (
+        "DickeMixture", "N0Fit", "SymCorrelation", "fit_n0_line", "reduced_dicke", "sigma_sum",
+        "solve_n0", "sym_correlation", "sym_sigma",
+    ),
+    "errors": ("CapabilityError", "NoCrossingError"),
+    "monogamy": (
+        "AnticommGraph", "build_graph", "independence_number", "overlapping_chsh_operators",
+        "squared_sum_bound",
+    ),
+    "persistency": (
+        "PersistencyResult", "QcrModel", "binary_entropy", "dicke_asymptotic",
+        "dicke_persistency", "frontier_fraction", "gamma_crit", "ghz_persistency",
+    ),
+    "qccr": (
+        "FeasibilityResult", "GameSpec", "GhzMixture", "SimulationResult", "VisibilityModel",
+        "chsh_game", "classical_best", "gbi_game", "makb_game", "marginal_feasibility",
+        "quantum_success", "simulate",
+    ),
+    "qstate": (
+        "DenseState", "PauliString", "PlaneObservable", "anticommutes", "dicke_state",
+        "expectation", "ghz_state", "mixture", "partial_trace", "random_pure_state",
+    ),
+}
+
+
+class TestModuleContract:
+    @pytest.mark.parametrize("name", sorted(_EXECUTED))
+    def test_command_executes_only_its_modules(self, name):
+        # a lazy module that has not executed is not yet a plain ModuleType,
+        # and type() reads that without loading it
+        script = (
+            "import sys, types\n"
+            "from bellpersist.cli import main\n"
+            "try:\n"
+            "    code = main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "assert code == 0, code\n"
+            f"names = {_COMPUTE_MODULES!r}\n"
+            "modules = [(m, sys.modules['bellpersist.' + m]) for m in names]\n"
+            "ran = sorted(m for m, module in modules if type(module) is types.ModuleType)\n"
+            "sys.stderr.write(','.join(ran))\n"
+        )
+        result = _run_python(script, _EXECUTED_ARGV[name])
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ",".join(sorted(_EXECUTED[name]))
+
+    def test_public_names_resolve(self):
+        import bellpersist
+
+        for module_name, names in _PUBLIC.items():
+            module = getattr(bellpersist, module_name)
+            for name in names:
+                assert getattr(bellpersist, name) is getattr(module, name), name
+        public = sorted(name for names in _PUBLIC.values() for name in names)
+        assert sorted(bellpersist.__all__) == public
+        assert set(public) <= set(dir(bellpersist))
+        with pytest.raises(AttributeError):
+            bellpersist.no_such_name
+
+    def test_traced_run_matches_golden(self, tmp_path):
+        # the tracer wraps functions in every module, so modules this
+        # command never needs execute too; stdout must not change
+        name = "dicke_n0_m2.csv"
+        spans = tmp_path / "spans.json"
+        launcher = Path(__file__).parent.parent / "perfbench" / "trace_launch.py"
+        result = subprocess.run(
+            [sys.executable, str(launcher), str(spans), "0", "--", *GOLDEN_COMMANDS[name]],
+            capture_output=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (GOLDEN / name).read_bytes()
+        traced = json.loads(spans.read_text())["names"]
+        assert {"dicke.solve_n0", "qccr.simulate", "monogamy.build_graph"} <= set(traced)

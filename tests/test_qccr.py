@@ -322,6 +322,23 @@ class TestSettingsDraw:
         _assert_draw_matches_choice(_normalized(weights), seed, 5_000)
 
 
+class TestDiscardedDraw:
+    """Row slices of the discarded 0/1 draw consume the stream exactly as
+    one whole draw does."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 2024])
+    @pytest.mark.parametrize(
+        "rows,k,slice_rows", [(1000, 3, 7), (999, 2, 1), (12345, 5, 333), (50, 3, 64)]
+    )
+    def test_slices_leave_whole_draw_state(self, seed, rows, k, slice_rows):
+        whole, sliced = np.random.default_rng(seed), np.random.default_rng(seed)
+        whole.integers(0, 2, size=(rows, k))
+        qccr._discard_bits(sliced, rows, k, slice_rows)
+        assert sliced.bit_generator.state == whole.bit_generator.state
+        assert np.array_equal(sliced.random(5), whole.random(5))
+        assert np.array_equal(sliced.integers(0, 2, size=7), whole.integers(0, 2, size=7))
+
+
 def _without_distribution(game):
     payload = json.loads(game_to_json(game))
     del payload["functional"]["settings_distribution"]
