@@ -5,7 +5,10 @@ exact Dicke-state reductions and their squared-correlation violation
 indicator, Mermin-type and geometric Bell inequalities with exact
 classical values, anticommutation-graph monogamy bounds, entropy
 asymptotics, and Monte Carlo simulation of the distributed
-sign-guessing game, all cross-checked against a dense-state oracle.
+sign-guessing game.  The package holds only what these outputs need;
+the tests' second routes (dense Dicke states and partial traces, the
+sign-function family of full-correlation inequalities, dense game
+states) live in ``tests/oracles.py``.
 
 The compute modules are registered lazily: each one executes on its
 first attribute access, so a caller compiles and runs only the modules
@@ -29,7 +32,6 @@ qccr = _lazy_import(f"{__name__}.qccr")
 _EXPORTS = {
     "bell": (
         "BellFunctional",
-        "SignFunction",
         "gbi_classical",
         "gbi_classical_by_integration",
         "gbi_qcr",
@@ -38,11 +40,7 @@ _EXPORTS = {
         "makb",
         "makb_alignment_phase",
         "makb_xy_settings",
-        "optimize_wwwzb_angles",
         "quantum_value",
-        "violation_indicator",
-        "wwwzb_max",
-        "wwwzb_value",
     ),
     "dicke": (
         "DickeMixture",
@@ -61,13 +59,11 @@ _EXPORTS = {
         "build_graph",
         "independence_number",
         "overlapping_chsh_operators",
-        "squared_sum_bound",
     ),
     "persistency": (
         "PersistencyResult",
         "QcrModel",
         "binary_entropy",
-        "dicke_asymptotic",
         "dicke_persistency",
         "frontier_fraction",
         "gamma_crit",
@@ -92,12 +88,8 @@ _EXPORTS = {
         "PauliString",
         "PlaneObservable",
         "anticommutes",
-        "dicke_state",
         "expectation",
         "ghz_state",
-        "mixture",
-        "partial_trace",
-        "random_pure_state",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,11 +1,11 @@
 """Two-setting Bell functionals and their classical/quantum values.
 
-Covers the recursively built Mermin-type (MAKB) family, the complete
-sign-function family of full-correlation inequalities (one operator per
-choice of sign function over the 2^n setting combinations), the
-squared-correlation violation indicator, and the exact classical
-constants of the geometric (continuum-settings, equatorial) inequality
-together with its quantum value 2/pi.
+Covers the recursively built Mermin-type (MAKB) family and the exact
+classical constants of the geometric (continuum-settings, equatorial)
+inequality together with its quantum value 2/pi.  The complete
+sign-function family of full-correlation inequalities, which the tests
+use to confirm that a correlation sum above 1 (:func:`dicke.sym_sigma`)
+gives a violation, lives in ``tests/oracles.py``.
 
 Local-realistic maxima are computed by exhaustive enumeration of
 deterministic strategies, never heuristically.
@@ -14,23 +14,19 @@ deterministic strategies, never heuristically.
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Mapping, Sequence, Union
 
-from . import dicke, qstate
+from . import qstate
 from ._lazy import lazy_import
 from .errors import CapabilityError
 
 np = lazy_import("numpy")
 
 LR_MAX_PARTY_CAP = 8
-WWWZB_VALUE_CAP = 6
-WWWZB_MAX_CAP = 4
 GBI_INTEGRATION_CAP = 10
 
 Number = Union[int, float, Fraction]
@@ -286,143 +282,6 @@ def quantum_value(
         ops = [observables[i][s] for i, s in enumerate(key)]
         total += float(value) * qstate.expectation(state, ops)
     return total
-
-
-@dataclass(frozen=True)
-class SignFunction:
-    """A +-1 assignment to every tuple of two-setting choices."""
-
-    n: int
-    signs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.signs, dtype=np.int8).reshape((2,) * self.n)
-        if not np.all(np.abs(arr) == 1):
-            raise ValueError("sign function entries must be +-1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "signs", arr)
-
-    @classmethod
-    def chsh(cls) -> "SignFunction":
-        return cls(2, np.array([[1, 1], [1, -1]]))
-
-    @classmethod
-    def constant(cls, n: int, sign: int = 1) -> "SignFunction":
-        return cls(n, np.full((2,) * n, sign, dtype=np.int8))
-
-
-def _sum_observable(pair: ObservablePair, s: int) -> np.ndarray:
-    a, _ = qstate._site_matrix(pair[0])
-    b, _ = qstate._site_matrix(pair[1])
-    return a + (1 if s == 0 else -1) * b
-
-
-def _sign_term(
-    state: qstate.DenseState, observables: Sequence[ObservablePair], key: tuple[int, ...]
-) -> float:
-    ops = [_sum_observable(observables[i], s) for i, s in enumerate(key)]
-    return qstate.expectation(state, ops)
-
-
-def wwwzb_value(
-    sf: SignFunction,
-    state: qstate.DenseState,
-    observables: Sequence[ObservablePair],
-) -> float:
-    """Mean value of the full-correlation Bell operator for one sign
-    function: 2^-n sum_s S(s) <(A_1 + s_1 A_1') x ... x (A_n + s_n A_n')>.
-
-    Local-realistic models obey |value| <= 1.
-    """
-    n = sf.n
-    if n > WWWZB_VALUE_CAP:
-        raise CapabilityError(f"sign-function evaluation capped at {WWWZB_VALUE_CAP} parties")
-    if len(observables) != n or state.n_qubits != n:
-        raise ValueError("state/observable shapes do not match the sign function")
-    total = 0.0
-    for key in itertools.product((0, 1), repeat=n):
-        total += float(sf.signs[key]) * _sign_term(state, observables, key)
-    return total / 2**n
-
-
-def wwwzb_max(
-    state: qstate.DenseState, observables: Sequence[ObservablePair]
-) -> float:
-    """Best value over all 2^(2^n) sign functions at fixed observables.
-
-    The optimal sign function matches the sign of each term, so the
-    maximum equals 2^-n sum_s |<(A_1 + s_1 A_1') x ...>| without
-    enumerating sign functions.
-    """
-    n = state.n_qubits
-    if n > WWWZB_MAX_CAP:
-        raise CapabilityError(f"sign-function family capped at {WWWZB_MAX_CAP} parties")
-    if len(observables) != n:
-        raise ValueError(f"need observable pairs for {n} parties")
-    total = 0.0
-    for key in itertools.product((0, 1), repeat=n):
-        total += abs(_sign_term(state, observables, key))
-    return total / 2**n
-
-
-def optimize_wwwzb_angles(
-    state: qstate.DenseState,
-    grid: int = 32,
-    sweeps: int = 6,
-    refine: int = 3,
-) -> tuple[float, list[tuple[float, float]]]:
-    """Maximize :func:`wwwzb_max` over x-z plane observable angles.
-
-    Coarse per-angle grid search with coordinate-descent sweeps, then
-    local grid refinement around the best point.  Returns the best value
-    and the (beta, beta') angle pairs per party.
-    """
-    n = state.n_qubits
-    angles = np.zeros(2 * n)
-    angles[1::2] = math.pi / 2
-
-    def value(a: np.ndarray) -> float:
-        pairs = [
-            (qstate.PlaneObservable.xz(a[2 * i]), qstate.PlaneObservable.xz(a[2 * i + 1]))
-            for i in range(n)
-        ]
-        return wwwzb_max(state, pairs)
-
-    best = value(angles)
-    step = math.pi / grid
-    candidates = np.arange(grid) * (2 * math.pi / grid)
-    for _ in range(sweeps):
-        improved = False
-        for j in range(2 * n):
-            trial = angles.copy()
-            for cand in candidates:
-                trial[j] = cand
-                v = value(trial)
-                if v > best + 1e-13:
-                    best, angles = v, trial.copy()
-                    improved = True
-        if not improved:
-            break
-    for _ in range(refine):
-        step /= 4
-        for j in range(2 * n):
-            trial = angles.copy()
-            for cand in (angles[j] - step, angles[j] + step):
-                trial[j] = cand
-                v = value(trial)
-                if v > best:
-                    best, angles = v, trial.copy()
-    return best, [(float(angles[2 * i]), float(angles[2 * i + 1])) for i in range(n)]
-
-
-def violation_indicator(sym: dicke.SymCorrelation) -> bool:
-    """Whether the squared x/z correlation sum strictly exceeds 1.
-
-    Zukowski-Brukner sufficient condition for violating some two-setting
-    full-correlation inequality; exact rational arithmetic keeps
-    boundary cases honest.
-    """
-    return dicke.sym_sigma(sym) > 1
 
 
 # --- geometric-inequality constants ---------------------------------------

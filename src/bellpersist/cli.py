@@ -316,13 +316,20 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one stderr line, exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", help="write output atomically to this path")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bellpersist",
         description="Persistency of multipartite Bell correlations: thresholds, "
         "Dicke reductions, monogamy bounds, and game simulation.",
@@ -430,7 +437,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args.func(args)
     except UsageError as exc:
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+        parser.error(str(exc))
     except (ValueError, RuntimeError, OSError, OverflowError) as exc:
         sys.stderr.write(f"{parser.prog}: {exc}\n")
         return 1

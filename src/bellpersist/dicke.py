@@ -13,8 +13,9 @@ docstring): threshold cases (sums exactly equal to 1) are decided on
 integers, without rational or floating-point arithmetic until the final
 value.  The readable route :func:`reduced_dicke` -> :func:`sym_correlation`
 -> :func:`sym_sigma` computes the same sum in exact rationals and is the
-second route the tests compare against; the dense-state module provides
-the independent cross-check.
+second route the tests compare against; the independent dense
+cross-check (a partial trace of the dense Dicke state) lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from . import qstate
 from ._lazy import lazy_import
 from .errors import NoCrossingError
 
@@ -54,12 +54,6 @@ class DickeMixture:
             total += w
         if total != 1:
             raise ValueError(f"component weights sum to {total}, expected 1")
-
-    def dense(self) -> qstate.DenseState:
-        """Density-matrix realization (oracle side, small n only)."""
-        states = [qstate.dicke_state(self.n, m) for m, _ in self.components]
-        weights = [float(w) for _, w in self.components]
-        return qstate.mixture(states, weights)
 
 
 @dataclass(frozen=True)
@@ -189,22 +183,6 @@ def sigma_sum(n_total: int, m_zeros: int, n_traced: int) -> Fraction:
             inner += -term if lost % 2 else term
         total += math.comb(n, k) * math.comb(k, h) ** 2 * inner * inner
     return Fraction(total, math.comb(n_total, m_zeros) ** 2)
-
-
-def dense_sigma_sum(n_total: int, m_zeros: int, n_traced: int) -> float:
-    """Dense-oracle version of :func:`sigma_sum` (exponential cost).
-
-    Builds the reduced density matrix by an actual partial trace and sums
-    the squared expectation of every x/z Pauli string.
-    """
-    state = qstate.dicke_state(n_total, m_zeros)
-    reduced = qstate.partial_trace(state, list(range(n_total - n_traced, n_total)))
-    n = reduced.n_qubits
-    total = 0.0
-    for pattern in range(2**n):
-        letters = "".join("X" if pattern & (1 << (n - 1 - i)) else "Z" for i in range(n))
-        total += qstate.expectation(reduced, qstate.PauliString(letters)) ** 2
-    return total
 
 
 def solve_n0(m_zeros: int, n_traced: int) -> float:

@@ -127,11 +127,6 @@ def independence_number(graph: AnticommGraph) -> int:
     return best
 
 
-def squared_sum_bound(operators: Sequence[Union[PauliString, str]]) -> int:
-    """Upper bound on sum of <op>^2 over all quantum states."""
-    return independence_number(build_graph(operators))
-
-
 def overlapping_chsh_operators() -> list[PauliString]:
     """The eight two-body x/z correlators of two CHSH tests on three
     qubits sharing the middle observer; the bound for this set is 2."""

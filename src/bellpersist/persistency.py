@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import bell, dicke
 from .errors import CapabilityError
@@ -266,8 +265,3 @@ def dicke_persistency(n_parties: int, m_zeros: int) -> PersistencyResult:
     at = max(best, 1)
     return PersistencyResult(n_parties, best, n_parties - at, float(sums[at]))
 
-
-def dicke_asymptotic(m_zeros: int, l_values: Iterable[int] = range(5, 41)) -> float:
-    """Asymptotic persistency fraction 1/a from the N0 = a L + b fit."""
-    fit = dicke.fit_n0_line(m_zeros, l_values)
-    return 1.0 / fit.slope

@@ -20,6 +20,11 @@ requires the settings distribution to extend to an exchangeable N-party
 distribution with the game distribution as its k-marginals.  That is a
 small linear program over type classes, solved here in exact rational
 arithmetic with a Farkas certificate on infeasibility.
+
+A :class:`GameSpec` may also carry an explicit dense state, which the
+tests use to check the parity model; the dense realization of
+:class:`GhzMixture` and the dense outcome distributions they compare
+against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -411,46 +416,6 @@ def simulate(
     return SimulationResult(
         game.name, subset, trials, seed, rate, stderr, _success_probability(game, coeffs, corr)
     )
-
-
-def outcome_distribution(game: GameSpec, subset: Sequence[int], key: tuple[int, ...]) -> np.ndarray:
-    """Oracle outcome distribution over the 2^k sign patterns for one
-    settings tuple, from the dense state (validation aid, small k)."""
-    if not isinstance(game.state, qstate.DenseState):
-        raise CapabilityError("outcome distributions need an explicit dense state")
-    k = game.n_parties
-    if k > 6:
-        raise CapabilityError("outcome enumeration capped at 6 parties")
-    state = game.state
-    probs = np.zeros(2**k)
-    eye = np.eye(2, dtype=complex)
-    for out in range(2**k):
-        ops: list[qstate.SiteOperator] = [eye] * state.n_qubits
-        for pos, party in enumerate(subset):
-            sign = 1.0 if not (out >> (k - 1 - pos)) & 1 else -1.0
-            mat = game.observables[pos][key[pos]].matrix()
-            ops[party] = 0.5 * (eye + sign * mat)
-        probs[out] = qstate.expectation(state, ops)
-    return probs
-
-
-def ghz_mixture_density(n_parties: int, block_size: int) -> qstate.DenseState:
-    """Dense realization of :class:`GhzMixture` (oracle side, small n)."""
-    if n_parties > 8:
-        raise CapabilityError("dense mixture realization capped at 8 parties")
-    n, k = n_parties, block_size
-    dim = 2**n
-    rho = np.zeros((dim, dim), dtype=complex)
-    block = qstate.ghz_state(k).density()
-    rest = np.eye(2 ** (n - k)) / 2 ** (n - k)
-    for subset in itertools.combinations(range(n), k):
-        order = list(subset) + [q for q in range(n) if q not in subset]
-        term = np.kron(block, rest).reshape((2,) * (2 * n))
-        perm = [order.index(q) for q in range(n)]
-        term = term.transpose(perm + [n + p for p in perm]).reshape(dim, dim)
-        rho += term
-    rho /= math.comb(n, k)
-    return qstate.DenseState(n, rho, pure=False)
 
 
 # --- exchangeable-marginal feasibility -------------------------------------

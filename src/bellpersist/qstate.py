@@ -1,11 +1,12 @@
 """Dense-state quantum algebra for small qubit registers.
 
-Exact brute-force routines that serve as the numerical oracle for the
-rest of the library: GHZ and Dicke constructors, tensor-product
-expectation values, partial traces, and Pauli-string anticommutation.
-Everything is dense and capped at ``MAX_QUBITS`` qubits; basis states
-are ordered lexicographically with qubit 0 most significant, and the
-computational value 0 of a qubit is the +1 eigenstate of sigma_z.
+Exact brute-force routines: the GHZ constructor, tensor-product
+expectation values and Pauli-string anticommutation.  The dense oracle
+the tests check the library against (Dicke states, mixtures, partial
+traces) builds on these in ``tests/oracles.py``.  Everything is dense
+and capped at ``MAX_QUBITS`` qubits; basis states are ordered
+lexicographically with qubit 0 most significant, and the computational
+value 0 of a qubit is the +1 eigenstate of sigma_z.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ np = lazy_import("numpy")
 
 MAX_QUBITS = 12
 
-_NORM_ATOL = 1e-12
 _HERM_ATOL = 1e-12
 _EIG_FLOOR = -1e-10
 # Spectrum checks cost O(8^n); run them automatically only below this size.
@@ -37,13 +37,6 @@ def _pauli_matrices() -> dict[str, np.ndarray]:
         "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
         "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
     }
-
-
-def __getattr__(name: str):
-    # PAULI_MATRICES is built on first access, so importing stays numpy-free
-    if name == "PAULI_MATRICES":
-        return _pauli_matrices()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -193,16 +186,6 @@ class DenseState:
             return np.outer(self.data, self.data.conj())
         return self.data
 
-    def to_density_state(self) -> "DenseState":
-        if not self.pure:
-            return self
-        return DenseState(self.n_qubits, self.density(), pure=False)
-
-    def validate_spectrum(self) -> None:
-        """Eigenvalue positivity check, regardless of size (may be slow)."""
-        if not self.pure:
-            self._check_spectrum(np.asarray(self.data))
-
 
 def ghz_state(l: int, phase: float = 0.0) -> DenseState:
     """The l-qubit GHZ state (|0...0> + e^{i phase} |1...1>)/sqrt(2).
@@ -217,53 +200,6 @@ def ghz_state(l: int, phase: float = 0.0) -> DenseState:
     amp[0] = 1.0 / math.sqrt(2.0)
     amp[-1] = np.exp(1.0j * phase) / math.sqrt(2.0)
     return DenseState(l, amp, pure=True)
-
-
-def dicke_state(n: int, m: int) -> DenseState:
-    """The Dicke state with exactly ``m`` qubits in |0> out of ``n``.
-
-    Equal amplitudes binom(n, m)^(-1/2) on every computational basis
-    state containing exactly m zeros.
-    """
-    if not 1 <= n <= MAX_QUBITS:
-        raise CapabilityError(f"{n} qubits outside supported range 1..{MAX_QUBITS}")
-    if not 0 <= m <= n:
-        raise ValueError(f"zero count m={m} must satisfy 0 <= m <= n={n}")
-    amp = np.zeros(2**n, dtype=complex)
-    value = 1.0 / math.sqrt(math.comb(n, m))
-    # a basis index with m zeros has n - m one bits
-    want = n - m
-    for idx in range(2**n):
-        if idx.bit_count() == want:
-            amp[idx] = value
-    return DenseState(n, amp, pure=True)
-
-
-def mixture(states: Sequence[DenseState], weights: Sequence[float]) -> DenseState:
-    """Convex mixture of states, returned in density form."""
-    if len(states) != len(weights) or not states:
-        raise ValueError("need equally many states and weights, at least one each")
-    if any(w < 0 for w in weights):
-        raise ValueError("mixture weights must be nonnegative")
-    total = float(sum(weights))
-    if abs(total - 1.0) > _NORM_ATOL * max(10, len(weights)):
-        raise ValueError(f"mixture weights sum to {total}, expected 1")
-    n = states[0].n_qubits
-    if any(s.n_qubits != n for s in states):
-        raise ValueError("all mixture components must share the qubit count")
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    for s, w in zip(states, weights):
-        rho += float(w) * s.density()
-    return DenseState(n, rho, pure=False)
-
-
-def random_pure_state(n: int, rng: Union[np.random.Generator, int, None] = None) -> DenseState:
-    """Haar-random pure state (normalized complex Gaussian vector)."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    vec = rng.normal(size=2**n) + 1.0j * rng.normal(size=2**n)
-    vec /= np.linalg.norm(vec)
-    return DenseState(n, vec, pure=True)
 
 
 SiteOperator = Union[PlaneObservable, str, "np.ndarray"]
@@ -371,33 +307,3 @@ def _as_real(value: complex, unit_spectrum: bool) -> float:
         raise ValueError(f"expectation {real} outside [-1, 1]")
     return real
 
-
-def partial_trace(state: DenseState, traced: Sequence[int]) -> DenseState:
-    """Trace out the given qubits, returning a density-form state.
-
-    The remaining qubits keep their original relative order.  Tracing
-    nothing returns the same state in density form.
-    """
-    n = state.n_qubits
-    traced_list = sorted(traced)
-    if len(set(traced_list)) != len(traced_list):
-        raise ValueError(f"duplicate qubit indices in {traced!r}")
-    if any(not 0 <= q < n for q in traced_list):
-        raise ValueError(f"qubit indices {traced!r} out of range for {n} qubits")
-    if len(traced_list) == n:
-        raise ValueError("cannot trace out every qubit")
-    if not traced_list:
-        return state.to_density_state()
-
-    keep = [q for q in range(n) if q not in traced_list]
-    k, t = len(keep), len(traced_list)
-    if state.pure:
-        psi = state.data.reshape((2,) * n).transpose(keep + traced_list)
-        mat = psi.reshape(2**k, 2**t)
-        rho = mat @ mat.conj().T
-    else:
-        full = state.data.reshape((2,) * (2 * n))
-        order = keep + traced_list + [n + q for q in keep] + [n + q for q in traced_list]
-        full = full.transpose(order).reshape(2**k, 2**t, 2**k, 2**t)
-        rho = np.einsum("atbt->ab", full)
-    return DenseState(k, rho, pure=False)

@@ -1,0 +1,306 @@
+"""Second routes that the tests check the library against, exponential
+in the register size: dense Dicke states, mixtures and partial traces,
+the dense correlation sum, the sign-function family of full-correlation
+inequalities (the Zukowski-Brukner criterion, PRL 88, 210401, 2002, that
+a correlation sum above 1 gives a violation) and dense game states.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from typing import Sequence, Union
+
+import numpy as np
+
+from bellpersist import qstate
+from bellpersist.bell import ObservablePair
+from bellpersist.dicke import DickeMixture
+from bellpersist.errors import CapabilityError
+from bellpersist.qccr import GameSpec
+from bellpersist.qstate import MAX_QUBITS, DenseState
+
+# literals, so that PlaneObservable.matrix() has a reference outside the library
+PAULI_MATRICES = {
+    "I": np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+_NORM_ATOL = 1e-12
+
+
+def to_density_state(state: DenseState) -> DenseState:
+    if not state.pure:
+        return state
+    return DenseState(state.n_qubits, state.density(), pure=False)
+
+
+def validate_spectrum(state: DenseState) -> None:
+    """Eigenvalue positivity check, regardless of size (may be slow)."""
+    if not state.pure:
+        state._check_spectrum(np.asarray(state.data))
+
+
+def dicke_state(n: int, m: int) -> DenseState:
+    """The Dicke state with exactly ``m`` qubits in |0> out of ``n``.
+
+    Equal amplitudes binom(n, m)^(-1/2) on every computational basis
+    state containing exactly m zeros.
+    """
+    if not 1 <= n <= MAX_QUBITS:
+        raise CapabilityError(f"{n} qubits outside supported range 1..{MAX_QUBITS}")
+    if not 0 <= m <= n:
+        raise ValueError(f"zero count m={m} must satisfy 0 <= m <= n={n}")
+    amp = np.zeros(2**n, dtype=complex)
+    value = 1.0 / math.sqrt(math.comb(n, m))
+    # a basis index with m zeros has n - m one bits
+    want = n - m
+    for idx in range(2**n):
+        if idx.bit_count() == want:
+            amp[idx] = value
+    return DenseState(n, amp, pure=True)
+
+
+def mixture(states: Sequence[DenseState], weights: Sequence[float]) -> DenseState:
+    """Convex mixture of states, returned in density form."""
+    if len(states) != len(weights) or not states:
+        raise ValueError("need equally many states and weights, at least one each")
+    if any(w < 0 for w in weights):
+        raise ValueError("mixture weights must be nonnegative")
+    total = float(sum(weights))
+    if abs(total - 1.0) > _NORM_ATOL * max(10, len(weights)):
+        raise ValueError(f"mixture weights sum to {total}, expected 1")
+    n = states[0].n_qubits
+    if any(s.n_qubits != n for s in states):
+        raise ValueError("all mixture components must share the qubit count")
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    for s, w in zip(states, weights):
+        rho += float(w) * s.density()
+    return DenseState(n, rho, pure=False)
+
+
+def random_pure_state(n: int, rng: Union[np.random.Generator, int, None] = None) -> DenseState:
+    """Haar-random pure state (normalized complex Gaussian vector)."""
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
+    vec = rng.normal(size=2**n) + 1.0j * rng.normal(size=2**n)
+    vec /= np.linalg.norm(vec)
+    return DenseState(n, vec, pure=True)
+
+
+def partial_trace(state: DenseState, traced: Sequence[int]) -> DenseState:
+    """Trace out the given qubits, returning a density-form state.
+
+    The remaining qubits keep their original relative order.  Tracing
+    nothing returns the same state in density form.
+    """
+    n = state.n_qubits
+    traced_list = sorted(traced)
+    if len(set(traced_list)) != len(traced_list):
+        raise ValueError(f"duplicate qubit indices in {traced!r}")
+    if any(not 0 <= q < n for q in traced_list):
+        raise ValueError(f"qubit indices {traced!r} out of range for {n} qubits")
+    if len(traced_list) == n:
+        raise ValueError("cannot trace out every qubit")
+    if not traced_list:
+        return to_density_state(state)
+
+    keep = [q for q in range(n) if q not in traced_list]
+    k, t = len(keep), len(traced_list)
+    if state.pure:
+        psi = state.data.reshape((2,) * n).transpose(keep + traced_list)
+        mat = psi.reshape(2**k, 2**t)
+        rho = mat @ mat.conj().T
+    else:
+        full = state.data.reshape((2,) * (2 * n))
+        order = keep + traced_list + [n + q for q in keep] + [n + q for q in traced_list]
+        full = full.transpose(order).reshape(2**k, 2**t, 2**k, 2**t)
+        rho = np.einsum("atbt->ab", full)
+    return DenseState(k, rho, pure=False)
+
+
+def dense_mixture(mix: DickeMixture) -> DenseState:
+    """Density-matrix realization of a Dicke mixture (small n only)."""
+    states = [dicke_state(mix.n, m) for m, _ in mix.components]
+    weights = [float(w) for _, w in mix.components]
+    return mixture(states, weights)
+
+
+def dense_sigma_sum(n_total: int, m_zeros: int, n_traced: int) -> float:
+    """Dense-oracle version of :func:`bellpersist.dicke.sigma_sum` (exponential cost).
+
+    Builds the reduced density matrix by an actual partial trace and sums
+    the squared expectation of every x/z Pauli string.
+    """
+    state = dicke_state(n_total, m_zeros)
+    reduced = partial_trace(state, list(range(n_total - n_traced, n_total)))
+    n = reduced.n_qubits
+    total = 0.0
+    for pattern in range(2**n):
+        letters = "".join("X" if pattern & (1 << (n - 1 - i)) else "Z" for i in range(n))
+        total += qstate.expectation(reduced, qstate.PauliString(letters)) ** 2
+    return total
+
+
+@dataclass(frozen=True)
+class SignFunction:
+    """A +-1 assignment to every tuple of two-setting choices."""
+
+    n: int
+    signs: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.signs, dtype=np.int8).reshape((2,) * self.n)
+        if not np.all(np.abs(arr) == 1):
+            raise ValueError("sign function entries must be +-1")
+        arr.setflags(write=False)
+        object.__setattr__(self, "signs", arr)
+
+    @classmethod
+    def chsh(cls) -> "SignFunction":
+        return cls(2, np.array([[1, 1], [1, -1]]))
+
+    @classmethod
+    def constant(cls, n: int, sign: int = 1) -> "SignFunction":
+        return cls(n, np.full((2,) * n, sign, dtype=np.int8))
+
+
+def _sum_observable(pair: ObservablePair, s: int) -> np.ndarray:
+    a, _ = qstate._site_matrix(pair[0])
+    b, _ = qstate._site_matrix(pair[1])
+    return a + (1 if s == 0 else -1) * b
+
+
+def _sign_term(
+    state: DenseState, observables: Sequence[ObservablePair], key: tuple[int, ...]
+) -> float:
+    ops = [_sum_observable(observables[i], s) for i, s in enumerate(key)]
+    return qstate.expectation(state, ops)
+
+
+def wwwzb_value(
+    sf: SignFunction,
+    state: DenseState,
+    observables: Sequence[ObservablePair],
+) -> float:
+    """Mean value of the full-correlation Bell operator for one sign
+    function: 2^-n sum_s S(s) <(A_1 + s_1 A_1') x ... x (A_n + s_n A_n')>.
+
+    Local-realistic models obey |value| <= 1.
+    """
+    n = sf.n
+    if len(observables) != n or state.n_qubits != n:
+        raise ValueError("state/observable shapes do not match the sign function")
+    total = 0.0
+    for key in itertools.product((0, 1), repeat=n):
+        total += float(sf.signs[key]) * _sign_term(state, observables, key)
+    return total / 2**n
+
+
+def wwwzb_max(state: DenseState, observables: Sequence[ObservablePair]) -> float:
+    """Best value over all 2^(2^n) sign functions at fixed observables.
+
+    The optimal sign function matches the sign of each term, so the
+    maximum equals 2^-n sum_s |<(A_1 + s_1 A_1') x ...>| without
+    enumerating sign functions.
+    """
+    n = state.n_qubits
+    if len(observables) != n:
+        raise ValueError(f"need observable pairs for {n} parties")
+    total = 0.0
+    for key in itertools.product((0, 1), repeat=n):
+        total += abs(_sign_term(state, observables, key))
+    return total / 2**n
+
+
+def optimize_wwwzb_angles(
+    state: DenseState,
+    grid: int = 32,
+    sweeps: int = 6,
+    refine: int = 3,
+) -> tuple[float, list[tuple[float, float]]]:
+    """Maximize :func:`wwwzb_max` over x-z plane observable angles.
+
+    Coarse per-angle grid search with coordinate-descent sweeps, then
+    local grid refinement around the best point.  Returns the best value
+    and the (beta, beta') angle pairs per party.
+    """
+    n = state.n_qubits
+    angles = np.zeros(2 * n)
+    angles[1::2] = math.pi / 2
+
+    def value(a: np.ndarray) -> float:
+        pairs = [
+            (qstate.PlaneObservable.xz(a[2 * i]), qstate.PlaneObservable.xz(a[2 * i + 1]))
+            for i in range(n)
+        ]
+        return wwwzb_max(state, pairs)
+
+    best = value(angles)
+    step = math.pi / grid
+    candidates = np.arange(grid) * (2 * math.pi / grid)
+    for _ in range(sweeps):
+        improved = False
+        for j in range(2 * n):
+            trial = angles.copy()
+            for cand in candidates:
+                trial[j] = cand
+                v = value(trial)
+                if v > best + 1e-13:
+                    best, angles = v, trial.copy()
+                    improved = True
+        if not improved:
+            break
+    for _ in range(refine):
+        step /= 4
+        for j in range(2 * n):
+            trial = angles.copy()
+            for cand in (angles[j] - step, angles[j] + step):
+                trial[j] = cand
+                v = value(trial)
+                if v > best:
+                    best, angles = v, trial.copy()
+    return best, [(float(angles[2 * i]), float(angles[2 * i + 1])) for i in range(n)]
+
+
+def outcome_distribution(game: GameSpec, subset: Sequence[int], key: tuple[int, ...]) -> np.ndarray:
+    """Oracle outcome distribution over the 2^k sign patterns for one
+    settings tuple, from the dense state (validation aid, small k)."""
+    if not isinstance(game.state, DenseState):
+        raise CapabilityError("outcome distributions need an explicit dense state")
+    k = game.n_parties
+    if k > 6:
+        raise CapabilityError("outcome enumeration capped at 6 parties")
+    state = game.state
+    probs = np.zeros(2**k)
+    eye = np.eye(2, dtype=complex)
+    for out in range(2**k):
+        ops: list[qstate.SiteOperator] = [eye] * state.n_qubits
+        for pos, party in enumerate(subset):
+            sign = 1.0 if not (out >> (k - 1 - pos)) & 1 else -1.0
+            mat = game.observables[pos][key[pos]].matrix()
+            ops[party] = 0.5 * (eye + sign * mat)
+        probs[out] = qstate.expectation(state, ops)
+    return probs
+
+
+def ghz_mixture_density(n_parties: int, block_size: int) -> DenseState:
+    """Dense realization of :class:`bellpersist.qccr.GhzMixture` (small n)."""
+    if n_parties > 8:
+        raise CapabilityError("dense mixture realization capped at 8 parties")
+    n, k = n_parties, block_size
+    dim = 2**n
+    rho = np.zeros((dim, dim), dtype=complex)
+    block = qstate.ghz_state(k).density()
+    rest = np.eye(2 ** (n - k)) / 2 ** (n - k)
+    for subset in itertools.combinations(range(n), k):
+        order = list(subset) + [q for q in range(n) if q not in subset]
+        term = np.kron(block, rest).reshape((2,) * (2 * n))
+        perm = [order.index(q) for q in range(n)]
+        term = term.transpose(perm + [n + p for p in perm]).reshape(dim, dim)
+        rho += term
+    rho /= math.comb(n, k)
+    return DenseState(n, rho, pure=False)

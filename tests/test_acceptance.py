@@ -21,6 +21,7 @@ from bellpersist import (
     qccr,
     qstate,
 )
+from oracles import dense_sigma_sum, partial_trace, random_pure_state, wwwzb_max
 
 F = Fraction
 
@@ -96,7 +97,7 @@ def test_c04_makb_ratio_by_enumeration():
 def test_c05_monogamy_bound():
     start = time.monotonic()
     ops = monogamy.overlapping_chsh_operators()
-    bound = monogamy.squared_sum_bound(ops)
+    bound = monogamy.independence_number(monogamy.build_graph(ops))
     assert bound == 2  # hence <B_12>^2 + <B_23>^2 <= 4 * bound = 8
 
     mats = np.array([op.matrix() for op in ops])
@@ -119,7 +120,7 @@ def test_c06_dicke_oracle_equivalence():
         for m in range(n + 1):
             for l in range(0, n - 1):
                 fast = float(dicke.sigma_sum(n, m, l))
-                dense = dicke.dense_sigma_sum(n, m, l)
+                dense = dense_sigma_sum(n, m, l)
                 worst = max(worst, abs(fast - dense))
                 checked += 1
     elapsed = time.monotonic() - start
@@ -181,7 +182,7 @@ def test_c09_two_block_mixture_ratio():
     )
     ratios = []
     for subset in ([0, 1, 2, 3], [1, 2, 3, 4]):
-        reduced = qstate.partial_trace(state, [q for q in range(5) if q not in subset])
+        reduced = partial_trace(state, [q for q in range(5) if q not in subset])
         value = bell.quantum_value(f, reduced, [pair] * 4)
         ratios.append(value / lr)
         assert abs(value / lr - math.sqrt(2.0)) < 1e-9, subset
@@ -243,7 +244,7 @@ def test_c12_property_suite():
         n = int(rng.integers(2, 5))
         amp = np.array([1.0 + 0.0j])
         for _ in range(n):
-            amp = np.kron(amp, qstate.random_pure_state(1, rng).amplitudes)
+            amp = np.kron(amp, random_pure_state(1, rng).amplitudes)
         state = qstate.DenseState(n, amp, pure=True)
         pairs = [
             (
@@ -252,7 +253,7 @@ def test_c12_property_suite():
             )
             for _ in range(n)
         ]
-        worst = max(worst, bell.wwwzb_max(state, pairs))
+        worst = max(worst, wwwzb_max(state, pairs))
     assert worst <= 1.0 + 1e-10
 
     for n in range(2, 10):

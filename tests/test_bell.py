@@ -9,7 +9,6 @@ from scipy.stats import qmc
 from bellpersist import bell, dicke, qstate
 from bellpersist.bell import (
     BellFunctional,
-    SignFunction,
     gbi_classical,
     gbi_classical_by_integration,
     gbi_qcr,
@@ -18,13 +17,17 @@ from bellpersist.bell import (
     makb,
     makb_alignment_phase,
     makb_xy_settings,
-    optimize_wwwzb_angles,
     quantum_value,
-    violation_indicator,
+)
+from bellpersist.errors import CapabilityError
+from oracles import (
+    SignFunction,
+    dicke_state,
+    optimize_wwwzb_angles,
+    random_pure_state,
     wwwzb_max,
     wwwzb_value,
 )
-from bellpersist.errors import CapabilityError
 
 F = Fraction
 
@@ -161,7 +164,7 @@ def chsh_optimal_xz_pairs():
 
 class TestWwwzb:
     def test_chsh_sign_function_on_bell_state(self):
-        psi_plus = qstate.dicke_state(2, 1)
+        psi_plus = dicke_state(2, 1)
         value = wwwzb_value(SignFunction.chsh(), psi_plus, chsh_optimal_xz_pairs())
         assert abs(value) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
@@ -188,7 +191,7 @@ class TestWwwzb:
             assert abs(wwwzb_value(sf, state, pairs)) <= 1.0 + 1e-10
 
     def test_max_on_bell_state(self):
-        value = wwwzb_max(qstate.dicke_state(2, 1), chsh_optimal_xz_pairs())
+        value = wwwzb_max(dicke_state(2, 1), chsh_optimal_xz_pairs())
         assert value == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_max_ghz3_xy_settings(self):
@@ -198,7 +201,7 @@ class TestWwwzb:
     @pytest.mark.parametrize("n", [2, 3])
     def test_max_matches_sign_enumeration(self, n):
         rng = np.random.default_rng(44 + n)
-        state = qstate.random_pure_state(n, rng)
+        state = random_pure_state(n, rng)
         pairs = [
             (qstate.PlaneObservable.xz(rng.uniform(0, 2 * math.pi)),
              qstate.PlaneObservable.xz(rng.uniform(0, 2 * math.pi)))
@@ -211,14 +214,8 @@ class TestWwwzb:
             best = max(best, abs(wwwzb_value(sf, state, pairs)))
         assert closed == pytest.approx(best, abs=1e-12)
 
-    def test_party_caps(self):
-        with pytest.raises(CapabilityError):
-            wwwzb_max(qstate.ghz_state(5), [("X", "Y")] * 5)
-        with pytest.raises(CapabilityError):
-            wwwzb_value(SignFunction.constant(7), qstate.ghz_state(7), [("X", "Y")] * 7)
-
     def test_angle_optimizer_recovers_bell_violation(self):
-        value, angles = optimize_wwwzb_angles(qstate.dicke_state(2, 1), grid=32)
+        value, angles = optimize_wwwzb_angles(dicke_state(2, 1), grid=32)
         assert value == pytest.approx(math.sqrt(2.0), abs=1e-6)
         assert len(angles) == 2
 
@@ -226,7 +223,7 @@ class TestWwwzb:
         rng = np.random.default_rng(55)
         for _ in range(60):
             n = int(rng.integers(2, 5))
-            single = [qstate.random_pure_state(1, rng).amplitudes for _ in range(n)]
+            single = [random_pure_state(1, rng).amplitudes for _ in range(n)]
             amp = single[0]
             for vec in single[1:]:
                 amp = np.kron(amp, vec)
@@ -241,15 +238,15 @@ class TestWwwzb:
 
 class TestViolationIndicator:
     def test_bell_state_violates(self):
-        assert violation_indicator(dicke.sym_correlation(dicke.reduced_dicke(2, 1, 0)))
+        assert dicke.sym_sigma(dicke.sym_correlation(dicke.reduced_dicke(2, 1, 0))) > 1
 
     def test_product_state_boundary_is_not_violation(self):
         sym = dicke.sym_correlation(dicke.reduced_dicke(5, 5, 0))
-        assert not violation_indicator(sym)
+        assert not dicke.sym_sigma(sym) > 1
 
     def test_reduced_w_state_five_parties(self):
         sym = dicke.sym_correlation(dicke.reduced_dicke(5, 1, 1))
-        assert violation_indicator(sym)
+        assert dicke.sym_sigma(sym) > 1
 
 
 class TestGbiConstants:

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -118,6 +119,27 @@ class TestExitCodes:
     def test_usage_error_missing_required(self):
         result = run_cli(["monogamy", "bound"])
         assert result.returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dicke", "sigma", "--n", "5", "--m", "2"],
+            ["dicke", "n0", "--m", "2", "--l-range", "x"],
+            ["qccr", "make-game", "--type", "foo"],
+            ["bogus"],
+            [],
+            ["qccr", "simulate", "--game", str(DATA / "chsh_game.json"), "--trials", "x"],
+        ],
+        ids=[
+            "missing-flag", "bad-l-range", "bad-type", "unknown-command", "no-command", "bad-trials",
+        ],
+    )
+    def test_usage_error_one_stderr_line(self, argv):
+        result = run_cli(argv)
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+        assert result.stderr.startswith("bellpersist") and ": error: " in result.stderr
+        assert "usage:" not in result.stderr and "Traceback" not in result.stderr
 
     def test_computation_error_exit_one(self, tmp_path):
         bad = tmp_path / "too_many.txt"
@@ -553,13 +575,12 @@ _EXECUTED_ARGV = GOLDEN_COMMANDS | {
     "persistency_ghz_makb": ["persistency", "ghz", "--family", "makb", "--n", "6:9"],
 }
 
-# the public names the package has always exported, by module
+# the public names the package exports, by module
 _PUBLIC = {
     "bell": (
-        "BellFunctional", "SignFunction", "gbi_classical", "gbi_classical_by_integration",
-        "gbi_qcr", "gbi_quantum", "lr_max", "makb", "makb_alignment_phase", "makb_xy_settings",
-        "optimize_wwwzb_angles", "quantum_value", "violation_indicator", "wwwzb_max",
-        "wwwzb_value",
+        "BellFunctional", "gbi_classical", "gbi_classical_by_integration", "gbi_qcr",
+        "gbi_quantum", "lr_max", "makb", "makb_alignment_phase", "makb_xy_settings",
+        "quantum_value",
     ),
     "dicke": (
         "DickeMixture", "N0Fit", "SymCorrelation", "fit_n0_line", "reduced_dicke", "sigma_sum",
@@ -568,11 +589,10 @@ _PUBLIC = {
     "errors": ("CapabilityError", "NoCrossingError"),
     "monogamy": (
         "AnticommGraph", "build_graph", "independence_number", "overlapping_chsh_operators",
-        "squared_sum_bound",
     ),
     "persistency": (
-        "PersistencyResult", "QcrModel", "binary_entropy", "dicke_asymptotic",
-        "dicke_persistency", "frontier_fraction", "gamma_crit", "ghz_persistency",
+        "PersistencyResult", "QcrModel", "binary_entropy", "dicke_persistency",
+        "frontier_fraction", "gamma_crit", "ghz_persistency",
     ),
     "qccr": (
         "FeasibilityResult", "GameSpec", "GhzMixture", "SimulationResult", "VisibilityModel",
@@ -580,9 +600,40 @@ _PUBLIC = {
         "quantum_success", "simulate",
     ),
     "qstate": (
-        "DenseState", "PauliString", "PlaneObservable", "anticommutes", "dicke_state",
-        "expectation", "ghz_state", "mixture", "partial_trace", "random_pure_state",
+        "DenseState", "PauliString", "PlaneObservable", "anticommutes", "expectation",
+        "ghz_state",
     ),
+}
+
+# names the package no longer has: test-only second routes, now in
+# tests/oracles.py, and wrappers whose callers call the code underneath
+_REMOVED = {
+    "bell": (
+        "SignFunction", "optimize_wwwzb_angles", "violation_indicator", "wwwzb_max",
+        "wwwzb_value", "WWWZB_VALUE_CAP", "WWWZB_MAX_CAP",
+    ),
+    "dicke": ("dense_sigma_sum",),
+    "monogamy": ("squared_sum_bound",),
+    "persistency": ("dicke_asymptotic",),
+    "qccr": ("outcome_distribution", "ghz_mixture_density"),
+    "qstate": (
+        "dicke_state", "mixture", "partial_trace", "random_pure_state", "PAULI_MATRICES",
+    ),
+}
+
+# intra-package imports of each module under src/bellpersist; "__init__"
+# stands for a name taken from the package itself
+_IMPORTS = {
+    "__init__": {"_lazy", "errors"},
+    "_lazy": set(),
+    "bell": {"_lazy", "errors", "qstate"},
+    "cli": {"__init__", "bell", "dicke", "errors", "monogamy", "persistency", "qccr", "qstate"},
+    "dicke": {"_lazy", "errors"},
+    "errors": set(),
+    "monogamy": {"_lazy", "errors", "qstate"},
+    "persistency": {"bell", "dicke", "errors"},
+    "qccr": {"_lazy", "bell", "errors", "qstate"},
+    "qstate": {"_lazy", "errors"},
 }
 
 
@@ -620,6 +671,40 @@ class TestModuleContract:
         assert set(public) <= set(dir(bellpersist))
         with pytest.raises(AttributeError):
             bellpersist.no_such_name
+
+    def test_removed_names_are_gone(self):
+        import bellpersist
+
+        for module_name, names in _REMOVED.items():
+            module = getattr(bellpersist, module_name)
+            for name in names:
+                assert not hasattr(bellpersist, name), name
+                assert not hasattr(module, name), f"{module_name}.{name}"
+        assert not hasattr(bellpersist.dicke.DickeMixture, "dense")
+        for method in ("to_density_state", "validate_spectrum"):
+            assert not hasattr(bellpersist.qstate.DenseState, method), method
+
+    def test_import_graph(self):
+        package = Path(__file__).parent.parent / "src" / "bellpersist"
+        modules = {path.stem for path in package.glob("*.py")}
+        assert modules == set(_IMPORTS)
+        for name in sorted(modules):
+            found = set()
+            for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+                if isinstance(node, ast.Import):
+                    roots = [alias.name.split(".")[0] for alias in node.names]
+                    assert not {"oracles", "tests"} & set(roots), name
+                    assert "bellpersist" not in roots, name
+                elif isinstance(node, ast.ImportFrom):
+                    root = (node.module or "").split(".")[0]
+                    assert root not in ("oracles", "tests", "bellpersist"), name
+                    if node.level == 0:
+                        continue
+                    if node.module:
+                        found.add(node.module.split(".")[0])
+                    else:
+                        found |= {a.name if a.name in modules else "__init__" for a in node.names}
+            assert found == _IMPORTS[name], name
 
     def test_traced_run_matches_golden(self, tmp_path):
         # the tracer wraps functions in every module, so modules this

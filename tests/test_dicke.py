@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellpersist import bell, dicke, qstate
+from bellpersist import qstate
 from bellpersist.dicke import (
     DickeMixture,
     fit_n0_line,
@@ -18,6 +18,9 @@ from bellpersist.dicke import (
     xz_component,
 )
 from bellpersist.errors import NoCrossingError
+from oracles import (
+    dense_mixture, dense_sigma_sum, dicke_state, optimize_wwwzb_angles, partial_trace,
+)
 
 F = Fraction
 
@@ -38,8 +41,8 @@ class TestReducedDicke:
     @pytest.mark.parametrize("n,m,l", [(4, 2, 1), (6, 3, 2), (7, 1, 3), (8, 5, 4)])
     def test_matches_dense_partial_trace(self, n, m, l):
         mix = reduced_dicke(n, m, l)
-        dense = qstate.partial_trace(qstate.dicke_state(n, m), list(range(n - l, n)))
-        np.testing.assert_allclose(mix.dense().data, dense.data, atol=1e-12)
+        dense = partial_trace(dicke_state(n, m), list(range(n - l, n)))
+        np.testing.assert_allclose(dense_mixture(mix).data, dense.data, atol=1e-12)
 
     def test_weights_always_sum_to_one(self):
         for n in range(2, 9):
@@ -67,7 +70,7 @@ class TestSymCorrelation:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_component_formula_against_oracle(self, n):
         for m in range(n + 1):
-            state = qstate.dicke_state(n, m)
+            state = dicke_state(n, m)
             for k in range(n + 1):
                 letters = "X" * k + "Z" * (n - k)
                 oracle = qstate.expectation(state, letters)
@@ -75,7 +78,7 @@ class TestSymCorrelation:
 
     def test_component_arrangement_invariance(self):
         # any arrangement of the same x-count gives the same value
-        state = qstate.dicke_state(6, 2)
+        state = dicke_state(6, 2)
         arrangements = ["XXZZZZ", "ZXZXZZ", "ZZZZXX"]
         values = [qstate.expectation(state, s) for s in arrangements]
         assert max(values) - min(values) < 1e-12
@@ -109,7 +112,7 @@ class TestSigmaSum:
     )
     def test_matches_dense_oracle(self, n, m, l):
         assert float(sigma_sum(n, m, l)) == pytest.approx(
-            dicke.dense_sigma_sum(n, m, l), abs=1e-10
+            dense_sigma_sum(n, m, l), abs=1e-10
         )
 
     def test_integer_kernel_matches_readable_route(self):
@@ -140,8 +143,8 @@ class TestSigmaSum:
             for l in range(max(0, n - 4), n):
                 for m in range(n + 1):
                     if sigma_sum(n, m, l) > 1:
-                        state = reduced_dicke(n, m, l).dense()
-                        value = bell.optimize_wwwzb_angles(state)[0]
+                        state = dense_mixture(reduced_dicke(n, m, l))
+                        value = optimize_wwwzb_angles(state)[0]
                         assert value > 1, (n, m, l, value)
                         violating.append((n, m, l))
         assert (5, 1, 1) in violating and len(violating) == 7

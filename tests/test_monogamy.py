@@ -10,7 +10,6 @@ from bellpersist.monogamy import (
     independence_number,
     overlapping_chsh_operators,
     parse_pauli_lines,
-    squared_sum_bound,
 )
 
 
@@ -51,7 +50,7 @@ class TestGraph:
 
 class TestIndependenceNumber:
     def test_chsh_pair_bound_is_two(self):
-        assert squared_sum_bound(overlapping_chsh_operators()) == 2
+        assert independence_number(build_graph(overlapping_chsh_operators())) == 2
 
     def test_empty_graph(self):
         graph = build_graph(["XII", "IXI", "IIX", "XXX", "XXI"])
@@ -87,7 +86,7 @@ class TestIndependenceNumber:
 
 class TestSquaredSumBound:
     def test_bloch_ball(self):
-        assert squared_sum_bound(["XI", "ZI", "YI"]) == 1
+        assert independence_number(build_graph(["XI", "ZI", "YI"])) == 1
 
     def test_random_states_respect_chsh_pair_bound(self):
         ops = overlapping_chsh_operators()

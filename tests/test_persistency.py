@@ -10,7 +10,6 @@ from bellpersist.persistency import (
     PersistencyResult,
     QcrModel,
     binary_entropy,
-    dicke_asymptotic,
     dicke_persistency,
     frontier_fraction,
     gamma_crit,
@@ -273,8 +272,8 @@ class TestDickePersistency:
                 )
 
     def test_asymptotic_fraction_single_zero(self):
-        assert dicke_asymptotic(1, range(5, 26)) == pytest.approx(1 / 3, rel=0.02)
+        assert 1 / dicke.fit_n0_line(1, range(5, 26)).slope == pytest.approx(1 / 3, rel=0.02)
 
     def test_asymptotic_fraction_grows_with_m(self):
-        fractions = [dicke_asymptotic(m, range(5, 21)) for m in (1, 2, 3, 4)]
+        fractions = [1 / dicke.fit_n0_line(m, range(5, 21)).slope for m in (1, 2, 3, 4)]
         assert all(a < b for a, b in zip(fractions, fractions[1:]))

@@ -19,13 +19,12 @@ from bellpersist.qccr import (
     game_from_json,
     game_to_json,
     gbi_game,
-    ghz_mixture_density,
     makb_game,
     marginal_feasibility,
-    outcome_distribution,
     quantum_success,
     simulate,
 )
+from oracles import ghz_mixture_density, outcome_distribution, partial_trace
 
 F = Fraction
 
@@ -96,7 +95,7 @@ class TestAnalyticValues:
         rho = 0.25 * np.kron(g4, np.eye(2)) + 0.25 * np.kron(np.eye(2), g4)
         state = qstate.DenseState(5, rho, pure=False)
         for subset in ([0, 1, 2, 3], [1, 2, 3, 4]):
-            reduced = qstate.partial_trace(state, [q for q in range(5) if q not in subset])
+            reduced = partial_trace(state, [q for q in range(5) if q not in subset])
             oracle = GameSpec(game.functional, game.observables, reduced)
             assert quantum_success(oracle) > classical_best(game)
 
