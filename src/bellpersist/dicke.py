@@ -8,22 +8,41 @@ the sum of its squares has a closed combinatorial form that scales
 polynomially in the register size.
 
 In that sum the C(n, m) normalisations of the Dicke components cancel,
-so :func:`sigma_sum` is one integer S over C(N, M)^2 (see its
-docstring): threshold cases (sums exactly equal to 1) are decided on
-integers, without rational or floating-point arithmetic until the final
-value.  The readable route :func:`reduced_dicke` -> :func:`sym_correlation`
+so the sum is one integer S over C(N, M)^2 (see :func:`sigma_sum`):
+threshold cases (sums exactly equal to 1) are decided as S > C(N, M)^2
+on integers, without rational or floating-point arithmetic until the
+final value.  With n = N - L and h = k/2 the inner sum over the lost
+zeros l is a Krawtchouk polynomial (MacWilliams & Sloane, *The Theory
+of Error-Correcting Codes*, 1977, ch. 5 par. 7),
+
+    sum_l (-1)^l C(L, l) C(n - 2h, M - h - l) = K_{M-h}(L; N - 2h),
+    K_j(x; m) = sum_l (-1)^l C(x, l) C(m - x, j - l),
+
+and it is 0 once h > M or h > N - M, so only h <= min(M, N - M, n // 2)
+contribute.  Three kernels evaluate the same S:
+
+- :func:`sigma_sum` sums it at one (N, M, L);
+- :func:`_sigma_row` walks L at fixed (N, M) with the three-term
+  recurrence in x, (m - x) K_j(x + 1) = (m - 2j) K_j(x) - x K_j(x - 1);
+- :func:`_sigma_walk` walks N at fixed (M, L) with Pascal's rule on
+  C(m - x, j - l), K_j(x; m + 1) = K_j(x; m) + K_{j-1}(x; m).
+
+Each K_j is an integer, so the division in the first recurrence is exact.
+The readable route :func:`reduced_dicke` -> :func:`sym_correlation`
 -> :func:`sym_sigma` computes the same sum in exact rationals and is the
 second route the tests compare against; the independent dense
-cross-check (a partial trace of the dense Dicke state) lives in
+cross-check (a partial trace of the dense Dicke state) and the
+point-by-point scans the recurrences replaced live in
 ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ._lazy import lazy_import
 from .errors import NoCrossingError
@@ -169,13 +188,17 @@ def sigma_sum(n_total: int, m_zeros: int, n_traced: int) -> Fraction:
 
     where terms with M-l > n or M-l-h outside 0..n-k vanish exactly as
     in the readable route.  The sign (-1)^(n-M-h) is common to every
-    term of the inner sum and drops out when it is squared.
+    term of the inner sum and drops out when it is squared, which leaves
+    the Krawtchouk polynomial K_{M-h}(L; N-2h) of the module docstring.
+    Its sum over l is empty once h > M, and once h > N - M every
+    C(n-k, M-l-h) in it is 0 (M-l-h >= M-L-h > n-k), so k stops at
+    2 min(M, N - M, n // 2).
     """
     _check_reduction(n_total, m_zeros, n_traced)
     n = n_total - n_traced
     total = 0
-    for k in range(0, n + 1, 2):
-        h = k // 2
+    for h in range(min(m_zeros, n_total - m_zeros, n // 2) + 1):
+        k = 2 * h
         inner = 0
         # math.comb is 0 once M-l-h > n-k, which also covers M-l > n
         for lost in range(min(n_traced, m_zeros - h) + 1):
@@ -183,6 +206,71 @@ def sigma_sum(n_total: int, m_zeros: int, n_traced: int) -> Fraction:
             inner += -term if lost % 2 else term
         total += math.comb(n, k) * math.comb(k, h) ** 2 * inner * inner
     return Fraction(total, math.comb(n_total, m_zeros) ** 2)
+
+
+def _sigma_row(n_total: int, m_zeros: int) -> tuple[list[int], int]:
+    """Numerators S of :func:`sigma_sum` for every L = 0..N-1, and C(N, M)^2.
+
+    ``row[L] / C(N, M)^2`` equals ``sigma_sum(N, M, L)``; needs
+    0 <= M <= N.  For each h <= min(M, N - M) (K_{M-h}(x; N-2h) is 0
+    when M - h > N - 2h) the Krawtchouk values K_j(x; m), m = N - 2h,
+    j = M - h, are walked over x = L = 0..min(m, N-1) with the
+    three-term recurrence
+
+        (m - x) K_j(x + 1) = (m - 2j) K_j(x) - x K_j(x - 1),
+
+    from K_j(0; m) = C(m, j); at x = 0 the K_j(-1) term is multiplied by
+    0.  Both sides are integers and m - x >= 1, so the floor division is
+    exact.  The weight C(2h, h)^2 C(N - x, 2h) of the term steps with
+    C(N - x - 1, 2h) = C(N - x, 2h) (m - x) / (N - x), exact for the same
+    reason.  The term of h enters row[x] only while x <= m, which is the
+    bound h <= (N - L) // 2 of :func:`sigma_sum`.  That is O(N min(M, N-M))
+    big-integer steps for the whole row, against O(min(L, M) min(M, N-L))
+    binomials at each single point.
+    """
+    row = [0] * n_total
+    for h in range(min(m_zeros, n_total - m_zeros) + 1):
+        m, j = n_total - 2 * h, m_zeros - h
+        weight = math.comb(2 * h, h) ** 2 * math.comb(n_total, 2 * h)
+        below, kraw = 0, math.comb(m, j)
+        last = min(m, n_total - 1)
+        for x in range(last + 1):
+            row[x] += weight * kraw * kraw
+            if x < last:
+                weight = weight * (m - x) // (n_total - x)
+                below, kraw = kraw, ((m - 2 * j) * kraw - x * below) // (m - x)
+    return row, math.comb(n_total, m_zeros) ** 2
+
+
+def _sigma_walk(m_zeros: int, n_traced: int, start: int) -> Iterator[tuple[int, int]]:
+    """Numerators S of :func:`sigma_sum` and C(N, M)^2 for N = start, start+1, ...
+
+    ``S / C(N, M)^2`` equals ``sigma_sum(N, M, L)``; needs M >= 0 and
+    0 <= L < start.  The vector (K_0, ..., K_M)(L; m) starts at m = L,
+    where K_j(L; L) = (-1)^j C(L, j), and steps m -> m + 1 by Pascal's
+    rule
+
+        K_j(L; m + 1) = K_j(L; m) + K_{j-1}(L; m),   K_{-1} = 0,
+
+    which is C(a + 1, b) = C(a, b) + C(a, b - 1) applied to C(m - L, j - l).
+    The last 2M + 1 vectors are kept, so that at register size N each
+    h <= min(M, (N - L) // 2) reads K_{M-h}(L; N - 2h), 2h steps back.
+    Every step costs O(M) integer additions.
+    """
+    centres = [math.comb(2 * h, h) ** 2 for h in range(m_zeros + 1)]
+    kraw = [(-1) ** j * math.comb(n_traced, j) for j in range(m_zeros + 1)]
+    back = deque([kraw], maxlen=2 * m_zeros + 1)
+    n_total = n_traced
+    while True:
+        if n_total >= start:
+            n = n_total - n_traced
+            total = 0
+            for h in range(min(m_zeros, n // 2) + 1):
+                total += math.comb(n, 2 * h) * centres[h] * back[2 * h][m_zeros - h] ** 2
+            yield total, math.comb(n_total, m_zeros) ** 2
+        kraw = [kraw[0]] + [kraw[j] + kraw[j - 1] for j in range(1, m_zeros + 1)]
+        back.appendleft(kraw)
+        n_total += 1
 
 
 def solve_n0(m_zeros: int, n_traced: int) -> float:
@@ -193,9 +281,11 @@ def solve_n0(m_zeros: int, n_traced: int) -> float:
     traced (L < M) the sum can additionally wander around 1 while the
     register is so small that the state is close to its own bit-flip
     mirror; the crossing of interest is the final upward one, after
-    which the sum stays above 1.  Integers are scanned and the
-    bracketing pair is interpolated linearly; a crossing that lands
-    exactly on an integer is returned exactly.
+    which the sum stays above 1.  Integers are scanned with
+    :func:`_sigma_walk`, every comparison with 1 is made on its integer
+    numerators, and the bracketing pair is interpolated linearly in
+    exact rationals; a crossing that lands exactly on an integer is
+    returned exactly.
     """
     if n_traced < 1:
         raise ValueError("need at least one traced party")
@@ -207,15 +297,16 @@ def solve_n0(m_zeros: int, n_traced: int) -> float:
     settled = 2 * m_zeros + n_traced + 1
     crossing = None
     seen_below = False
-    prev = sigma_sum(start, m_zeros, n_traced)
-    for n in range(start + 1, max_n + 1):
-        cur = sigma_sum(n, m_zeros, n_traced)
-        seen_below = seen_below or prev < 1
-        if prev < 1 <= cur:
-            crossing = Fraction(n - 1) + (1 - prev) / (cur - prev)
-        if crossing is not None and n > settled and cur > Fraction(21, 20):
+    walk = _sigma_walk(m_zeros, n_traced, start)
+    prev, prev_den = next(walk)
+    for n, (cur, cur_den) in zip(range(start + 1, max_n + 1), walk):
+        seen_below = seen_below or prev < prev_den
+        if prev < prev_den and cur_den <= cur:
+            lo, hi = Fraction(prev, prev_den), Fraction(cur, cur_den)
+            crossing = Fraction(n - 1) + (1 - lo) / (hi - lo)
+        if crossing is not None and n > settled and 20 * cur > 21 * cur_den:
             break
-        prev = cur
+        prev, prev_den = cur, cur_den
     if crossing is not None:
         return float(crossing)
     if not seen_below:

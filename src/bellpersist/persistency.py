@@ -250,18 +250,18 @@ def dicke_persistency(n_parties: int, m_zeros: int) -> PersistencyResult:
     lower bound P >= max_traced + 1); ``margin`` is the sum at that L,
     or at L = 1 when no L qualifies (at L = 0 for two parties), and
     ``witness_m`` the N - L parties left there.
+
+    The sums of every L come from one Krawtchouk row of the dicke
+    module, as integers S over C(N, M)^2, and "exceeds 1" is
+    S > C(N, M)^2.  Every L is tested: near half filling the violating L
+    do not form a prefix, so no scan may stop at the first failure.
     """
     if not 0 <= m_zeros <= n_parties:
         raise ValueError("need 0 <= M <= N")
     if n_parties < 2:
         raise ValueError("need at least two parties")
-    if n_parties == 2:
-        return PersistencyResult(2, 0, 2, float(dicke.sigma_sum(2, m_zeros, 0)))
-    sums = {
-        traced: dicke.sigma_sum(n_parties, m_zeros, traced)
-        for traced in range(1, n_parties - 1)
-    }
-    best = max((traced for traced, value in sums.items() if value > 1), default=0)
-    at = max(best, 1)
-    return PersistencyResult(n_parties, best, n_parties - at, float(sums[at]))
-
+    row, denom = dicke._sigma_row(n_parties, m_zeros)
+    best = max((traced for traced in range(1, n_parties - 1) if row[traced] > denom), default=0)
+    at = max(best, 1) if n_parties > 2 else 0
+    # int / int is correctly rounded, as float(Fraction) is
+    return PersistencyResult(n_parties, best, n_parties - at, row[at] / denom)

@@ -556,20 +556,27 @@ def marginal_feasibility(dist: Mapping, n_parties: int) -> FeasibilityResult:
         for i in range(k + 1)
     ]
     solution, farkas = _phase_one_simplex(a_mat, [Fraction(v) for v in marginal])
+    # verify the witness or the Farkas certificate exactly before returning
+    # it; explicit checks, so that python -O cannot strip them
     if solution is not None:
-        assert all(q >= 0 for q in solution)
-        assert all(
-            sum(a_mat[i][j] * solution[j] for j in range(n_parties + 1)) == marginal[i]
-            for i in range(k + 1)
-        )
+        if not (
+            all(q >= 0 for q in solution)
+            and all(
+                sum(a_mat[i][j] * solution[j] for j in range(n_parties + 1)) == marginal[i]
+                for i in range(k + 1)
+            )
+        ):
+            raise RuntimeError("simplex witness fails A q = marginal, q >= 0")
         return FeasibilityResult(True, n_parties, k, tuple(solution), None)
-    # verify the Farkas certificate exactly before returning it
-    assert farkas is not None
-    assert all(
-        sum(farkas[i] * a_mat[i][j] for i in range(k + 1)) <= 0
-        for j in range(n_parties + 1)
-    )
-    assert sum(farkas[i] * marginal[i] for i in range(k + 1)) > 0
+    if not (
+        farkas is not None
+        and all(
+            sum(farkas[i] * a_mat[i][j] for i in range(k + 1)) <= 0
+            for j in range(n_parties + 1)
+        )
+        and sum(farkas[i] * marginal[i] for i in range(k + 1)) > 0
+    ):
+        raise RuntimeError("simplex Farkas certificate fails y.A <= 0 < y.marginal")
     return FeasibilityResult(False, n_parties, k, None, tuple(farkas))
 
 

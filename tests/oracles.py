@@ -1,8 +1,12 @@
-"""Second routes that the tests check the library against, exponential
-in the register size: dense Dicke states, mixtures and partial traces,
-the dense correlation sum, the sign-function family of full-correlation
-inequalities (the Zukowski-Brukner criterion, PRL 88, 210401, 2002, that
-a correlation sum above 1 gives a violation) and dense game states.
+"""Second routes that the tests check the library against.
+
+Exponential in the register size: dense Dicke states, mixtures and
+partial traces, the dense correlation sum, the sign-function family of
+full-correlation inequalities (the Zukowski-Brukner criterion, PRL 88,
+210401, 2002, that a correlation sum above 1 gives a violation) and
+dense game states.  Polynomial: the point-by-point Dicke threshold and
+persistency scans, one ``sigma_sum`` per point, that the library's
+Krawtchouk recurrences replaced.
 """
 
 from __future__ import annotations
@@ -10,14 +14,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
 
-from bellpersist import qstate
+from bellpersist import dicke, qstate
 from bellpersist.bell import ObservablePair
 from bellpersist.dicke import DickeMixture
-from bellpersist.errors import CapabilityError
+from bellpersist.errors import CapabilityError, NoCrossingError
+from bellpersist.persistency import PersistencyResult
 from bellpersist.qccr import GameSpec
 from bellpersist.qstate import MAX_QUBITS, DenseState
 
@@ -143,6 +149,60 @@ def dense_sigma_sum(n_total: int, m_zeros: int, n_traced: int) -> float:
         letters = "".join("X" if pattern & (1 << (n - 1 - i)) else "Z" for i in range(n))
         total += qstate.expectation(reduced, qstate.PauliString(letters)) ** 2
     return total
+
+
+def solve_n0_by_points(m_zeros: int, n_traced: int) -> float:
+    """Point-scan version of :func:`bellpersist.dicke.solve_n0`.
+
+    Calls :func:`bellpersist.dicke.sigma_sum` once per register size
+    instead of walking the Krawtchouk vectors; the scan, the stopping
+    rule and the interpolation are the same.
+    """
+    if n_traced < 1:
+        raise ValueError("need at least one traced party")
+    if m_zeros < 0:
+        raise ValueError("zeros count must be nonnegative")
+    start = max(m_zeros, n_traced + 1, 2)
+    max_n = 4 * (n_traced + m_zeros) + 16
+    # the mirror-degenerate region ends once n exceeds both 2M and 2(N-M)
+    settled = 2 * m_zeros + n_traced + 1
+    crossing = None
+    seen_below = False
+    prev = dicke.sigma_sum(start, m_zeros, n_traced)
+    for n in range(start + 1, max_n + 1):
+        cur = dicke.sigma_sum(n, m_zeros, n_traced)
+        seen_below = seen_below or prev < 1
+        if prev < 1 <= cur:
+            crossing = Fraction(n - 1) + (1 - prev) / (cur - prev)
+        if crossing is not None and n > settled and cur > Fraction(21, 20):
+            break
+        prev = cur
+    if crossing is not None:
+        return float(crossing)
+    if not seen_below:
+        raise NoCrossingError("sum never drops below 1 in the window", (start, max_n))
+    raise NoCrossingError("no upward crossing of 1 found", (start, max_n))
+
+
+def dicke_persistency_by_points(n_parties: int, m_zeros: int) -> PersistencyResult:
+    """Point-scan version of :func:`bellpersist.persistency.dicke_persistency`.
+
+    Calls :func:`bellpersist.dicke.sigma_sum` once per traced count
+    instead of computing the Krawtchouk row.
+    """
+    if not 0 <= m_zeros <= n_parties:
+        raise ValueError("need 0 <= M <= N")
+    if n_parties < 2:
+        raise ValueError("need at least two parties")
+    if n_parties == 2:
+        return PersistencyResult(2, 0, 2, float(dicke.sigma_sum(2, m_zeros, 0)))
+    sums = {
+        traced: dicke.sigma_sum(n_parties, m_zeros, traced)
+        for traced in range(1, n_parties - 1)
+    }
+    best = max((traced for traced, value in sums.items() if value > 1), default=0)
+    at = max(best, 1)
+    return PersistencyResult(n_parties, best, n_parties - at, float(sums[at]))
 
 
 @dataclass(frozen=True)

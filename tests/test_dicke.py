@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellpersist import qstate
+from bellpersist import dicke, qstate
 from bellpersist.dicke import (
     DickeMixture,
     fit_n0_line,
@@ -20,6 +20,7 @@ from bellpersist.dicke import (
 from bellpersist.errors import NoCrossingError
 from oracles import (
     dense_mixture, dense_sigma_sum, dicke_state, optimize_wwwzb_angles, partial_trace,
+    solve_n0_by_points,
 )
 
 F = Fraction
@@ -207,6 +208,59 @@ class TestSolveN0:
         n0 = solve_n0(4, 1)
         assert 8 < n0 < 9
         assert sigma_sum(9, 4, 1) > 1 > sigma_sum(8, 4, 1)
+
+
+def _n0_window(m, l):
+    # the register sizes solve_n0 may scan for (M, L)
+    return range(max(m, l + 1, 2), 4 * (l + m) + 16 + 1)
+
+
+def _equal(numerator, denominator, value):
+    return numerator * value.denominator == value.numerator * denominator
+
+
+def _n0_or_error(solver, m, l):
+    try:
+        return solver(m, l)
+    except NoCrossingError as err:
+        return (str(err), err.window)
+
+
+class TestKrawtchoukKernels:
+    """The row and walk recurrences against the single-point kernel."""
+
+    def test_row_matches_sigma_sum(self):
+        for n in range(1, 41):
+            for m in range(n + 1):
+                row, denom = dicke._sigma_row(n, m)
+                assert len(row) == n and denom == math.comb(n, m) ** 2
+                for l in range(n):
+                    assert _equal(row[l], denom, sigma_sum(n, m, l)), (n, m, l)
+
+    @pytest.mark.parametrize("m", [7, 150, 299])
+    def test_row_matches_sigma_sum_n300(self, m):
+        row, denom = dicke._sigma_row(300, m)
+        for l in [*range(0, 300, 23), 1, 150, 298, 299]:
+            assert _equal(row[l], denom, sigma_sum(300, m, l)), (m, l)
+
+    def test_walk_matches_sigma_sum(self):
+        for m in range(10):
+            for l in range(1, 41):
+                window = _n0_window(m, l)
+                walk = dicke._sigma_walk(m, l, window.start)
+                for n, (total, denom) in zip(window, walk):
+                    assert denom == math.comb(n, m) ** 2
+                    assert _equal(total, denom, sigma_sum(n, m, l)), (n, m, l)
+
+    def test_solve_n0_matches_point_scan(self):
+        outcomes = set()
+        for m in range(10):
+            for l in range(1, 41):
+                fast = _n0_or_error(solve_n0, m, l)
+                assert fast == _n0_or_error(solve_n0_by_points, m, l), (m, l)
+                outcomes.add(type(fast))
+        # the grid reaches both the crossings and the NoCrossingError window
+        assert outcomes == {float, tuple}
 
 
 class TestFit:

@@ -15,6 +15,7 @@ from bellpersist.persistency import (
     gamma_crit,
     ghz_persistency,
 )
+from oracles import dicke_persistency_by_points
 
 # pi to 50 decimals, rounded down, and one unit of the last digit above it
 PI_LO = Fraction(314159265358979323846264338327950288419716939937510, 10**50)
@@ -233,20 +234,34 @@ class TestDickePersistency:
     def test_four_one_fails_indicator(self):
         assert dicke_persistency(4, 1).max_traced == 0
 
-    @pytest.mark.parametrize("n,m,calls", [(2, 1, 1), (4, 1, 2), (9, 4, 7)])
-    def test_one_sum_per_traced_count(self, monkeypatch, n, m, calls):
+    @pytest.mark.parametrize("n,m", [(2, 1), (4, 1), (9, 4)])
+    def test_one_row_per_call(self, monkeypatch, n, m):
         seen = []
-        inner = dicke.sigma_sum
+        inner = dicke._sigma_row
 
         def counting(*args):
             seen.append(args)
             return inner(*args)
 
-        monkeypatch.setattr(dicke, "sigma_sum", counting)
+        monkeypatch.setattr(dicke, "_sigma_row", counting)
         result = dicke_persistency(n, m)
-        assert len(seen) == calls
+        assert seen == [(n, m)]
         margin_l = max(result.max_traced, 1) if n > 2 else 0
-        assert result.margin == float(inner(n, m, margin_l))
+        assert result.margin == float(dicke.sigma_sum(n, m, margin_l))
+
+    def test_matches_point_scan(self):
+        cases = [(n, m) for n in range(2, 41) for m in range(n + 1)]
+        # the half-filled N = 300 row costs seconds by points; its sums
+        # are sampled in test_dicke
+        for n, m in cases + [(300, 7), (300, 299)]:
+            assert dicke_persistency(n, m) == dicke_persistency_by_points(n, m), (n, m)
+
+    def test_half_filling_violations_are_not_a_prefix(self):
+        # why dicke_persistency tests every L: some L below max_traced fail
+        n, m = 40, 20
+        result = dicke_persistency(n, m)
+        failing = [l for l in range(1, result.max_traced) if dicke.sigma_sum(n, m, l) <= 1]
+        assert failing
 
     def test_witness_is_where_margin_is_taken(self):
         # both solvers: witness_m = N - max(max_traced, 1), the margin taken there

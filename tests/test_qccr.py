@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -393,6 +395,38 @@ class TestMarginalFeasibility:
         result = marginal_feasibility(dist, 4)
         assert not result.feasible
         assert result.certificate is not None
+
+    _UNIFORM2 = {key: F(1, 4) for key in itertools.product((0, 1), repeat=2)}
+
+    def test_rejects_invalid_certificate(self, monkeypatch):
+        # y = (-1, -1, -1) has y.A <= 0 but y.marginal < 0: not a certificate
+        monkeypatch.setattr(qccr, "_phase_one_simplex", lambda a, b: (None, [F(-1)] * 3))
+        with pytest.raises(RuntimeError, match="Farkas"):
+            marginal_feasibility(self._UNIFORM2, 3)
+
+    def test_rejects_invalid_witness(self, monkeypatch):
+        monkeypatch.setattr(qccr, "_phase_one_simplex", lambda a, b: ([F(-1)] * 4, None))
+        with pytest.raises(RuntimeError, match="witness"):
+            marginal_feasibility(self._UNIFORM2, 3)
+
+    def test_certificate_check_survives_optimize_flag(self):
+        # python -O strips assert statements; the checks must not be asserts
+        script = (
+            "from fractions import Fraction as F\n"
+            "from bellpersist import qccr\n"
+            "assert False, 'asserts are live'\n"
+            "qccr._phase_one_simplex = lambda a, b: (None, [F(-1)] * 3)\n"
+            "uniform = {k: F(1, 4) for k in ('00', '01', '10', '11')}\n"
+            "try:\n"
+            "    qccr.marginal_feasibility(uniform, 3)\n"
+            "except RuntimeError:\n"
+            "    print('rejected')\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "rejected\n"
 
     def test_makb3_infeasible_in_all_larger(self):
         dist = makb_game(3).functional.settings_distribution
