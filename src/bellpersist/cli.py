@@ -74,10 +74,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(args, rows: list[dict], fields: list[str]) -> None:
+def _emit(args, rows: list[dict]) -> None:
+    """Write nonempty ``rows`` as CSV, columns in the first row's key
+    order, or as JSON."""
     if args.format == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         for row in rows:
             writer.writerow({k: _fmt(v) for k, v in row.items()})
@@ -123,7 +125,7 @@ def _cmd_gamma_crit(args) -> None:
         gamma = persistency.gamma_crit(a, tol=args.tolerance)
         residual = persistency.binary_entropy(gamma) - gamma * math.log2(a)
         rows.append({"a": a, "gamma_crit": gamma, "residual": residual})
-    _emit(args, rows, ["a", "gamma_crit", "residual"])
+    _emit(args, rows)
 
 
 def _cmd_dicke_table(args) -> None:
@@ -139,14 +141,14 @@ def _cmd_dicke_table(args) -> None:
                 "fraction": 1.0 / fit.slope,
             }
         )
-    _emit(args, rows, ["M", "a", "b", "residual", "fraction"])
+    _emit(args, rows)
 
 
 def _cmd_dicke_n0(args) -> None:
     rows = [
         {"M": args.m, "L": l, "N0": dicke.solve_n0(args.m, l)} for l in args.l_range
     ]
-    _emit(args, rows, ["M", "L", "N0"])
+    _emit(args, rows)
 
 
 def _cmd_dicke_sigma(args) -> None:
@@ -161,7 +163,7 @@ def _cmd_dicke_sigma(args) -> None:
             "violation_possible": bool(value > 1),
         }
     ]
-    _emit(args, rows, ["N", "M", "L", "sigma", "sigma_float", "violation_possible"])
+    _emit(args, rows)
 
 
 def _cmd_persistency_ghz(args) -> None:
@@ -178,7 +180,7 @@ def _cmd_persistency_ghz(args) -> None:
                 "margin": result.margin,
             }
         )
-    _emit(args, rows, ["N", "family", "max_traced", "witness_M", "margin"])
+    _emit(args, rows)
 
 
 def _cmd_persistency_dicke(args) -> None:
@@ -194,7 +196,7 @@ def _cmd_persistency_dicke(args) -> None:
                 "margin": result.margin,
             }
         )
-    _emit(args, rows, ["N", "M", "max_traced", "persistency_lower_bound", "margin"])
+    _emit(args, rows)
 
 
 def _cmd_gbi_constants(args) -> None:
@@ -212,7 +214,7 @@ def _cmd_gbi_constants(args) -> None:
                 "qcr": bell.gbi_qcr(n),
             }
         )
-    _emit(args, rows, ["n", "classical", "classical_float", "quantum", "qcr"])
+    _emit(args, rows)
 
 
 def _cmd_makb_qcr(args) -> None:
@@ -225,7 +227,7 @@ def _cmd_makb_qcr(args) -> None:
         state = qstate.ghz_state(n, phase=bell.makb_alignment_phase(n))
         quantum = bell.quantum_value(f, state, [pair] * n)
         rows.append({"n": n, "lr_max": lr, "quantum": quantum, "qcr": quantum / lr})
-    _emit(args, rows, ["n", "lr_max", "quantum", "qcr"])
+    _emit(args, rows)
 
 
 def _cmd_makb_coefficients(args) -> None:
@@ -234,7 +236,7 @@ def _cmd_makb_coefficients(args) -> None:
         {"settings": "".join(map(str, key)), "coefficient": float(value)}
         for key, value in sorted(f.coefficients.items())
     ]
-    _emit(args, rows, ["settings", "coefficient"])
+    _emit(args, rows)
 
 
 def _cmd_monogamy_bound(args) -> None:
@@ -250,7 +252,7 @@ def _cmd_monogamy_bound(args) -> None:
             "bound": bound,
         }
     ]
-    _emit(args, rows, ["operators", "qubits", "edges", "bound"])
+    _emit(args, rows)
 
 
 def _cmd_qccr_simulate(args) -> None:
@@ -275,11 +277,7 @@ def _cmd_qccr_simulate(args) -> None:
             "classical_best": classical,
         }
     ]
-    _emit(
-        args,
-        rows,
-        ["game", "subset", "trials", "seed", "success", "stderr", "analytic", "classical_best"],
-    )
+    _emit(args, rows)
 
 
 def _cmd_qccr_feasibility(args) -> None:
@@ -297,7 +295,7 @@ def _cmd_qccr_feasibility(args) -> None:
             "reason": result.reason,
         }
     ]
-    _emit(args, rows, ["k", "N", "feasible", "witness", "certificate", "reason"])
+    _emit(args, rows)
 
 
 def _cmd_qccr_make_game(args) -> None:

@@ -16,14 +16,10 @@ the bound is what matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence, Union
 
-from ._lazy import lazy_import
 from .errors import CapabilityError
 from .qstate import PauliString, anticommutes
-
-np = lazy_import("numpy")
 
 MAX_VERTICES = 24
 
@@ -50,17 +46,8 @@ class AnticommGraph:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        """Read-only boolean adjacency matrix."""
-        n = self.n_vertices
-        rows = [[mask >> j & 1 for j in range(n)] for mask in self.neighbor_masks]
-        adj = np.array(rows, dtype=bool).reshape(n, n)
-        adj.setflags(write=False)
-        return adj
-
-    def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(mask.bit_count() for mask in self.neighbor_masks)
 
 
 def build_graph(operators: Sequence[Union[PauliString, str]]) -> AnticommGraph:

@@ -13,7 +13,11 @@ y_i m_i lifts LR to the quantum mean value.  For equatorial
 measurements on a GHZ block the outcome statistics are uniform except
 for the full parity, whose bias equals the correlation function, which
 is what the sampler here uses; mixing the block uniformly over the
-C(N, k) subsets of N parties scales that bias by 1 / C(N, k).
+C(N, k) subsets of N parties scales that bias by 1 / C(N, k).  A
+deterministic classical strategy plays through the same sampler, as
+the +-1 table of the products of its answers: a parity bias of 0 or 1.
+Omitting one broadcast from the guess multiplies it by an independent
+fair coin, which is the ``VisibilityModel(0.0)`` control.
 
 The symmetrized variant asks every k-subset to play at once, which
 requires the settings distribution to extend to an exchangeable N-party
@@ -34,7 +38,6 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Mapping, Sequence, Union
 
 from . import bell, qstate
@@ -208,21 +211,21 @@ def _resolve_subset(game: GameSpec, subset: Sequence[int] | None) -> tuple[int, 
     return subset
 
 
-def classical_best(game: GameSpec) -> float:
-    """Optimal classical success probability (1 + LR/sum|g|)/2."""
-    value = bell.lr_max(game.functional)
+def _success(game: GameSpec, value: float) -> float:
+    """Success probability (1 + value / sum|g|) / 2 of a protocol whose
+    functional mean is ``value``."""
     return 0.5 * (1.0 + value / float(game.functional.abs_total()))
 
 
-def _success_probability(game: GameSpec, coeffs: np.ndarray, corr: np.ndarray) -> float:
-    quantum = float(np.dot(coeffs, corr))
-    return 0.5 * (1.0 + quantum / float(game.functional.abs_total()))
+def classical_best(game: GameSpec) -> float:
+    """Optimal classical success probability (1 + LR/sum|g|)/2."""
+    return _success(game, bell.lr_max(game.functional))
 
 
 def quantum_success(game: GameSpec, subset: Sequence[int] | None = None) -> float:
     """Analytic success probability of the measure-and-broadcast protocol."""
     _, _, coeffs, corr = _settings_table(game, _resolve_subset(game, subset))
-    return _success_probability(game, coeffs, corr)
+    return _success(game, float(np.dot(coeffs, corr)))
 
 
 @dataclass(frozen=True)
@@ -301,23 +304,17 @@ def _simulate_chunk(
     negative: np.ndarray,
     corr: np.ndarray,
     k: int,
-    strategy: np.ndarray | None,
-    settings_components: np.ndarray,
-    drop_player: int | None,
 ) -> int:
     """Successes in ``trials`` rounds drawn from ``rng``.
 
     Every +-1 value v is carried as its sign bit, v == -1, so a product
-    of +-1 values is the XOR of their bits.  ``negative`` holds the sign
-    bit of each coefficient and ``strategy`` the sign bits of the
-    answers.  The draws are those of the +-1 form: the setting index,
-    y_i = 2 u - 1 from a 0/1 draw u, the parity against its bias, then
-    m_i from 0/1 draws with the last one fixed so the product of all m_i
-    is the parity.  The guess is the product of y_i m_i over the players
-    heard and the target is y_1 ... y_k sign(g), so a round succeeds when
-    guess * y_1 ... y_k has the sign of g.  Each heard y_i cancels from
-    that product, so its sign bit is the XOR of the heard m_i and of the
-    dropped player's y_i.
+    of +-1 values is the XOR of their bits; ``negative`` holds the sign
+    bit of each coefficient.  The draws are those of the +-1 form: the
+    setting index, y_i = 2 u - 1 from a 0/1 draw u, the parity against
+    its bias (1 + corr) / 2, then m_i from 0/1 draws with the last one
+    fixed so the product of all m_i is the parity.  The guess is the
+    product of the y_i m_i and the target is y_1 ... y_k sign(g); the
+    y_i cancel, so a round succeeds when the parity has the sign of g.
 
     Two identities keep the stream of ``rng.choice`` and the +-1 form
     while doing less work.  The setting index is numpy's choice, which
@@ -325,30 +322,16 @@ def _simulate_chunk(
     :func:`_draw_settings` finds the same index from the same uniforms
     through a guide table, in at most ``_GUIDE_STEPS`` forward passes
     over the still-unresolved trials and one binary search of those
-    left.  With no strategy and every player heard, the XOR of all m_i
-    is the parity itself, so the m_i, the chunk's last draw, are not
-    drawn; each chunk owns its generator, so skipping them changes no
-    other number.  The y_i still are drawn, since they come before the
-    parity in the stream, but in row slices that are dropped at once.
+    left.  The XOR of all m_i is the parity itself, so the m_i, the
+    chunk's last draw, are not drawn; each chunk owns its generator, so
+    skipping them changes no other number.  The y_i still are drawn,
+    since they come before the parity in the stream, but in row slices
+    that are dropped at once.
     """
     s_idx = _draw_settings(rng, trials, probs)
-    if strategy is None and drop_player is None:
-        _discard_bits(rng, trials, k)  # the y_i, which cancel
-        parity = ~(rng.random(trials) < 0.5 * (1.0 + corr[s_idx]))
-        return int(np.count_nonzero(parity == negative[s_idx]))
-    y = rng.integers(0, 2, size=(trials, k))
-    if strategy is None:
-        parity = ~(rng.random(trials) < 0.5 * (1.0 + corr[s_idx]))
-        m = rng.integers(0, 2, size=(trials, k)) == 0
-        m[:, -1] = reduce(np.logical_xor, m[:, :-1].T, parity)
-    else:
-        m = strategy[np.arange(k)[None, :], settings_components[s_idx]]
-    # sign bit of guess * y_1 ... y_k
-    product_bit = np.zeros(trials, dtype=bool) if drop_player is None else y[:, drop_player] == 0
-    for player in range(k):
-        if player != drop_player:
-            product_bit ^= m[:, player]
-    return int(np.count_nonzero(product_bit == negative[s_idx]))
+    _discard_bits(rng, trials, k)  # the y_i, which cancel
+    parity = ~(rng.random(trials) < 0.5 * (1.0 + corr[s_idx]))
+    return int(np.count_nonzero(parity == negative[s_idx]))
 
 
 def simulate(
@@ -358,21 +341,23 @@ def simulate(
     subset: Sequence[int] | None = None,
     jobs: int = 1,
     strategy: Sequence[Sequence[int]] | None = None,
-    drop_player: int | None = None,
 ) -> SimulationResult:
     """Monte Carlo play of the game; deterministic for a fixed seed.
 
     Settings are sampled from the game distribution and outcomes from
-    the parity-biased product distribution of the state model (or from
-    ``strategy``, a per-party table of deterministic +-1 answers, for
-    classical play).  ``jobs`` splits the trials into independently
-    seeded streams spawned from the master seed; counts merge by
-    addition, so the result depends only on (seed, jobs).  ``jobs``
-    above ``trials`` runs ``trials`` streams of one round each, which is
-    what those ``jobs`` streams would play.  ``drop_player`` omits one
-    player's broadcast from the guess, which should destroy the
-    correlation entirely.  The result carries
-    :func:`quantum_success` for the same subset.
+    the parity-biased product distribution of the state model.
+    ``strategy``, a per-party table of deterministic +-1 answers, plays
+    classically: it acts as a state whose correlator for each settings
+    tuple is the product of the answers, so its parity bias is 0 or 1
+    and the same rounds score exactly as broadcasting the answers would.
+    ``jobs`` splits the trials into independently seeded streams
+    spawned from the master seed; counts merge by addition, so the
+    result depends only on (seed, jobs).  ``jobs`` above ``trials`` runs
+    ``trials`` streams of one round each, which is what those ``jobs``
+    streams would play.  The result carries :func:`quantum_success` for
+    the same subset, also under ``strategy``.  Leaving a broadcast out
+    of the guess multiplies it by that player's uniform coin, which is
+    the ``VisibilityModel(0.0)`` control.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -380,17 +365,15 @@ def simulate(
         raise ValueError("need at least one job")
     subset = _resolve_subset(game, subset)
     components, probs, coeffs, corr = _settings_table(game, subset)
+    analytic = _success(game, float(np.dot(coeffs, corr)))
     k = game.n_parties
-    strategy_bits = None
     if strategy is not None:
-        strategy_arr = np.asarray(strategy, dtype=np.int64)
-        if strategy_arr.shape != (k, game.functional.settings_per_party):
+        answers = np.asarray(strategy, dtype=np.int64)
+        if answers.shape != (k, game.functional.settings_per_party):
             raise ValueError("strategy must give a +-1 answer per party per setting")
-        if not np.all(np.abs(strategy_arr) == 1):
+        if not np.all(np.abs(answers) == 1):
             raise ValueError("strategy answers must be +-1")
-        strategy_bits = strategy_arr < 0
-    if drop_player is not None and not 0 <= drop_player < k:
-        raise ValueError("drop_player out of range")
+        corr = answers[np.arange(k), components].prod(axis=1)
 
     # child i of spawn() does not depend on how many are spawned, and
     # streams past the trial count would play no round
@@ -401,21 +384,11 @@ def simulate(
     successes = 0
     for child, chunk in zip(np.random.SeedSequence(seed).spawn(streams), counts):
         successes += _simulate_chunk(
-            np.random.default_rng(child),
-            int(chunk),
-            probs,
-            negative,
-            corr,
-            k,
-            strategy_bits,
-            components,
-            drop_player,
+            np.random.default_rng(child), int(chunk), probs, negative, corr, k
         )
     rate = successes / trials
     stderr = math.sqrt(max(rate * (1.0 - rate), 1e-300) / trials)
-    return SimulationResult(
-        game.name, subset, trials, seed, rate, stderr, _success_probability(game, coeffs, corr)
-    )
+    return SimulationResult(game.name, subset, trials, seed, rate, stderr, analytic)
 
 
 # --- exchangeable-marginal feasibility -------------------------------------

@@ -332,8 +332,6 @@ def outcome_distribution(game: GameSpec, subset: Sequence[int], key: tuple[int, 
     if not isinstance(game.state, DenseState):
         raise CapabilityError("outcome distributions need an explicit dense state")
     k = game.n_parties
-    if k > 6:
-        raise CapabilityError("outcome enumeration capped at 6 parties")
     state = game.state
     probs = np.zeros(2**k)
     eye = np.eye(2, dtype=complex)
@@ -349,8 +347,6 @@ def outcome_distribution(game: GameSpec, subset: Sequence[int], key: tuple[int, 
 
 def ghz_mixture_density(n_parties: int, block_size: int) -> DenseState:
     """Dense realization of :class:`bellpersist.qccr.GhzMixture` (small n)."""
-    if n_parties > 8:
-        raise CapabilityError("dense mixture realization capped at 8 parties")
     n, k = n_parties, block_size
     dim = 2**n
     rho = np.zeros((dim, dim), dtype=complex)

@@ -630,7 +630,7 @@ _IMPORTS = {
     "cli": {"__init__", "bell", "dicke", "errors", "monogamy", "persistency", "qccr", "qstate"},
     "dicke": {"_lazy", "errors"},
     "errors": set(),
-    "monogamy": {"_lazy", "errors", "qstate"},
+    "monogamy": {"errors", "qstate"},
     "persistency": {"bell", "dicke", "errors"},
     "qccr": {"_lazy", "bell", "errors", "qstate"},
     "qstate": {"_lazy", "errors"},

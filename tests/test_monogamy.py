@@ -15,8 +15,7 @@ from bellpersist.monogamy import (
 
 def brute_force_alpha(graph) -> int:
     n = graph.n_vertices
-    adj = graph.adjacency
-    neighbor = [sum(1 << j for j in range(n) if adj[i, j]) for i in range(n)]
+    neighbor = graph.neighbor_masks
     best = 0
     for mask in range(1 << n):
         if all(not (mask & neighbor[i]) for i in range(n) if mask >> i & 1):
@@ -31,12 +30,12 @@ class TestGraph:
 
     def test_single_operator(self):
         graph = build_graph(["XYZ"])
-        assert graph.adjacency.sum() == 0
+        assert graph.neighbor_masks == (0,)
         assert independence_number(graph) == 1
 
     def test_two_anticommuting(self):
         graph = build_graph(["XI", "ZI"])
-        assert graph.adjacency.sum() == 2  # one symmetric edge
+        assert graph.neighbor_masks == (0b10, 0b01)  # one symmetric edge
 
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError):

@@ -180,11 +180,19 @@ class TestSimulation:
         assert abs(result.success_rate - 0.5) < 3 * result.stderr
 
     def test_omitting_any_broadcast_destroys_correlation(self):
+        # the library plays this as the zero-visibility control; the +-1
+        # reference still plays the protocol with one broadcast left out
         game = chsh_game()
+        components, probs, coeffs, corr = qccr._settings_table(game, (0, 1))
+        trials = 10**5
         for player in (0, 1):
-            result = simulate(game, trials=10**5, seed=17, drop_player=player)
+            successes = _signed_chunk(
+                np.random.default_rng(17), trials, probs, np.sign(coeffs), corr,
+                2, None, components, player,
+            )
+            rate = successes / trials
             # success indistinguishable from coin flipping
-            assert abs(result.success_rate - 0.5) < 4 * result.stderr
+            assert abs(rate - 0.5) < 4 * math.sqrt(rate * (1 - rate) / trials)
 
     def test_dense_oracle_sampling_matches_model(self):
         game = makb_game(3)
@@ -241,29 +249,60 @@ def _signed_chunk(rng, trials, probs, signs, corr, k, strategy, settings_compone
     return int(np.sum(guess == target))
 
 
+_ORACLE_GAMES = pytest.mark.parametrize(
+    "builder",
+    [chsh_game, lambda: makb_game(4, 6), lambda: gbi_game(2, grid=16)],
+    ids=["chsh", "makb4in6", "gbi2x16"],
+)
+
+
+def _answers(game):
+    k, spp = game.n_parties, game.functional.settings_per_party
+    return np.random.default_rng(0).choice([-1, 1], size=(k, spp))
+
+
 class TestSignBitOracle:
-    @pytest.mark.parametrize(
-        "builder",
-        [chsh_game, lambda: makb_game(4, 6), lambda: gbi_game(2, grid=16)],
-        ids=["chsh", "makb4in6", "gbi2x16"],
-    )
+    """The parity kernel counts what the +-1 products count, for the
+    state's correlators and for a classical strategy played as the +-1
+    table of the products of its answers."""
+
+    @_ORACLE_GAMES
     def test_counts_match_signed_products(self, builder):
         game = builder()
-        k, spp = game.n_parties, game.functional.settings_per_party
+        k = game.n_parties
         components, probs, coeffs, corr = qccr._settings_table(game, tuple(range(k)))
-        answers = np.random.default_rng(0).choice([-1, 1], size=(k, spp))
-        for strategy in (None, answers):
-            for drop_player in (None, 0, k - 1):
-                for seed in range(1, 6):
-                    expected = _signed_chunk(
-                        np.random.default_rng(seed), 10_000, probs, np.sign(coeffs), corr,
-                        k, strategy, components, drop_player,
-                    )
-                    got = qccr._simulate_chunk(
-                        np.random.default_rng(seed), 10_000, probs, coeffs < 0, corr,
-                        k, None if strategy is None else strategy < 0, components, drop_player,
-                    )
-                    assert got == expected, (game.name, strategy is None, drop_player, seed)
+        answers = _answers(game)
+        table = np.prod([answers[party, components[:, party]] for party in range(k)], axis=0)
+        for strategy, played in ((None, corr), (answers, table)):
+            for seed in range(1, 6):
+                expected = _signed_chunk(
+                    np.random.default_rng(seed), 10_000, probs, np.sign(coeffs), corr,
+                    k, strategy, components, None,
+                )
+                got = qccr._simulate_chunk(
+                    np.random.default_rng(seed), 10_000, probs, coeffs < 0, played, k
+                )
+                assert got == expected, (game.name, strategy is None, seed)
+
+    @_ORACLE_GAMES
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_strategy_simulation_sums_signed_streams(self, builder, jobs):
+        game = builder()
+        k = game.n_parties
+        components, probs, coeffs, corr = qccr._settings_table(game, tuple(range(k)))
+        answers = _answers(game)
+        trials, seed = 20_002, 4
+        counts = [trials // jobs + (i < trials % jobs) for i in range(jobs)]
+        expected = sum(
+            _signed_chunk(
+                np.random.default_rng(child), n, probs, np.sign(coeffs), corr,
+                k, answers, components, None,
+            )
+            for child, n in zip(np.random.SeedSequence(seed).spawn(jobs), counts)
+        )
+        result = simulate(game, trials, seed, jobs=jobs, strategy=answers.tolist())
+        assert result.success_rate == expected / trials
+        assert result.analytic == quantum_success(game)
 
 
 def _normalized(weights):
