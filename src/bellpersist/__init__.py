@@ -38,7 +38,6 @@ _EXPORTS = {
         "gbi_quantum",
         "lr_max",
         "makb",
-        "makb_alignment_phase",
         "makb_xy_settings",
         "quantum_value",
     ),

@@ -58,10 +58,9 @@ class BellFunctional:
     Bell scenario.
 
     ``coefficients`` maps settings tuples (one entry per party, each in
-    ``range(settings_per_party)``) to real weights.  An optional settings
-    distribution rides along for communication-game use; it must be the
-    one :meth:`with_game_distribution` derives, P(s) = |g(s)| / sum |g|
-    (checked in floats to 1e-12 relative).
+    ``range(settings_per_party)``) to real weights.  A functional built
+    here carries no settings distribution; :meth:`with_game_distribution`
+    attaches the one a communication game uses, P(s) = |g(s)| / sum |g|.
     """
 
     def __init__(
@@ -69,7 +68,6 @@ class BellFunctional:
         n_parties: int,
         coefficients: Mapping[tuple[int, ...], Number],
         settings_per_party: int = 2,
-        settings_distribution: Mapping[tuple[int, ...], Number] | None = None,
     ):
         if _check_count(n_parties, "party count") < 1:
             raise ValueError("need at least one party")
@@ -80,19 +78,7 @@ class BellFunctional:
         self.coefficients = {
             self._check_key(k): v for k, v in coefficients.items() if _check_number(v) != 0
         }
-        self.settings_distribution = None
-        if settings_distribution is not None:
-            dist = {
-                self._check_key(k): _check_number(v) for k, v in settings_distribution.items()
-            }
-            weights = {k: abs(float(c)) for k, c in self.coefficients.items()}
-            total = math.fsum(weights.values())
-            # |P(s) - w(s)/total| <= 1e-12 w(s)/total, scaled by total; NaN fails
-            if dist.keys() != weights.keys() or not all(
-                abs(float(dist[k]) * total - w) <= 1e-12 * w for k, w in weights.items()
-            ):
-                raise ValueError("settings probabilities are not |coefficient| / sum |coefficients|")
-            self.settings_distribution = dist
+        self.settings_distribution: dict[tuple[int, ...], Number] | None = None
 
     def _check_key(self, key: tuple[int, ...]) -> tuple[int, ...]:
         key = tuple(key)
@@ -132,7 +118,9 @@ class BellFunctional:
         return Fraction(sum(numerators), common)
 
     def with_game_distribution(self) -> "BellFunctional":
-        """A copy, sharing the checked coefficients, with P(s) = |g(s)| / sum |g|.
+        """The functional with P(s) = |g(s)| / sum |g| attached: itself when
+        it carries a distribution, which only this method attaches, else a
+        copy sharing the checked coefficients.
 
         With |g(s)| = n(s) / D and sum |g| = T / D, P(s) = n(s) / T.  For a
         float coefficient P(s) is the float ``n(s) / T``: int/int true
@@ -140,6 +128,8 @@ class BellFunctional:
         / abs_total())`` bit for bit.  Any other coefficient gets the exact
         ``Fraction(n(s), T)``.
         """
+        if self.settings_distribution is not None:
+            return self
         game = copy.copy(self)
         numerators, _ = self._abs_numerators()
         total = sum(numerators)
@@ -166,28 +156,37 @@ class BellFunctional:
     @classmethod
     def from_json(cls, payload: dict) -> "BellFunctional":
         """Inverse of :meth:`to_json`; a key not spelled as :func:`_key_string`
-        writes it raises ValueError, so no two keys name one tuple.  Each
-        key string is parsed once; both tables share the parsed tuples."""
+        writes it raises ValueError, so no two keys name one tuple.
+
+        A ``settings_distribution`` in the payload must name the nonzero
+        coefficients' keys and give each P(s) of
+        :meth:`with_game_distribution` to within 1e-12 relative; the
+        result then carries the derived distribution, not the file's.
+        """
         spp = payload.get("settings_per_party", 2)
+        coefficients = payload["coefficients"]
         parsed: dict[str, tuple[int, ...]] = {}
-
-        def table(values: dict) -> dict[tuple[int, ...], Number]:
-            for text in values:
-                if text not in parsed:
-                    key = tuple(map(int, text.split(",") if "," in text else text))
-                    spelled = _key_string(key, spp)
-                    if spelled != text:
-                        raise ValueError(f"settings key {text!r} must be spelled {spelled!r}")
-                    parsed[text] = key
-            return {parsed[text]: value for text, value in values.items()}
-
+        for text in coefficients:
+            key = tuple(map(int, text.split(",") if "," in text else text))
+            spelled = _key_string(key, spp)
+            if spelled != text:
+                raise ValueError(f"settings key {text!r} must be spelled {spelled!r}")
+            parsed[text] = key
+        f = cls(payload["n_parties"], {parsed[t]: c for t, c in coefficients.items()}, spp)
         dist = payload.get("settings_distribution")
-        return cls(
-            payload["n_parties"],
-            table(payload["coefficients"]),
-            spp,
-            None if dist is None else table(dist),
-        )
+        if dist is None:
+            return f
+        f = f.with_game_distribution()
+        derived = f.settings_distribution
+        # keys are distinct strings that parse one to one, so equal counts
+        # and every key found make the key sets equal; NaN fails
+        if len(dist) != len(derived) or not all(
+            (p := derived.get(parsed.get(text))) is not None
+            and abs(float(_check_number(value)) - float(p)) <= 1e-12 * float(p)
+            for text, value in dist.items()
+        ):
+            raise ValueError("settings probabilities are not |coefficient| / sum |coefficients|")
+        return f
 
 
 def makb(n: int) -> BellFunctional:
@@ -219,21 +218,15 @@ def makb(n: int) -> BellFunctional:
     return BellFunctional(n, coeffs)
 
 
-def makb_xy_settings(n: int, shift: float = 0.0) -> tuple[float, float]:
-    """Symmetric equatorial settings (in turns) saturating the MAKB ratio.
+def makb_xy_settings(n: int) -> tuple[float, float]:
+    """Symmetric equatorial settings (in turns) saturating the MAKB ratio
+    on the phase-0 GHZ state.
 
-    Returns (alpha, alpha') = (1/(8n) + shift, (2n+1)/(8n) + shift).
-    With shift 0 these reach the quantum maximum on the GHZ state whose
-    relative phase is n*pi/4 (see :func:`makb_alignment_phase`); the
-    shift -1/8 moves the optimum to the phase-0 GHZ state instead.  Both
-    choices are related by local z rotations.
+    Returns (alpha, alpha') = (1/(8n) - 1/8, (2n+1)/(8n) - 1/8): the
+    settings that saturate on the GHZ state of relative phase n*pi/4,
+    turned by the local z rotation that takes that state to phase 0.
     """
-    return 1.0 / (8 * n) + shift, (2 * n + 1) / (8 * n) + shift
-
-
-def makb_alignment_phase(n: int) -> float:
-    """GHZ relative phase for which :func:`makb_xy_settings` is optimal."""
-    return n * math.pi / 4.0
+    return 1.0 / (8 * n) - 0.125, (2 * n + 1) / (8 * n) - 0.125
 
 
 def lr_max(f: BellFunctional) -> float:

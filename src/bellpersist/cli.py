@@ -224,8 +224,7 @@ def _cmd_makb_qcr(args) -> None:
         lr = bell.lr_max(f)
         a, ap = bell.makb_xy_settings(n)
         pair = (qstate.PlaneObservable.xy_turns(a), qstate.PlaneObservable.xy_turns(ap))
-        state = qstate.ghz_state(n, phase=bell.makb_alignment_phase(n))
-        quantum = bell.quantum_value(f, state, [pair] * n)
+        quantum = bell.quantum_value(f, qstate.ghz_state(n), [pair] * n)
         rows.append({"n": n, "lr_max": lr, "quantum": quantum, "qcr": quantum / lr})
     _emit(args, rows)
 

@@ -25,10 +25,11 @@ distribution with the game distribution as its k-marginals.  That is a
 small linear program over type classes, solved here in exact rational
 arithmetic with a Farkas certificate on infeasibility.
 
-A :class:`GameSpec` may also carry an explicit dense state, which the
-tests use to check the parity model; the dense realization of
-:class:`GhzMixture` and the dense outcome distributions they compare
-against live in ``tests/oracles.py``.
+A :class:`GameSpec` holds exactly what its JSON file holds: the
+functional, whose settings distribution it derives, one observable per
+party per setting, and a visibility model.  The dense realization of
+:class:`GhzMixture` and the dense outcome distributions that the tests
+check the parity model against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -89,13 +90,14 @@ class VisibilityModel:
         return self.v
 
 
-StateModel = Union[GhzMixture, VisibilityModel, "qstate.DenseState"]
+StateModel = Union[GhzMixture, VisibilityModel]
 
 
 @dataclass(frozen=True)
 class GameSpec:
-    """A playable game: functional with settings distribution, state
-    model, and one observable per party per setting."""
+    """A playable game: functional, state model, and one observable per
+    party per setting.  The functional is stored with its game
+    distribution P(s) = |g(s)| / sum |g| attached."""
 
     functional: bell.BellFunctional
     observables: tuple[tuple[qstate.PlaneObservable, ...], ...]
@@ -103,9 +105,8 @@ class GameSpec:
     name: str = "game"
 
     def __post_init__(self):
-        f = self.functional
-        if f.settings_distribution is None:
-            raise ValueError("game functionals need a settings distribution")
+        f = self.functional.with_game_distribution()
+        object.__setattr__(self, "functional", f)
         if not f.coefficients:
             raise ValueError("game functionals need a nonzero coefficient")
         if len(self.observables) != f.n_parties:
@@ -113,6 +114,8 @@ class GameSpec:
         for per_party in self.observables:
             if len(per_party) != f.settings_per_party:
                 raise ValueError("need one observable per setting")
+        if not isinstance(self.state, (GhzMixture, VisibilityModel)):
+            raise ValueError("a game state must be a GhzMixture or a VisibilityModel")
 
     @property
     def n_parties(self) -> int:
@@ -121,10 +124,8 @@ class GameSpec:
 
 def chsh_game() -> GameSpec:
     """Two players sharing a Bell pair; quantum success cos^2(pi/8)."""
-    f = bell.BellFunctional(
-        2, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1}
-    ).with_game_distribution()
-    a, ap = bell.makb_xy_settings(2, shift=-0.125)
+    f = bell.BellFunctional(2, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1})
+    a, ap = bell.makb_xy_settings(2)
     pair = (qstate.PlaneObservable.xy_turns(a), qstate.PlaneObservable.xy_turns(ap))
     return GameSpec(f, (pair, pair), GhzMixture(2, 2), name="chsh")
 
@@ -132,14 +133,13 @@ def chsh_game() -> GameSpec:
 def makb_game(n: int, n_total: int | None = None) -> GameSpec:
     """Mermin-type game for ``n`` players inside ``n_total`` parties.
 
-    Settings are the symmetric equatorial choices shifted so the plain
-    GHZ block is optimal.
+    Settings are the symmetric equatorial choices that are optimal on
+    the plain GHZ block.
     """
     n_total = n if n_total is None else n_total
-    f = bell.makb(n).with_game_distribution()
-    a, ap = bell.makb_xy_settings(n, shift=-0.125)
+    a, ap = bell.makb_xy_settings(n)
     pair = (qstate.PlaneObservable.xy_turns(a), qstate.PlaneObservable.xy_turns(ap))
-    return GameSpec(f, (pair,) * n, GhzMixture(n_total, n), name=f"makb{n}")
+    return GameSpec(bell.makb(n), (pair,) * n, GhzMixture(n_total, n), name=f"makb{n}")
 
 
 def gbi_game(n: int, grid: int = 32) -> GameSpec:
@@ -154,7 +154,7 @@ def gbi_game(n: int, grid: int = 32) -> GameSpec:
         g = math.cos(2.0 * math.pi * sum(key) / grid)
         if abs(g) > 1e-15:
             coeffs[key] = g
-    f = bell.BellFunctional(n, coeffs, settings_per_party=grid).with_game_distribution()
+    f = bell.BellFunctional(n, coeffs, settings_per_party=grid)
     obs = tuple(
         tuple(qstate.PlaneObservable.xy_turns(s / grid) for s in range(grid))
         for _ in range(n)
@@ -162,7 +162,7 @@ def gbi_game(n: int, grid: int = 32) -> GameSpec:
     return GameSpec(f, obs, VisibilityModel(1.0), name=f"gbi{n}x{grid}")
 
 
-def _settings_table(game: GameSpec, subset: Sequence[int]):
+def _settings_table(game: GameSpec):
     """Settings tuples in sorted order, as an int array of shape (count,
     parties), with their probabilities, coefficients and correlators."""
     f = game.functional
@@ -170,25 +170,13 @@ def _settings_table(game: GameSpec, subset: Sequence[int]):
     components = np.array(keys, dtype=np.int64)
     probs = np.array([f.settings_distribution[k] for k in keys], dtype=float)
     coeffs = np.array([f.coefficients[k] for k in keys], dtype=float)
-    if isinstance(game.state, qstate.DenseState):
-        corr = np.array([_dense_correlator(game, subset, k) for k in keys])
-    else:
-        v = game.state.visibility(len(subset))
-        # added left to right, party by party, as sum() adds a tuple's angles
-        angle_sums = 0
-        for party, per_party in enumerate(game.observables):
-            angles = np.array([obs.angle for obs in per_party])
-            angle_sums = angle_sums + angles[components[:, party]]
-        corr = v * np.cos(angle_sums)
+    # added left to right, party by party, as sum() adds a tuple's angles
+    angle_sums = 0
+    for party, per_party in enumerate(game.observables):
+        angles = np.array([obs.angle for obs in per_party])
+        angle_sums = angle_sums + angles[components[:, party]]
+    corr = game.state.visibility(game.n_parties) * np.cos(angle_sums)
     return components, probs, coeffs, corr
-
-
-def _dense_correlator(game: GameSpec, subset: Sequence[int], key: tuple[int, ...]) -> float:
-    state = game.state
-    ops: list[qstate.SiteOperator] = ["I"] * state.n_qubits
-    for pos, (party, setting) in enumerate(zip(subset, key)):
-        ops[party] = game.observables[pos][setting]
-    return qstate.expectation(state, ops)
 
 
 def _resolve_subset(game: GameSpec, subset: Sequence[int] | None) -> tuple[int, ...]:
@@ -201,11 +189,7 @@ def _resolve_subset(game: GameSpec, subset: Sequence[int] | None) -> tuple[int, 
         )
     if len(set(subset)) != len(subset):
         raise ValueError("subset indices must be distinct")
-    n_total = (
-        game.state.n_qubits
-        if isinstance(game.state, qstate.DenseState)
-        else getattr(game.state, "n_parties", game.n_parties)
-    )
+    n_total = getattr(game.state, "n_parties", game.n_parties)
     if any(not 0 <= i < n_total for i in subset):
         raise ValueError(f"subset {subset} out of range for {n_total} parties")
     return subset
@@ -223,8 +207,13 @@ def classical_best(game: GameSpec) -> float:
 
 
 def quantum_success(game: GameSpec, subset: Sequence[int] | None = None) -> float:
-    """Analytic success probability of the measure-and-broadcast protocol."""
-    _, _, coeffs, corr = _settings_table(game, _resolve_subset(game, subset))
+    """Analytic success probability of the measure-and-broadcast protocol.
+
+    ``subset`` is checked but does not change the value: both state
+    models give every subset of the functional's size one correlator.
+    """
+    _resolve_subset(game, subset)
+    _, _, coeffs, corr = _settings_table(game)
     return _success(game, float(np.dot(coeffs, corr)))
 
 
@@ -236,7 +225,7 @@ class SimulationResult:
     seed: int
     success_rate: float
     stderr: float
-    # quantum_success(game, subset), from the settings table the run used
+    # expected success of the correlator table the run played
     analytic: float
 
 
@@ -247,34 +236,37 @@ _GUIDE_STEPS = 8
 _DISCARD_ROWS = 1 << 16
 
 
-def _draw_settings(rng: np.random.Generator, trials: int, probs: np.ndarray) -> np.ndarray:
-    """``rng.choice(len(probs), size=trials, p=probs)``, index for index.
+def _guide_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized cdf of ``probs``, as numpy's weighted choice builds
+    it, and its guide table over B buckets, B >= len(cdf) a power of
+    two: guide[j] counts the cdf entries <= j / B."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    buckets = 1 << (len(cdf) - 1).bit_length()
+    return cdf, cdf.searchsorted(np.arange(buckets + 1) / buckets, side="right")
+
+
+def _draw_settings(
+    rng: np.random.Generator, trials: int, cdf: np.ndarray, guide: np.ndarray
+) -> np.ndarray:
+    """``rng.choice(len(probs), size=trials, p=probs)``, index for index,
+    given ``(cdf, guide) = _guide_table(probs)``.
 
     With ``p``, numpy's choice is ``cdf = p.cumsum(); cdf /= cdf[-1]``
     followed by ``cdf.searchsorted(rng.random(trials), side="right")``;
-    this takes the same uniforms u and finds the same indices through a
-    guide table (Chen and Asau 1974).  With B >= len(cdf) a power of
-    two, u * B is exact, so the index for u lies in
-    [guide[floor(u B)], guide[floor(u B) + 1]], where guide[j] counts the
-    cdf entries <= j / B.  Each trial steps forward from the low end
-    while cdf[index] <= u.  A trial in bucket j needs at most
-    guide[j + 1] - guide[j] steps; those spreads sum to len(cdf) <= B
-    and each bucket holds u with probability 1/B, so in expectation at
-    most a fraction 1/(s + 1) of trials is still unresolved after s
-    steps.  After ``_GUIDE_STEPS`` passes, each over the unresolved
-    trials only, those left take the binary search, so a skewed ``p``
-    never costs much more than the plain search.  A chunk of fewer
-    trials than buckets takes the plain search at once.
+    this takes the same uniforms u and finds the same indices through the
+    guide table (Chen and Asau 1974).  With B a power of two, u * B is
+    exact, so the index for u lies in [guide[floor(u B)], guide[floor(u B) + 1]].  Each trial
+    steps forward from the low end while cdf[index] <= u.  A trial in
+    bucket j needs at most guide[j + 1] - guide[j] steps; those spreads
+    sum to len(cdf) <= B and each bucket holds u with probability 1/B, so
+    in expectation at most a fraction 1/(s + 1) of trials is still
+    unresolved after s steps.  After ``_GUIDE_STEPS`` passes, each over
+    the unresolved trials only, those left take the binary search, so a
+    skewed ``p`` never costs much more than the plain search.
     """
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
     u = rng.random(trials)
-    buckets = 1 << (len(cdf) - 1).bit_length()
-    if trials < buckets:
-        # the table would cost more than the search it saves
-        return cdf.searchsorted(u, side="right")
-    guide = cdf.searchsorted(np.arange(buckets + 1) / buckets, side="right")
-    index = guide[(u * buckets).astype(np.intp)]
+    index = guide[(u * (len(guide) - 1)).astype(np.intp)]
     active = np.flatnonzero(cdf[index] <= u)
     for _ in range(_GUIDE_STEPS):
         index[active] += 1
@@ -300,12 +292,14 @@ def _discard_bits(
 def _simulate_chunk(
     rng: np.random.Generator,
     trials: int,
-    probs: np.ndarray,
+    cdf: np.ndarray,
+    guide: np.ndarray,
     negative: np.ndarray,
     corr: np.ndarray,
     k: int,
 ) -> int:
-    """Successes in ``trials`` rounds drawn from ``rng``.
+    """Successes in ``trials`` rounds drawn from ``rng``, with the
+    settings probabilities given as ``_guide_table(probs)``.
 
     Every +-1 value v is carried as its sign bit, v == -1, so a product
     of +-1 values is the XOR of their bits; ``negative`` holds the sign
@@ -328,7 +322,7 @@ def _simulate_chunk(
     since they come before the parity in the stream, but in row slices
     that are dropped at once.
     """
-    s_idx = _draw_settings(rng, trials, probs)
+    s_idx = _draw_settings(rng, trials, cdf, guide)
     _discard_bits(rng, trials, k)  # the y_i, which cancel
     parity = ~(rng.random(trials) < 0.5 * (1.0 + corr[s_idx]))
     return int(np.count_nonzero(parity == negative[s_idx]))
@@ -346,45 +340,51 @@ def simulate(
 
     Settings are sampled from the game distribution and outcomes from
     the parity-biased product distribution of the state model.
-    ``strategy``, a per-party table of deterministic +-1 answers, plays
-    classically: it acts as a state whose correlator for each settings
-    tuple is the product of the answers, so its parity bias is 0 or 1
-    and the same rounds score exactly as broadcasting the answers would.
-    ``jobs`` splits the trials into independently seeded streams
-    spawned from the master seed; counts merge by addition, so the
-    result depends only on (seed, jobs).  ``jobs`` above ``trials`` runs
-    ``trials`` streams of one round each, which is what those ``jobs``
-    streams would play.  The result carries :func:`quantum_success` for
-    the same subset, also under ``strategy``.  Leaving a broadcast out
-    of the guess multiplies it by that player's uniform coin, which is
-    the ``VisibilityModel(0.0)`` control.
+    ``strategy``, a per-party table of deterministic answers, each the
+    integer +1 or -1, plays classically: it acts as a state whose
+    correlator for each settings tuple is the product of the answers, so
+    its parity bias is 0 or 1 and the same rounds score exactly as
+    broadcasting the answers would.  ``jobs`` splits the trials into
+    independently seeded streams spawned from the master seed; counts
+    merge by addition, so the result depends only on (seed, jobs).
+    ``jobs`` above ``trials`` runs ``trials`` streams of one round each,
+    which is what those ``jobs`` streams would play.  The result's
+    ``analytic`` is the expected success of the correlator table played:
+    :func:`quantum_success` for the state, the strategy's own value under
+    ``strategy``.  Leaving a broadcast out of the guess multiplies it by
+    that player's uniform coin, which is the ``VisibilityModel(0.0)``
+    control.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if jobs < 1:
         raise ValueError("need at least one job")
     subset = _resolve_subset(game, subset)
-    components, probs, coeffs, corr = _settings_table(game, subset)
-    analytic = _success(game, float(np.dot(coeffs, corr)))
+    components, probs, coeffs, corr = _settings_table(game)
     k = game.n_parties
     if strategy is not None:
-        answers = np.asarray(strategy, dtype=np.int64)
-        if answers.shape != (k, game.functional.settings_per_party):
+        if np.shape(strategy) != (k, game.functional.settings_per_party):
             raise ValueError("strategy must give a +-1 answer per party per setting")
-        if not np.all(np.abs(answers) == 1):
-            raise ValueError("strategy answers must be +-1")
+        for row in strategy:
+            for answer in row:
+                # a float or bool answer raises rather than being truncated
+                if bell._check_count(answer, "strategy answer") not in (1, -1):
+                    raise ValueError("strategy answers must be +-1")
+        answers = np.array(strategy, dtype=np.int64)
         corr = answers[np.arange(k), components].prod(axis=1)
+    analytic = _success(game, float(np.dot(coeffs, corr)))
 
     # child i of spawn() does not depend on how many are spawned, and
     # streams past the trial count would play no round
     streams = min(jobs, trials)
     counts = np.full(streams, trials // streams)
     counts[: trials % streams] += 1
+    cdf, guide = _guide_table(probs)
     negative = coeffs < 0
     successes = 0
     for child, chunk in zip(np.random.SeedSequence(seed).spawn(streams), counts):
         successes += _simulate_chunk(
-            np.random.default_rng(child), int(chunk), probs, negative, corr, k
+            np.random.default_rng(child), int(chunk), cdf, guide, negative, corr, k
         )
     rate = successes / trials
     stderr = math.sqrt(max(rate * (1.0 - rate), 1e-300) / trials)
@@ -557,12 +557,7 @@ def marginal_feasibility(dist: Mapping, n_parties: int) -> FeasibilityResult:
 
 
 def game_to_json(game: GameSpec) -> str:
-    if isinstance(game.state, GhzMixture):
-        state = {"kind": "ghz_mixture", **asdict(game.state)}
-    elif isinstance(game.state, VisibilityModel):
-        state = {"kind": "visibility", **asdict(game.state)}
-    else:
-        raise CapabilityError("dense oracle states are not serialized")
+    kind = "ghz_mixture" if isinstance(game.state, GhzMixture) else "visibility"
     return json.dumps(
         {
             "name": game.name,
@@ -571,7 +566,7 @@ def game_to_json(game: GameSpec) -> str:
                 [{"plane": obs.plane, "turns": obs.turns} for obs in per_party]
                 for per_party in game.observables
             ],
-            "state": state,
+            "state": {"kind": kind, **asdict(game.state)},
         },
         sort_keys=True,
     )
@@ -589,8 +584,6 @@ def game_from_json(text: str) -> GameSpec:
         raise ValueError("game spec must be a JSON object")
     try:
         functional = bell.BellFunctional.from_json(payload["functional"])
-        if functional.settings_distribution is None:
-            functional = functional.with_game_distribution()
         observables = tuple(
             tuple(
                 qstate.PlaneObservable(o["plane"], 2.0 * math.pi * o["turns"])

@@ -24,7 +24,6 @@ from bellpersist.bell import ObservablePair
 from bellpersist.dicke import DickeMixture
 from bellpersist.errors import CapabilityError, NoCrossingError
 from bellpersist.persistency import PersistencyResult
-from bellpersist.qccr import GameSpec
 from bellpersist.qstate import MAX_QUBITS, DenseState
 
 # literals, so that PlaneObservable.matrix() has a reference outside the library
@@ -326,21 +325,21 @@ def optimize_wwwzb_angles(
     return best, [(float(angles[2 * i]), float(angles[2 * i + 1])) for i in range(n)]
 
 
-def outcome_distribution(game: GameSpec, subset: Sequence[int], key: tuple[int, ...]) -> np.ndarray:
-    """Oracle outcome distribution over the 2^k sign patterns for one
-    settings tuple, from the dense state (validation aid, small k)."""
-    if not isinstance(game.state, DenseState):
-        raise CapabilityError("outcome distributions need an explicit dense state")
-    k = game.n_parties
-    state = game.state
+def outcome_distribution(
+    state: DenseState,
+    observables: Sequence[Sequence[qstate.PlaneObservable]],
+    key: tuple[int, ...],
+) -> np.ndarray:
+    """Outcome distribution over the 2^k sign patterns of a k-qubit dense
+    state when party i measures ``observables[i][key[i]]`` (small k)."""
+    k = state.n_qubits
     probs = np.zeros(2**k)
     eye = np.eye(2, dtype=complex)
     for out in range(2**k):
-        ops: list[qstate.SiteOperator] = [eye] * state.n_qubits
-        for pos, party in enumerate(subset):
-            sign = 1.0 if not (out >> (k - 1 - pos)) & 1 else -1.0
-            mat = game.observables[pos][key[pos]].matrix()
-            ops[party] = 0.5 * (eye + sign * mat)
+        ops = []
+        for party in range(k):
+            sign = 1.0 if not (out >> (k - 1 - party)) & 1 else -1.0
+            ops.append(0.5 * (eye + sign * observables[party][key[party]].matrix()))
         probs[out] = qstate.expectation(state, ops)
     return probs
 

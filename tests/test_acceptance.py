@@ -86,8 +86,7 @@ def test_c04_makb_ratio_by_enumeration():
             qstate.PlaneObservable.xy_turns(alpha),
             qstate.PlaneObservable.xy_turns(alpha_prime),
         )
-        state = qstate.ghz_state(n, phase=bell.makb_alignment_phase(n))
-        quantum = bell.quantum_value(f, state, [pair] * n)
+        quantum = bell.quantum_value(f, qstate.ghz_state(n), [pair] * n)
         assert abs(quantum / lr - 2 ** ((n - 1) / 2)) < 1e-9, n
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
@@ -175,7 +174,7 @@ def test_c09_two_block_mixture_ratio():
     state = qstate.DenseState(5, rho, pure=False)
     f = bell.makb(4)
     lr = bell.lr_max(f)
-    alpha, alpha_prime = bell.makb_xy_settings(4, shift=-0.125)
+    alpha, alpha_prime = bell.makb_xy_settings(4)
     pair = (
         qstate.PlaneObservable.xy_turns(alpha),
         qstate.PlaneObservable.xy_turns(alpha_prime),

@@ -15,7 +15,6 @@ from bellpersist.bell import (
     gbi_quantum,
     lr_max,
     makb,
-    makb_alignment_phase,
     makb_xy_settings,
     quantum_value,
 )
@@ -133,14 +132,8 @@ class TestQuantumValue:
     def test_symmetric_settings_saturate_qcr(self, n):
         f = makb(n)
         pair = xy_pair(*makb_xy_settings(n))
-        state = qstate.ghz_state(n, phase=makb_alignment_phase(n))
-        value = quantum_value(f, state, [pair] * n)
+        value = quantum_value(f, qstate.ghz_state(n), [pair] * n)
         assert value / lr_max(f) == pytest.approx(2 ** ((n - 1) / 2), abs=1e-9)
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_shifted_settings_saturate_on_plain_ghz(self, n):
-        pair = xy_pair(*makb_xy_settings(n, shift=-0.125))
-        value = quantum_value(makb(n), qstate.ghz_state(n), [pair] * n)
         assert value == pytest.approx(2 ** ((n - 1) / 2), abs=1e-12)
 
     def test_maximally_mixed_gives_zero(self):
@@ -314,6 +307,8 @@ class TestJsonRoundTrip:
             k: float(v) for k, v in f.coefficients.items()
         }
         assert restored.settings_distribution is not None
+        assert restored.with_game_distribution() is restored
+        assert BellFunctional.from_json(makb(3).to_json()).settings_distribution is None
 
     def test_comma_keys_round_trip(self):
         f = BellFunctional(2, {(0, 11): 0.5, (10, 1): -0.25}, settings_per_party=12)
@@ -329,8 +324,19 @@ class TestJsonRoundTrip:
             BellFunctional.from_json(payload)
 
     def test_distribution_validation(self):
-        with pytest.raises(ValueError):
-            BellFunctional(2, {(0, 0): 1.0}, settings_distribution={(0, 0): 0.5})
+        for dist in (
+            {"00": 0.5},
+            {"00": 1.0, "01": 0.0},
+            {"01": 1.0},
+            {"0,0": 1.0},
+            {"00": 1.0 + 2e-12},
+            {"00": float("nan")},
+            {"00": "1"},
+            {"00": True},
+        ):
+            payload = {"n_parties": 2, "coefficients": {"00": 1.0}, "settings_distribution": dist}
+            with pytest.raises(ValueError):
+                BellFunctional.from_json(payload)
 
 
 class TestSettingsKeys:
@@ -341,8 +347,6 @@ class TestSettingsKeys:
         # a float, bool or string setting raises rather than being truncated by int()
         with pytest.raises(ValueError):
             BellFunctional(2, {key: 1, (0, 0): 2})
-        with pytest.raises(ValueError):
-            BellFunctional(2, {(0, 0): 1}, settings_distribution={key: 1.0})
 
     def test_other_integer_types_convert(self):
         f = BellFunctional(2, {(np.int64(1), np.int8(0)): 1})

@@ -579,8 +579,7 @@ _EXECUTED_ARGV = GOLDEN_COMMANDS | {
 _PUBLIC = {
     "bell": (
         "BellFunctional", "gbi_classical", "gbi_classical_by_integration", "gbi_qcr",
-        "gbi_quantum", "lr_max", "makb", "makb_alignment_phase", "makb_xy_settings",
-        "quantum_value",
+        "gbi_quantum", "lr_max", "makb", "makb_xy_settings", "quantum_value",
     ),
     "dicke": (
         "DickeMixture", "N0Fit", "SymCorrelation", "fit_n0_line", "reduced_dicke", "sigma_sum",
@@ -606,11 +605,12 @@ _PUBLIC = {
 }
 
 # names the package no longer has: test-only second routes, now in
-# tests/oracles.py, and wrappers whose callers call the code underneath
+# tests/oracles.py, wrappers whose callers call the code underneath, and
+# the second MAKB settings convention
 _REMOVED = {
     "bell": (
         "SignFunction", "optimize_wwwzb_angles", "violation_indicator", "wwwzb_max",
-        "wwwzb_value", "WWWZB_VALUE_CAP", "WWWZB_MAX_CAP",
+        "wwwzb_value", "WWWZB_VALUE_CAP", "WWWZB_MAX_CAP", "makb_alignment_phase",
     ),
     "dicke": ("dense_sigma_sum",),
     "monogamy": ("squared_sum_bound",),

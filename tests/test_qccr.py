@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellpersist import bell, qccr, qstate
-from bellpersist.errors import CapabilityError
 from bellpersist.qccr import (
     GameSpec,
     GhzMixture,
@@ -41,9 +40,7 @@ class TestAnalyticValues:
         )
 
     def test_all_positive_coefficients_trivialize(self):
-        f = bell.BellFunctional(
-            2, {k: 0.25 for k in itertools.product((0, 1), repeat=2)}
-        ).with_game_distribution()
+        f = bell.BellFunctional(2, {k: 0.25 for k in itertools.product((0, 1), repeat=2)})
         game = GameSpec(f, chsh_game().observables, VisibilityModel(1.0))
         assert classical_best(game) == pytest.approx(1.0, abs=1e-12)
 
@@ -63,7 +60,7 @@ class TestAnalyticValues:
             coeffs = {
                 k: rng.normal() for k in itertools.product((0, 1), repeat=2)
             }
-            f = bell.BellFunctional(2, coeffs).with_game_distribution()
+            f = bell.BellFunctional(2, coeffs)
             game = GameSpec(f, chsh_game().observables, VisibilityModel(1.0))
             assert classical_best(game) >= 0.5
 
@@ -98,8 +95,7 @@ class TestAnalyticValues:
         state = qstate.DenseState(5, rho, pure=False)
         for subset in ([0, 1, 2, 3], [1, 2, 3, 4]):
             reduced = partial_trace(state, [q for q in range(5) if q not in subset])
-            oracle = GameSpec(game.functional, game.observables, reduced)
-            assert quantum_success(oracle) > classical_best(game)
+            assert _dense_success(game, reduced) > classical_best(game)
 
     def test_subset_validation(self):
         game = makb_game(3, n_total=5)
@@ -111,6 +107,21 @@ class TestAnalyticValues:
             quantum_success(game, [0, 1, 1])
 
 
+def _dense_success(game, state):
+    """Success probability of measure-and-broadcast play on a dense state
+    holding exactly the measured parties, from bell.quantum_value."""
+    value = bell.quantum_value(game.functional, state, game.observables)
+    return 0.5 * (1.0 + value / float(game.functional.abs_total()))
+
+
+def _dense_correlators(game, state):
+    """Dense correlators of the settings tuples, in the table's order."""
+    return np.array([
+        qstate.expectation(state, [game.observables[i][s] for i, s in enumerate(key)])
+        for key in sorted(game.functional.coefficients)
+    ])
+
+
 class TestGhzMixtureModel:
     def test_visibility(self):
         mix = GhzMixture(5, 4)
@@ -120,17 +131,16 @@ class TestGhzMixtureModel:
     def test_dense_realization_matches_model(self):
         game = makb_game(3, n_total=5)
         dense = ghz_mixture_density(5, 3)
-        oracle = GameSpec(game.functional, game.observables, dense)
         for subset in ([0, 1, 2], [1, 3, 4]):
-            assert quantum_success(oracle, subset) == pytest.approx(
+            reduced = partial_trace(dense, [q for q in range(5) if q not in subset])
+            assert _dense_success(game, reduced) == pytest.approx(
                 quantum_success(game, subset), abs=1e-12
             )
 
     def test_outcome_distribution_matches_parity_model(self):
         game = makb_game(2, n_total=2)
-        dense = GameSpec(game.functional, game.observables, qstate.ghz_state(2))
         for key in itertools.product((0, 1), repeat=2):
-            probs = outcome_distribution(dense, (0, 1), key)
+            probs = outcome_distribution(qstate.ghz_state(2), game.observables, key)
             angle = sum(game.observables[i][s].angle for i, s in enumerate(key))
             corr = math.cos(angle)
             expected = np.array(
@@ -183,7 +193,7 @@ class TestSimulation:
         # the library plays this as the zero-visibility control; the +-1
         # reference still plays the protocol with one broadcast left out
         game = chsh_game()
-        components, probs, coeffs, corr = qccr._settings_table(game, (0, 1))
+        components, probs, coeffs, corr = qccr._settings_table(game)
         trials = 10**5
         for player in (0, 1):
             successes = _signed_chunk(
@@ -195,14 +205,20 @@ class TestSimulation:
             assert abs(rate - 0.5) < 4 * math.sqrt(rate * (1 - rate) / trials)
 
     def test_dense_oracle_sampling_matches_model(self):
+        # the parity kernel plays the dense GHZ correlators as it plays
+        # the model's table
         game = makb_game(3)
-        oracle = GameSpec(
-            game.functional, game.observables, qstate.ghz_state(3), name="dense"
-        )
-        r_model = simulate(game, trials=10**5, seed=29)
-        r_oracle = simulate(oracle, trials=10**5, seed=29)
-        sigma = math.hypot(max(r_model.stderr, 1e-4), max(r_oracle.stderr, 1e-4))
-        assert abs(r_model.success_rate - r_oracle.success_rate) < 4 * sigma
+        _, probs, coeffs, corr = qccr._settings_table(game)
+        dense = _dense_correlators(game, qstate.ghz_state(3))
+        np.testing.assert_allclose(dense, corr, atol=1e-12)
+        trials, table = 10**5, qccr._guide_table(probs)
+        rates = [
+            qccr._simulate_chunk(np.random.default_rng(29), trials, *table, coeffs < 0, c, 3)
+            / trials
+            for c in (corr, dense)
+        ]
+        sigma = math.hypot(*(max(math.sqrt(r * (1 - r) / trials), 1e-4) for r in rates))
+        assert abs(rates[0] - rates[1]) < 4 * sigma
 
     def test_jobs_above_trials_run_one_stream_per_trial(self):
         game = chsh_game()
@@ -215,6 +231,35 @@ class TestSimulation:
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
             simulate(chsh_game(), trials=10, seed=1, strategy=[[1, 2], [1, 1]])
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            [[1.7, 1], [1, -1.2]],
+            [[1.0, 1], [1, 1]],
+            [[True, True], [True, True]],
+            np.ones((2, 2)),
+            [[1, 1, 1], [1, 1, 1]],
+            [1, -1],
+        ],
+        ids=["fractional", "float-one", "bool", "float-array", "three-settings", "flat"],
+    )
+    def test_strategy_answers_must_be_integers(self, strategy):
+        # a non-integer answer raises rather than being truncated to +-1
+        with pytest.raises(ValueError):
+            simulate(chsh_game(), trials=10, seed=1, strategy=strategy)
+
+    def test_strategy_accepts_numpy_integers(self):
+        game = chsh_game()
+        answers = np.array([[1, -1], [1, 1]], dtype=np.int8)
+        assert simulate(game, 100, 1, strategy=answers) == simulate(
+            game, 100, 1, strategy=[[1, -1], [1, 1]]
+        )
+
+    def test_strategy_analytic_is_its_own_success(self):
+        # all +1 answers win chsh unless both settings are primed
+        result = simulate(chsh_game(), trials=10, seed=1, strategy=[[1, 1], [1, 1]])
+        assert result.analytic == 0.75
 
     def test_gbi_game_simulation(self):
         game = gbi_game(2, grid=16)
@@ -270,9 +315,10 @@ class TestSignBitOracle:
     def test_counts_match_signed_products(self, builder):
         game = builder()
         k = game.n_parties
-        components, probs, coeffs, corr = qccr._settings_table(game, tuple(range(k)))
+        components, probs, coeffs, corr = qccr._settings_table(game)
         answers = _answers(game)
         table = np.prod([answers[party, components[:, party]] for party in range(k)], axis=0)
+        guide = qccr._guide_table(probs)
         for strategy, played in ((None, corr), (answers, table)):
             for seed in range(1, 6):
                 expected = _signed_chunk(
@@ -280,7 +326,7 @@ class TestSignBitOracle:
                     k, strategy, components, None,
                 )
                 got = qccr._simulate_chunk(
-                    np.random.default_rng(seed), 10_000, probs, coeffs < 0, played, k
+                    np.random.default_rng(seed), 10_000, *guide, coeffs < 0, played, k
                 )
                 assert got == expected, (game.name, strategy is None, seed)
 
@@ -289,7 +335,7 @@ class TestSignBitOracle:
     def test_strategy_simulation_sums_signed_streams(self, builder, jobs):
         game = builder()
         k = game.n_parties
-        components, probs, coeffs, corr = qccr._settings_table(game, tuple(range(k)))
+        components, probs, coeffs, corr = qccr._settings_table(game)
         answers = _answers(game)
         trials, seed = 20_002, 4
         counts = [trials // jobs + (i < trials % jobs) for i in range(jobs)]
@@ -302,7 +348,13 @@ class TestSignBitOracle:
         )
         result = simulate(game, trials, seed, jobs=jobs, strategy=answers.tolist())
         assert result.success_rate == expected / trials
-        assert result.analytic == quantum_success(game)
+        # the strategy's expected success, summed exactly over the settings
+        value = sum(
+            Fraction(c) * math.prod(int(answers[i, s]) for i, s in enumerate(key))
+            for key, c in game.functional.coefficients.items()
+        )
+        expected_success = (1 + value / game.functional.abs_total()) / 2
+        assert result.analytic == pytest.approx(float(expected_success), abs=1e-12)
 
 
 def _normalized(weights):
@@ -311,7 +363,7 @@ def _normalized(weights):
 
 
 def _table_probs(game):
-    return qccr._settings_table(game, tuple(range(game.n_parties)))[1]
+    return qccr._settings_table(game)[1]
 
 
 _TINY = np.full(30_000, 1e-9)
@@ -335,7 +387,7 @@ DRAW_CASES = {
 def _assert_draw_matches_choice(probs, seed, trials):
     expected_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     expected = expected_rng.choice(len(probs), size=trials, p=probs)
-    got = qccr._draw_settings(rng, trials, probs)
+    got = qccr._draw_settings(rng, trials, *qccr._guide_table(probs))
     assert np.array_equal(got, expected)
     # the same stream is consumed, so later draws match too
     assert rng.random() == expected_rng.random()
@@ -349,7 +401,7 @@ class TestSettingsDraw:
     def test_equals_numpy_choice(self, case):
         probs = DRAW_CASES[case]()
         for seed in range(1, 6):
-            # with and, for the larger tables, without the guide table
+            # more and, for the larger tables, fewer trials than buckets
             for trials in (200_000, 1_000):
                 _assert_draw_matches_choice(probs, seed, trials)
 
@@ -524,8 +576,50 @@ class TestJsonRoundTrip:
             quantum_success(game, subset), abs=1e-12
         )
 
-    def test_dense_states_not_serialized(self):
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            chsh_game,
+            lambda: makb_game(4, 6),
+            lambda: gbi_game(3),
+            lambda: gbi_game(2, grid=16),
+            lambda: GameSpec(chsh_game().functional, chsh_game().observables, VisibilityModel(0.3)),
+        ],
+        ids=["chsh", "makb4in6", "gbi3x32", "gbi2x16", "chsh-v0.3"],
+    )
+    def test_round_trip_keeps_settings_table(self, builder):
+        game = builder()
+        restored = game_from_json(game_to_json(game))
+        for got, expected in zip(qccr._settings_table(restored), qccr._settings_table(game)):
+            assert np.array_equal(got, expected)
+        assert quantum_success(restored) == quantum_success(game)
+        assert _classical_or_error(restored) == _classical_or_error(game)
+
+    def test_distribution_within_tolerance_is_replaced(self):
         game = chsh_game()
-        oracle = GameSpec(game.functional, game.observables, qstate.ghz_state(2))
-        with pytest.raises(CapabilityError):
-            game_to_json(oracle)
+        payload = json.loads(game_to_json(game))
+        dist = payload["functional"]["settings_distribution"]
+        nudged = {key: p * (1 + 1e-13) for key, p in dist.items()}
+        assert all(nudged[key] != p for key, p in dist.items())
+        payload["functional"]["settings_distribution"] = nudged
+        restored = game_from_json(json.dumps(payload))
+        derived = game.functional.settings_distribution
+        assert restored.functional.settings_distribution == {
+            key: float(p) for key, p in derived.items()
+        }
+        assert json.loads(game_to_json(restored))["functional"]["settings_distribution"] == dist
+
+    def test_dense_states_not_serialized(self):
+        # a game holds only what its file can: no dense state gets in
+        game = chsh_game()
+        with pytest.raises(ValueError):
+            GameSpec(game.functional, game.observables, qstate.ghz_state(2))
+
+
+def _classical_or_error(game):
+    """classical_best, or the type of the error it raises (the exhaustive
+    search takes two settings per party only)."""
+    try:
+        return classical_best(game)
+    except ValueError as exc:
+        return type(exc)
