@@ -134,6 +134,11 @@ class TestQuantumValue:
         pair = xy_pair(*makb_xy_settings(n))
         value = quantum_value(f, qstate.ghz_state(n), [pair] * n)
         assert value / lr_max(f) == pytest.approx(2 ** ((n - 1) / 2), abs=1e-9)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_shifted_settings_saturate_on_plain_ghz(self, n):
+        pair = xy_pair(*makb_xy_settings(n))
+        value = quantum_value(makb(n), qstate.ghz_state(n), [pair] * n)
         assert value == pytest.approx(2 ** ((n - 1) / 2), abs=1e-12)
 
     def test_maximally_mixed_gives_zero(self):
