@@ -23,7 +23,7 @@ def main():
         gamma = persistency.gamma_crit(model.a)
         print(f"  critical preserved fraction gamma = {gamma:.6f}")
         for n in (100, 1000, 10**4):
-            frac = persistency.frontier_fraction(model, n)
+            frac = persistency.ghz_persistency(model, n).witness_m / n
             print(f"  frontier fraction at N={n}: {frac:.4f}")
         print(f"  => about {100 * (1 - gamma):.1f}% of parties are expendable "
               f"in the large-N limit")

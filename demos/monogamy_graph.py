@@ -17,7 +17,7 @@ def main():
     ops = monogamy.overlapping_chsh_operators()
     graph = monogamy.build_graph(ops)
     print("operators: ", ", ".join(op.letters for op in ops))
-    print("degrees:   ", [int(d) for d in graph.degrees()])
+    print("degrees:   ", [mask.bit_count() for mask in graph.neighbor_masks])
     bound = monogamy.independence_number(graph)
     print(f"independence number = {bound}"
           f"  =>  <B_12>^2 + <B_23>^2 <= {4 * bound}")

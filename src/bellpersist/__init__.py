@@ -64,7 +64,6 @@ _EXPORTS = {
         "QcrModel",
         "binary_entropy",
         "dicke_persistency",
-        "frontier_fraction",
         "gamma_crit",
         "ghz_persistency",
     ),

@@ -80,6 +80,15 @@ class BellFunctional:
         }
         self.settings_distribution: dict[tuple[int, ...], Number] | None = None
 
+    def __eq__(self, other) -> bool:
+        """Same party count, settings count and coefficients; the attached
+        distribution is derived from these, so it is not compared."""
+        if not isinstance(other, BellFunctional):
+            return NotImplemented
+        return (self.n_parties, self.settings_per_party, self.coefficients) == (
+            other.n_parties, other.settings_per_party, other.coefficients
+        )
+
     def _check_key(self, key: tuple[int, ...]) -> tuple[int, ...]:
         key = tuple(key)
         if len(key) != self.n_parties:

@@ -53,15 +53,6 @@ def _parse_range(token: str) -> list[int]:
     return values
 
 
-def _parse_subset(token: str) -> list[int]:
-    try:
-        return [int(part) for part in token.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"cannot parse subset {token!r}; use comma-separated party indices"
-        )
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
@@ -122,7 +113,7 @@ def _cmd_gamma_crit(args) -> None:
         a = _parse_scalar(token)
         if a <= 1.0:
             raise UsageError(f"growth base must exceed 1, got {token!r}")
-        gamma = persistency.gamma_crit(a, tol=args.tolerance)
+        gamma = persistency.gamma_crit(a)
         residual = persistency.binary_entropy(gamma) - gamma * math.log2(a)
         rows.append({"a": a, "gamma_crit": gamma, "residual": residual})
     _emit(args, rows)
@@ -257,9 +248,7 @@ def _cmd_monogamy_bound(args) -> None:
 def _cmd_qccr_simulate(args) -> None:
     with open(args.game, "r", encoding="utf-8") as handle:
         game = qccr.game_from_json(handle.read())
-    result = qccr.simulate(
-        game, trials=args.trials, seed=args.seed, subset=args.subset, jobs=args.jobs
-    )
+    result = qccr.simulate(game, trials=args.trials, seed=args.seed, jobs=args.jobs)
     try:
         classical = qccr.classical_best(game)
     except CapabilityError:
@@ -267,7 +256,9 @@ def _cmd_qccr_simulate(args) -> None:
     rows = [
         {
             "game": result.game,
-            "subset": "+".join(map(str, result.subset)),
+            # every subset of the register plays alike, so the column
+            # lists the players 0..k-1
+            "subset": "+".join(map(str, range(game.n_parties))),
             "trials": result.trials,
             "seed": result.seed,
             "success": result.success_rate,
@@ -336,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma-crit", help="critical preserved fraction for ratio growth a")
     p.add_argument("--a", action="append", required=True, help="growth base (number, sqrt2, pi/2)")
-    p.add_argument("--tolerance", type=float, default=1e-8, help="bisection tolerance, > 0")
     _add_common(p)
     p.set_defaults(func=_cmd_gamma_crit)
 
@@ -407,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = qccr_sub.add_parser("simulate", help="Monte Carlo play of a game spec")
     p.add_argument("--game", required=True, help="game spec JSON path")
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--subset", type=_parse_subset, help="comma-separated party indices")
     p.add_argument("--seed", type=int, default=0, help="RNG seed recorded in the output")
     p.add_argument("--jobs", type=int, default=1, help="independently seeded streams")
     _add_common(p)

@@ -46,9 +46,6 @@ class AnticommGraph:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(mask.bit_count() for mask in self.neighbor_masks)
-
 
 def build_graph(operators: Sequence[Union[PauliString, str]]) -> AnticommGraph:
     """Graph on the given Pauli strings with edges between anticommuting

@@ -35,7 +35,7 @@ register is known to be a ceiling) are out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import bell, dicke
 from .errors import CapabilityError
@@ -47,27 +47,37 @@ _PI_LO, _PI_HI = (103993, 33102), (104348, 33215)
 _log_factorial_cache: list[float] = [0.0]
 
 
+# the (a, b) of each family whose frontier is certified in integers
+_FAMILIES = {(math.sqrt(2.0), 1.0 / math.sqrt(2.0)): "makb", (math.pi / 2.0, 0.5): "gbi"}
+
+
 @dataclass(frozen=True)
 class QcrModel:
-    """Exponential growth model ratio(M) = b * a^M for a Bell family."""
+    """Exponential growth model ratio(M) = b * a^M for a Bell family.
+
+    ``family`` is read off (a, b) at construction: "makb" for
+    (sqrt 2, 1/sqrt 2), "gbi" for (pi/2, 1/2), both as double-precision
+    floats, and "custom" for any other pair, so it cannot contradict them.
+    """
 
     a: float
     b: float
-    family: str = "custom"
+    family: str = field(init=False)
 
     def __post_init__(self):
         if not self.a > 1:
             raise ValueError("growth base a must exceed 1")
         if not self.b > 0:
             raise ValueError("prefactor b must be positive")
+        object.__setattr__(self, "family", _FAMILIES.get((self.a, self.b), "custom"))
 
     @classmethod
     def makb(cls) -> "QcrModel":
-        return cls(math.sqrt(2.0), 1.0 / math.sqrt(2.0), "makb")
+        return cls(math.sqrt(2.0), 1.0 / math.sqrt(2.0))
 
     @classmethod
     def gbi(cls) -> "QcrModel":
-        return cls(math.pi / 2.0, 0.5, "gbi")
+        return cls(math.pi / 2.0, 0.5)
 
 
 @dataclass(frozen=True)
@@ -100,20 +110,20 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def gamma_crit(a: float, tol: float = 1e-8) -> float:
-    """Root of H(gamma) = gamma * log2(a) in (1/2, 1), by bisection.
+def gamma_crit(a: float) -> float:
+    """Root of H(gamma) = gamma * log2(a) in (1/2, 1), by bisection to
+    double precision.
 
     This is the asymptotic fraction of parties that must be preserved
     for the condition C(N, gamma N)^-1 * b * a^(gamma N) > 1 to hold.
-    The root lies in (1/2, 1) iff 1 < a < 4.  Bisection stops once the
-    bracket is within ``tol`` or its midpoint no longer moves in double
-    precision, so a ``tol`` below the float spacing near the root still
-    returns.
+    The root lies in (1/2, 1) iff 1 < a < 4.  Bisection keeps
+    g(lo) > 0 >= g(hi) for g(x) = H(x) - x log2(a) and stops when the
+    midpoint equals an end, that is when lo and hi are adjacent floats
+    (at most about 52 halvings); it returns lo, so the returned value and
+    the next float above it bracket the sign change of g as evaluated.
     """
     if not 1.0 < a < 4.0:
         raise ValueError("root lies in (1/2, 1) only for 1 < a < 4")
-    if not tol > 0:
-        raise ValueError(f"bisection tolerance must be positive, got {tol}")
     log2a = math.log2(a)
 
     def g(x: float) -> float:
@@ -122,15 +132,12 @@ def gamma_crit(a: float, tol: float = 1e-8) -> float:
     lo, hi = 0.5 + 1e-9, 1.0 - 1e-12
     if not (g(lo) > 0 > g(hi)):
         raise RuntimeError("bisection bracket failed")  # unreachable for 1 < a < 4
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         if g(mid) > 0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo
 
 
 def _log_factorials(n: int) -> list[float]:
@@ -181,8 +188,10 @@ def ghz_persistency(model: QcrModel, n_parties: int, exact: bool = True) -> Pers
     parties satisfy C(N, M)^-1 b a^M > 1 (zero if even t = 1 fails);
     ``witness_m`` is the subgroup size at that frontier (N - 1 when
     nothing may be traced) and ``margin`` the condition value there.
-    ``exact`` (the default) certifies each row in integers at any N, for
-    the makb and gbi families only; a custom model passes ``exact=False``.
+    ``exact`` (the default) certifies each row in integers at any N.  It
+    exists for the makb and gbi families only, which :class:`QcrModel`
+    reads off (a, b), so ``QcrModel(sqrt(2), 1/sqrt(2))`` certifies as
+    ``QcrModel.makb()`` does; any other model passes ``exact=False``.
 
     The condition's logarithm f(M) = log b + M log a - log C(N, M) is
     convex in M on 2 <= M <= N-1: log C(N, M) has second difference
@@ -231,14 +240,6 @@ def ghz_persistency(model: QcrModel, n_parties: int, exact: bool = True) -> Pers
     witness = min(m, n - 1)
     margin = _log_condition(model, witness, math.log(math.comb(n, witness)))
     return PersistencyResult(n, n - m, witness, math.exp(margin))
-
-
-def frontier_fraction(model: QcrModel, n_parties: int) -> float:
-    """Certified fraction M/N of the smallest violating subgroup (makb, gbi)."""
-    result = ghz_persistency(model, n_parties)
-    if result.max_traced == 0:
-        raise ValueError(f"no violating subgroup at N = {n_parties}")
-    return result.witness_m / n_parties
 
 
 def dicke_persistency(n_parties: int, m_zeros: int) -> PersistencyResult:

@@ -95,9 +95,11 @@ StateModel = Union[GhzMixture, VisibilityModel]
 
 @dataclass(frozen=True)
 class GameSpec:
-    """A playable game: functional, state model, and one observable per
-    party per setting.  The functional is stored with its game
-    distribution P(s) = |g(s)| / sum |g| attached."""
+    """A playable game: functional, state model, and one equatorial (xy
+    plane) observable per party per setting; the parity model plays
+    cos(sum of angles), the correlator of equatorial settings only.  The
+    functional is stored with its game distribution
+    P(s) = |g(s)| / sum |g| attached."""
 
     functional: bell.BellFunctional
     observables: tuple[tuple[qstate.PlaneObservable, ...], ...]
@@ -114,6 +116,8 @@ class GameSpec:
         for per_party in self.observables:
             if len(per_party) != f.settings_per_party:
                 raise ValueError("need one observable per setting")
+            if any(obs.plane != "xy" for obs in per_party):
+                raise ValueError("game observables must lie in the xy plane")
         if not isinstance(self.state, (GhzMixture, VisibilityModel)):
             raise ValueError("a game state must be a GhzMixture or a VisibilityModel")
 
@@ -179,22 +183,6 @@ def _settings_table(game: GameSpec):
     return components, probs, coeffs, corr
 
 
-def _resolve_subset(game: GameSpec, subset: Sequence[int] | None) -> tuple[int, ...]:
-    if subset is None:
-        subset = tuple(range(game.n_parties))
-    subset = tuple(int(i) for i in subset)
-    if len(subset) != game.n_parties:
-        raise ValueError(
-            f"subset size {len(subset)} does not match the {game.n_parties}-party functional"
-        )
-    if len(set(subset)) != len(subset):
-        raise ValueError("subset indices must be distinct")
-    n_total = getattr(game.state, "n_parties", game.n_parties)
-    if any(not 0 <= i < n_total for i in subset):
-        raise ValueError(f"subset {subset} out of range for {n_total} parties")
-    return subset
-
-
 def _success(game: GameSpec, value: float) -> float:
     """Success probability (1 + value / sum|g|) / 2 of a protocol whose
     functional mean is ``value``."""
@@ -206,13 +194,13 @@ def classical_best(game: GameSpec) -> float:
     return _success(game, bell.lr_max(game.functional))
 
 
-def quantum_success(game: GameSpec, subset: Sequence[int] | None = None) -> float:
+def quantum_success(game: GameSpec) -> float:
     """Analytic success probability of the measure-and-broadcast protocol.
 
-    ``subset`` is checked but does not change the value: both state
-    models give every subset of the functional's size one correlator.
+    It is the same for every set of ``game.n_parties`` players inside the
+    register: both state models give each such subset one correlator, so
+    no subset is named.
     """
-    _resolve_subset(game, subset)
     _, _, coeffs, corr = _settings_table(game)
     return _success(game, float(np.dot(coeffs, corr)))
 
@@ -220,7 +208,6 @@ def quantum_success(game: GameSpec, subset: Sequence[int] | None = None) -> floa
 @dataclass(frozen=True)
 class SimulationResult:
     game: str
-    subset: tuple[int, ...]
     trials: int
     seed: int
     success_rate: float
@@ -332,14 +319,16 @@ def simulate(
     game: GameSpec,
     trials: int,
     seed: int,
-    subset: Sequence[int] | None = None,
     jobs: int = 1,
     strategy: Sequence[Sequence[int]] | None = None,
 ) -> SimulationResult:
     """Monte Carlo play of the game; deterministic for a fixed seed.
 
-    Settings are sampled from the game distribution and outcomes from
-    the parity-biased product distribution of the state model.
+    The players are any ``game.n_parties`` parties of the register: both
+    state models give every such subset the same correlators, so the
+    result names none.  Settings are sampled from the game distribution
+    and outcomes from the parity-biased product distribution of the
+    state model.
     ``strategy``, a per-party table of deterministic answers, each the
     integer +1 or -1, plays classically: it acts as a state whose
     correlator for each settings tuple is the product of the answers, so
@@ -359,7 +348,6 @@ def simulate(
         raise ValueError("need at least one trial")
     if jobs < 1:
         raise ValueError("need at least one job")
-    subset = _resolve_subset(game, subset)
     components, probs, coeffs, corr = _settings_table(game)
     k = game.n_parties
     if strategy is not None:
@@ -388,7 +376,7 @@ def simulate(
         )
     rate = successes / trials
     stderr = math.sqrt(max(rate * (1.0 - rate), 1e-300) / trials)
-    return SimulationResult(game.name, subset, trials, seed, rate, stderr, analytic)
+    return SimulationResult(game.name, trials, seed, rate, stderr, analytic)
 
 
 # --- exchangeable-marginal feasibility -------------------------------------

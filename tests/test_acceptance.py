@@ -63,8 +63,9 @@ def test_c03_ghz_persistency_thresholds():
     assert gbi6.max_traced == 0 and gbi7.max_traced >= 1
     assert abs(gbi7.margin - 1440 / (427 * math.pi)) < 1e-9
 
-    frontier_makb = persistency.frontier_fraction(persistency.QcrModel.makb(), 10**4)
-    frontier_gbi = persistency.frontier_fraction(persistency.QcrModel.gbi(), 10**4)
+    n = 10**4
+    frontier_makb = persistency.ghz_persistency(persistency.QcrModel.makb(), n).witness_m / n
+    frontier_gbi = persistency.ghz_persistency(persistency.QcrModel.gbi(), n).witness_m / n
     elapsed = time.monotonic() - start
     assert abs(frontier_makb - persistency.gamma_crit(math.sqrt(2.0))) < 0.01
     assert abs(frontier_gbi - persistency.gamma_crit(math.pi / 2.0)) < 0.01

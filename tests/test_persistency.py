@@ -11,7 +11,6 @@ from bellpersist.persistency import (
     QcrModel,
     binary_entropy,
     dicke_persistency,
-    frontier_fraction,
     gamma_crit,
     ghz_persistency,
 )
@@ -95,10 +94,18 @@ class TestGammaCrit:
 
     def test_residual_and_side(self):
         for a in (math.sqrt(2.0), math.pi / 2.0, 2.0, 3.5):
-            gamma = gamma_crit(a, tol=1e-10)
+            gamma = gamma_crit(a)
             assert abs(binary_entropy(gamma) - gamma * math.log2(a)) < 1e-8
             probe = gamma + 1e-4
             assert binary_entropy(probe) < probe * math.log2(a)
+
+    @pytest.mark.parametrize("a", [math.sqrt(2.0), math.pi / 2.0, 2.0, 3.5])
+    def test_root_to_double_precision(self, a):
+        # gamma and the next float above it bracket the sign change of the
+        # residual: the bisection runs until its ends are adjacent floats
+        gamma = gamma_crit(a)
+        residual = lambda x: binary_entropy(x) - x * math.log2(a)
+        assert residual(gamma) > 0 >= residual(math.nextafter(gamma, 1.0))
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -204,7 +211,7 @@ class TestGhzPersistency:
 
     def test_frontier_fraction_converges(self):
         for model, a in ((QcrModel.makb(), math.sqrt(2.0)), (QcrModel.gbi(), math.pi / 2)):
-            fraction = frontier_fraction(model, 10**4)
+            fraction = ghz_persistency(model, 10**4).witness_m / 10**4
             assert abs(fraction - gamma_crit(a)) < 0.01
 
     def test_custom_model(self):
@@ -214,6 +221,17 @@ class TestGhzPersistency:
     def test_custom_model_has_no_certificate(self):
         with pytest.raises(CapabilityError):
             ghz_persistency(QcrModel(2.0, 1.0), 12)
+
+    def test_family_follows_growth_model(self):
+        # the family is read off (a, b), so no tag can contradict them
+        makb = QcrModel(math.sqrt(2.0), 1 / math.sqrt(2.0))
+        assert makb == QcrModel.makb() and makb.family == "makb"
+        assert QcrModel(math.pi / 2, 0.5) == QcrModel.gbi()
+        assert QcrModel(2.0, 1.0).family == "custom"
+        with pytest.raises(TypeError):
+            QcrModel(2.0, 1.0, "makb")
+        for n in range(2, 301):
+            assert ghz_persistency(makb, n) == ghz_persistency(QcrModel.makb(), n), n
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -83,8 +83,7 @@ class TestAnalyticValues:
         small = makb_game(4, n_total=5)
         assert quantum_success(small) < classical_best(small)
         big = makb_game(8, n_total=9)
-        for subset in ([0, 1, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 8]):
-            assert quantum_success(big, subset) > classical_best(big)
+        assert quantum_success(big) > classical_best(big)
 
     def test_two_block_mixture_beats_classical_on_both_subsets(self):
         # half-weight blocks on parties 0-3 and 1-4: visibility 1/2 keeps
@@ -96,15 +95,6 @@ class TestAnalyticValues:
         for subset in ([0, 1, 2, 3], [1, 2, 3, 4]):
             reduced = partial_trace(state, [q for q in range(5) if q not in subset])
             assert _dense_success(game, reduced) > classical_best(game)
-
-    def test_subset_validation(self):
-        game = makb_game(3, n_total=5)
-        with pytest.raises(ValueError):
-            quantum_success(game, [0, 1])
-        with pytest.raises(ValueError):
-            quantum_success(game, [0, 1, 5])
-        with pytest.raises(ValueError):
-            quantum_success(game, [0, 1, 1])
 
 
 def _dense_success(game, state):
@@ -131,10 +121,11 @@ class TestGhzMixtureModel:
     def test_dense_realization_matches_model(self):
         game = makb_game(3, n_total=5)
         dense = ghz_mixture_density(5, 3)
+        # every 3-subset of the dense mixture gives the one analytic value
         for subset in ([0, 1, 2], [1, 3, 4]):
             reduced = partial_trace(dense, [q for q in range(5) if q not in subset])
             assert _dense_success(game, reduced) == pytest.approx(
-                quantum_success(game, subset), abs=1e-12
+                quantum_success(game), abs=1e-12
             )
 
     def test_outcome_distribution_matches_parity_model(self):
@@ -571,10 +562,7 @@ class TestJsonRoundTrip:
         restored = game_from_json(game_to_json(game))
         assert restored.name == game.name
         assert classical_best(restored) == pytest.approx(classical_best(game), abs=1e-12)
-        subset = list(range(game.n_parties))
-        assert quantum_success(restored, subset) == pytest.approx(
-            quantum_success(game, subset), abs=1e-12
-        )
+        assert quantum_success(restored) == pytest.approx(quantum_success(game), abs=1e-12)
 
     @pytest.mark.parametrize(
         "builder",
@@ -590,6 +578,7 @@ class TestJsonRoundTrip:
     def test_round_trip_keeps_settings_table(self, builder):
         game = builder()
         restored = game_from_json(game_to_json(game))
+        assert restored == game
         for got, expected in zip(qccr._settings_table(restored), qccr._settings_table(game)):
             assert np.array_equal(got, expected)
         assert quantum_success(restored) == quantum_success(game)
@@ -608,6 +597,23 @@ class TestJsonRoundTrip:
             key: float(p) for key, p in derived.items()
         }
         assert json.loads(game_to_json(restored))["functional"]["settings_distribution"] == dist
+
+    def test_games_compare_by_value(self):
+        # a functional compares by its parties, settings and coefficients;
+        # the attached distribution is derived from them
+        assert chsh_game() == chsh_game()
+        f = chsh_game().functional
+        assert f == bell.BellFunctional(2, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1})
+        assert f != bell.BellFunctional(2, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1})
+        assert f != bell.BellFunctional(2, f.coefficients, settings_per_party=3)
+
+    def test_non_equatorial_observables_refused(self):
+        # the parity model plays cos(sum of angles), which only equatorial
+        # settings give; an xz observable must not play as if it were one
+        game = chsh_game()
+        pair = (qstate.PlaneObservable.xz(game.observables[0][0].angle), game.observables[0][1])
+        with pytest.raises(ValueError, match="xy plane"):
+            GameSpec(game.functional, (pair, game.observables[1]), game.state)
 
     def test_dense_states_not_serialized(self):
         # a game holds only what its file can: no dense state gets in
