@@ -1,12 +1,12 @@
 """Deferred module imports.
 
 The package registers each of its compute modules through
-:func:`lazy_import`, and those modules bind numpy the same way.  A
-command therefore compiles and executes only the modules it touches:
-``--version`` runs none of them, ``dicke n0`` runs ``dicke`` alone, and
-only commands that compute with arrays load numpy.  A deferred module
-still sits in ``sys.modules`` from the start, so code that looks it up
-there finds it; its first attribute access executes it.
+:func:`lazy_import`, and those that compute with arrays bind numpy the
+same way.  A command therefore compiles and executes only the modules
+it touches: ``--version`` runs none of them, ``dicke n0`` runs ``dicke``
+alone, and only commands that compute with arrays load numpy.  A
+deferred module still sits in ``sys.modules`` from the start, so code
+that looks it up there finds it; its first attribute access executes it.
 """
 
 from __future__ import annotations

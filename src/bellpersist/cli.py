@@ -34,9 +34,7 @@ def _parse_scalar(token: str) -> float:
     try:
         return float(token)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"cannot parse {token!r}; use a number or one of {sorted(_SYMBOLIC)}"
-        )
+        raise UsageError(f"cannot parse {token!r}; use a number or one of {sorted(_SYMBOLIC)}")
 
 
 def _parse_range(token: str) -> list[int]:
@@ -111,8 +109,6 @@ def _cmd_gamma_crit(args) -> None:
     rows = []
     for token in args.a:
         a = _parse_scalar(token)
-        if a <= 1.0:
-            raise UsageError(f"growth base must exceed 1, got {token!r}")
         gamma = persistency.gamma_crit(a)
         residual = persistency.binary_entropy(gamma) - gamma * math.log2(a)
         rows.append({"a": a, "gamma_crit": gamma, "residual": residual})

@@ -19,35 +19,32 @@ of Error-Correcting Codes*, 1977, ch. 5 par. 7),
     K_j(x; m) = sum_l (-1)^l C(x, l) C(m - x, j - l),
 
 and it is 0 once h > M or h > N - M, so only h <= min(M, N - M, n // 2)
-contribute.  Three kernels evaluate the same S:
+contribute.  Three kernels evaluate the same S: :func:`sigma_sum` at one
+(N, M, L), :func:`_sigma_row` along L at fixed (N, M) by a three-term
+recurrence in x, and :func:`_sigma_walk` along N at fixed (M, L) by
+Pascal's rule; each docstring derives its recurrence.  The readable
+route :func:`reduced_dicke` -> :func:`sym_correlation` -> :func:`sym_sigma`
+computes the same sum in exact rationals and is the second route the
+tests compare against; the independent dense cross-check (a partial
+trace of the dense Dicke state) and the point-by-point scans the
+recurrences replaced live in ``tests/oracles.py``.  The line fit
+:func:`fit_n0_line` is exact too, so the module needs no numpy.
 
-- :func:`sigma_sum` sums it at one (N, M, L);
-- :func:`_sigma_row` walks L at fixed (N, M) with the three-term
-  recurrence in x, (m - x) K_j(x + 1) = (m - 2j) K_j(x) - x K_j(x - 1);
-- :func:`_sigma_walk` walks N at fixed (M, L) with Pascal's rule on
-  C(m - x, j - l), K_j(x; m + 1) = K_j(x; m) + K_{j-1}(x; m).
-
-Each K_j is an integer, so the division in the first recurrence is exact.
-The readable route :func:`reduced_dicke` -> :func:`sym_correlation`
--> :func:`sym_sigma` computes the same sum in exact rationals and is the
-second route the tests compare against; the independent dense
-cross-check (a partial trace of the dense Dicke state) and the
-point-by-point scans the recurrences replaced live in
-``tests/oracles.py``.
+For N <= 80 and every M the tests check that no L >= N/2 has
+S > C(N, M)^2.  That is checked, not proved, and it bounds what the
+sigma > 1 criterion can certify, not Bell violation itself.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from ._lazy import lazy_import
 from .errors import NoCrossingError
-
-np = lazy_import("numpy")
 
 
 @dataclass(frozen=True)
@@ -143,9 +140,8 @@ def reduced_dicke(n_total: int, m_zeros: int, n_traced: int) -> DickeMixture:
         m = m_zeros - lost
         if not 0 <= m <= n:
             continue
-        weight = Fraction(math.comb(n_traced, lost) * math.comb(n, m), denom)
-        if weight:
-            components.append((m, weight))
+        # 0 <= lost <= L and 0 <= m <= n, so every weight is positive
+        components.append((m, Fraction(math.comb(n_traced, lost) * math.comb(n, m), denom)))
     return DickeMixture(n, tuple(components))
 
 
@@ -324,12 +320,20 @@ class N0Fit:
 
 
 def fit_n0_line(m_zeros: int, l_values: Iterable[int]) -> N0Fit:
-    """Fit N0 = a L + b over the given traced-party counts."""
-    l_list = sorted(set(int(l) for l in l_values))
-    if len(l_list) < 2:
+    """Least-squares line N0 = a L + b over the given traced-party counts,
+    solved without numpy and exactly over the crossings :func:`solve_n0`
+    returns: slope, intercept and mean squared residual are rationals, each
+    rounded to float once, so points on a line fit with residual 0."""
+    values = list(l_values)
+    if any(isinstance(l, bool) or not isinstance(l, numbers.Integral) for l in values):
+        raise ValueError(f"traced counts must be integers, got {values!r}")
+    xs = sorted(set(map(int, values)))
+    if len(xs) < 2:
         raise ValueError("need at least two distinct L values to fit a line")
-    xs = np.array(l_list, dtype=float)
-    ys = np.array([solve_n0(m_zeros, l) for l in l_list])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    return N0Fit(float(slope), float(intercept), float(np.sqrt(np.mean(resid**2))))
+    ys = [Fraction(solve_n0(m_zeros, l)) for l in xs]
+    x_mean, y_mean = Fraction(sum(xs), len(xs)), sum(ys) / len(ys)
+    spread = sum((x - x_mean) ** 2 for x in xs)
+    slope = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / spread
+    intercept = y_mean - slope * x_mean
+    squares = sum((y - slope * x - intercept) ** 2 for x, y in zip(xs, ys))
+    return N0Fit(float(slope), float(intercept), math.sqrt(squares / len(xs)))

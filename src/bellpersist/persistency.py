@@ -123,7 +123,7 @@ def gamma_crit(a: float) -> float:
     the next float above it bracket the sign change of g as evaluated.
     """
     if not 1.0 < a < 4.0:
-        raise ValueError("root lies in (1/2, 1) only for 1 < a < 4")
+        raise ValueError(f"growth base {a!r}: the root lies in (1/2, 1) only for 1 < a < 4")
     log2a = math.log2(a)
 
     def g(x: float) -> float:

@@ -108,9 +108,16 @@ class TestOutputModes:
 
 
 class TestExitCodes:
-    def test_usage_error_bad_base(self):
-        result = run_cli(["gamma-crit", "--a", "1.0"])
-        assert result.returncode == 2
+    @pytest.mark.parametrize(
+        "token,code", [("foo", 2), ("1.0", 1), ("4", 1), ("nan", 1), ("inf", 1)]
+    )
+    def test_bad_base_one_stderr_line(self, token, code):
+        # an unparsable token is a usage error; a number outside 1 < a < 4
+        # is rejected by gamma_crit itself
+        result = run_cli(["gamma-crit", "--a", "sqrt2", "--a", token])
+        assert (result.returncode, result.stdout) == (code, "")
+        assert result.stderr.count("\n") == 1 and result.stderr.startswith("bellpersist")
+        assert token in result.stderr and "Traceback" not in result.stderr
 
     def test_usage_error_unknown_command(self):
         result = run_cli(["frobnicate"])
@@ -499,9 +506,9 @@ class TestPinnedGameOutputs:
             assert capsys.readouterr().out.splitlines()[1] == row, (seed, jobs)
 
 
-# golden commands that compute with arrays: the dense oracle and LR
-# enumeration, polyfit, and the Monte Carlo
-_NUMPY_COMMANDS = {"makb_qcr.csv", "dicke_fit_m1.csv", "qccr_simulate.csv"}
+# golden commands that compute with arrays: the dense state, the LR
+# enumeration and the Monte Carlo
+_NUMPY_COMMANDS = {"makb_qcr.csv", "qccr_simulate.csv"}
 _NUMPY_FREE = {"version": ["--version"]} | {
     name: GOLDEN_COMMANDS[name] for name in sorted(set(GOLDEN_COMMANDS) - _NUMPY_COMMANDS)
 }
@@ -623,7 +630,7 @@ _IMPORTS = {
     "_lazy": set(),
     "bell": {"_lazy", "errors", "qstate"},
     "cli": {"__init__", "bell", "dicke", "errors", "monogamy", "persistency", "qccr", "qstate"},
-    "dicke": {"_lazy", "errors"},
+    "dicke": {"errors"},
     "errors": set(),
     "monogamy": {"errors", "qstate"},
     "persistency": {"bell", "dicke", "errors"},

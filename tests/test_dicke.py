@@ -252,6 +252,20 @@ class TestKrawtchoukKernels:
                     assert denom == math.comb(n, m) ** 2
                     assert _equal(total, denom, sigma_sum(n, m, l)), (n, m, l)
 
+    def test_no_sigma_violation_from_half_the_register(self):
+        # checked, not proved, over N <= 80: the sigma > 1 criterion never
+        # certifies a reduced state once L >= N/2 parties are traced out
+        best = Fraction(0)
+        for n in range(2, 81):
+            for m in range(n + 1):
+                row, denom = dicke._sigma_row(n, m)
+                for l, total in enumerate(row):
+                    if total > denom:
+                        assert 2 * l < n, (n, m, l)
+                        best = max(best, Fraction(l, n))
+        # the largest certified fraction, reached at (N, M, L) = (76, 4, 30)
+        assert best == Fraction(15, 38)
+
     def test_solve_n0_matches_point_scan(self):
         outcomes = set()
         for m in range(10):
@@ -265,10 +279,26 @@ class TestKrawtchoukKernels:
 
 class TestFit:
     def test_single_zero_line_is_exact(self):
+        # N0 = 3 L + 1 exactly, so the exact fit has no rounding noise
         fit = fit_n0_line(1, range(5, 21))
-        assert fit.slope == pytest.approx(3.0, abs=1e-9)
-        assert fit.intercept == pytest.approx(1.0, abs=1e-7)
-        assert fit.rms_residual < 1e-9
+        assert (fit.slope, fit.intercept, fit.rms_residual) == (3.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    @pytest.mark.parametrize(
+        "l_values",
+        [range(5, 41), range(1, 9), range(3, 31, 3), range(12, 60, 7), [2, 17]],
+        ids=["5:40", "1:8", "3:30:3", "12:59:7", "2,17"],
+    )
+    def test_matches_float_polyfit(self, m, l_values):
+        # the float route the exact fit replaced, on the same crossings
+        xs = np.array(l_values, dtype=float)
+        ys = np.array([solve_n0(m, l) for l in l_values])
+        slope, intercept = np.polyfit(xs, ys, 1)
+        residual = np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2))
+        fit = fit_n0_line(m, l_values)
+        assert fit.slope == pytest.approx(slope, rel=1e-13, abs=0)
+        assert fit.intercept == pytest.approx(intercept, rel=1e-12, abs=0)
+        assert fit.rms_residual == pytest.approx(residual, rel=0, abs=1e-12)
 
     def test_reference_slopes(self):
         for m, a_ref in [(2, 2.5776), (3, 2.4043), (4, 2.3325)]:
@@ -278,6 +308,20 @@ class TestFit:
     def test_rejects_degenerate_range(self):
         with pytest.raises(ValueError):
             fit_n0_line(1, [7])
+
+    @pytest.mark.parametrize(
+        "l_values",
+        [[5.5, 6.7], [True, 5, 6], [5, 6.0], ["5", "6"]],
+        ids=["fractional", "bool", "integral-float", "string"],
+    )
+    def test_rejects_non_integer_counts(self, l_values):
+        with pytest.raises(ValueError, match="must be integers"):
+            fit_n0_line(2, l_values)
+
+    def test_accepts_numpy_integers_and_iterators(self):
+        expected = fit_n0_line(2, range(5, 13))
+        assert fit_n0_line(2, np.arange(5, 13)) == expected
+        assert fit_n0_line(2, iter(range(12, 4, -1))) == expected
 
 
 class TestMixtureValidation:
