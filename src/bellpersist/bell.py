@@ -22,12 +22,11 @@ from typing import Mapping, Sequence, Union
 
 from . import qstate
 from ._lazy import lazy_import
-from .errors import CapabilityError
+from .errors import CapabilityError, check_count
 
 np = lazy_import("numpy")
 
 LR_MAX_PARTY_CAP = 8
-GBI_INTEGRATION_CAP = 10
 
 Number = Union[int, float, Fraction]
 ObservablePair = tuple["qstate.SiteOperator", "qstate.SiteOperator"]
@@ -38,13 +37,6 @@ def _check_number(value):
     # the exact float test spares the common case the slower ABC check
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValueError(f"coefficient or probability {value!r} is not a number")
-    return value
-
-
-def _check_count(value, name: str) -> int:
-    """Reject a party or settings count, or a setting, that is not an integer."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} {value!r} is not an integer")
     return value
 
 
@@ -69,12 +61,8 @@ class BellFunctional:
         coefficients: Mapping[tuple[int, ...], Number],
         settings_per_party: int = 2,
     ):
-        if _check_count(n_parties, "party count") < 1:
-            raise ValueError("need at least one party")
-        if _check_count(settings_per_party, "settings count") < 2:
-            raise ValueError("need at least two settings per party")
-        self.n_parties = n_parties
-        self.settings_per_party = settings_per_party
+        self.n_parties = check_count(n_parties, "party count", 1)
+        self.settings_per_party = check_count(settings_per_party, "settings count", 2)
         self.coefficients = {
             self._check_key(k): v for k, v in coefficients.items() if _check_number(v) != 0
         }
@@ -97,7 +85,7 @@ class BellFunctional:
             if type(s) is not int:
                 # other integer types convert; bools and non-integral
                 # settings raise rather than truncate
-                key = tuple(int(_check_count(s, "setting")) for s in key)
+                key = tuple(check_count(s, "setting") for s in key)
                 break
         for s in key:
             if not 0 <= s < self.settings_per_party:
@@ -207,8 +195,7 @@ def makb(n: int) -> BellFunctional:
     settings exchanged everywhere.  Coefficients are exact dyadic
     rationals; for odd n half of them vanish.
     """
-    if not 2 <= n <= 16:
-        raise ValueError(f"party count {n} outside supported range 2..16")
+    n = check_count(n, "party count", 2, 16)
     coeffs: dict[tuple[int, ...], Fraction] = {(0,): Fraction(1)}
     for _ in range(n - 1):
         new: dict[tuple[int, ...], Fraction] = {}
@@ -235,6 +222,7 @@ def makb_xy_settings(n: int) -> tuple[float, float]:
     settings that saturate on the GHZ state of relative phase n*pi/4,
     turned by the local z rotation that takes that state to phase 0.
     """
+    n = check_count(n, "party count", 1)
     return 1.0 / (8 * n) - 0.125, (2 * n + 1) / (8 * n) - 0.125
 
 
@@ -311,8 +299,7 @@ def gbi_quantum(n: int) -> float:
     """Quantum side of the equatorial geometric inequality: the average
     of |cos(2 pi sum_i alpha_i)| over independent uniform angles, which
     is 2/pi for every party count."""
-    if n < 2:
-        raise ValueError("need at least two parties")
+    check_count(n, "party count", 2)
     return 2.0 / math.pi
 
 
@@ -323,8 +310,7 @@ def gbi_classical(n: int) -> Fraction:
     by n!; see :func:`gbi_classical_by_integration` for the independent
     integral route.
     """
-    if n < 2:
-        raise ValueError("need at least two parties")
+    n = check_count(n, "party count", 2)
     return Fraction(_zigzag_numbers(n)[n], math.factorial(n))
 
 
@@ -419,10 +405,7 @@ def gbi_classical_by_integration(n: int) -> Fraction:
     the angle sum turns this into exact polynomial integrals over
     half-integer intervals.
     """
-    if not 2 <= n <= GBI_INTEGRATION_CAP:
-        raise CapabilityError(
-            f"integration route capped at {GBI_INTEGRATION_CAP} parties"
-        )
+    n = check_count(n, "party count", 2)
     m = n - 1
     pieces = _uniform_sum_pieces(m)
     total = Fraction(0)

@@ -38,13 +38,12 @@ sigma > 1 criterion can certify, not Bell violation itself.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import NoCrossingError
+from .errors import NoCrossingError, check_count
 
 
 @dataclass(frozen=True)
@@ -59,12 +58,10 @@ class DickeMixture:
     components: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("mixture needs at least one qubit")
+        check_count(self.n, "qubit count n", 1)
         total = Fraction(0)
         for m, w in self.components:
-            if not 0 <= m <= self.n:
-                raise ValueError(f"component m={m} out of range for n={self.n}")
+            check_count(m, "component zeros count m", 0, self.n)
             if w < 0:
                 raise ValueError("component weights must be nonnegative")
             total += w
@@ -106,10 +103,9 @@ def xz_component(n: int, m: int, k: int) -> Fraction:
 
     for even k and zero for odd k.
     """
-    if not 0 <= m <= n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"x-count k={k} out of range")
+    n = check_count(n, "qubit count n", 0)
+    m = check_count(m, "zeros count m", 0, n)
+    k = check_count(k, "x-count k", 0, n)
     if k % 2 == 1:
         return Fraction(0)
     half = k // 2
@@ -119,11 +115,11 @@ def xz_component(n: int, m: int, k: int) -> Fraction:
     return Fraction(sign * math.comb(k, half) * math.comb(n - k, m - half), math.comb(n, m))
 
 
-def _check_reduction(n_total: int, m_zeros: int, n_traced: int) -> None:
-    if not 0 <= m_zeros <= n_total:
-        raise ValueError(f"need 0 <= M <= N, got M={m_zeros}, N={n_total}")
-    if not 0 <= n_traced < n_total:
-        raise ValueError(f"traced count L={n_traced} must satisfy 0 <= L < N={n_total}")
+def _check_reduction(n_total: int, m_zeros: int, n_traced: int) -> tuple[int, int, int]:
+    """(N, M, L) as plain ints, given 0 <= M <= N and 0 <= L < N."""
+    n_total = check_count(n_total, "party count N", 1)
+    m_zeros = check_count(m_zeros, "zeros count M", 0, n_total)
+    return n_total, m_zeros, check_count(n_traced, "traced count L", 0, n_total - 1)
 
 
 def reduced_dicke(n_total: int, m_zeros: int, n_traced: int) -> DickeMixture:
@@ -132,7 +128,7 @@ def reduced_dicke(n_total: int, m_zeros: int, n_traced: int) -> DickeMixture:
     The surviving component with m_zeros - l zeros has weight
     C(L, l) C(N-L, M-l) / C(N, M).
     """
-    _check_reduction(n_total, m_zeros, n_traced)
+    n_total, m_zeros, n_traced = _check_reduction(n_total, m_zeros, n_traced)
     n = n_total - n_traced
     denom = math.comb(n_total, m_zeros)
     components = []
@@ -190,7 +186,7 @@ def sigma_sum(n_total: int, m_zeros: int, n_traced: int) -> Fraction:
     C(n-k, M-l-h) in it is 0 (M-l-h >= M-L-h > n-k), so k stops at
     2 min(M, N - M, n // 2).
     """
-    _check_reduction(n_total, m_zeros, n_traced)
+    n_total, m_zeros, n_traced = _check_reduction(n_total, m_zeros, n_traced)
     n = n_total - n_traced
     total = 0
     for h in range(min(m_zeros, n_total - m_zeros, n // 2) + 1):
@@ -283,10 +279,8 @@ def solve_n0(m_zeros: int, n_traced: int) -> float:
     exact rationals; a crossing that lands exactly on an integer is
     returned exactly.
     """
-    if n_traced < 1:
-        raise ValueError("need at least one traced party")
-    if m_zeros < 0:
-        raise ValueError("zeros count must be nonnegative")
+    m_zeros = check_count(m_zeros, "zeros count M", 0)
+    n_traced = check_count(n_traced, "traced count L", 1)
     start = max(m_zeros, n_traced + 1, 2)
     max_n = 4 * (n_traced + m_zeros) + 16
     # the mirror-degenerate region ends once n exceeds both 2M and 2(N-M)
@@ -324,10 +318,7 @@ def fit_n0_line(m_zeros: int, l_values: Iterable[int]) -> N0Fit:
     solved without numpy and exactly over the crossings :func:`solve_n0`
     returns: slope, intercept and mean squared residual are rationals, each
     rounded to float once, so points on a line fit with residual 0."""
-    values = list(l_values)
-    if any(isinstance(l, bool) or not isinstance(l, numbers.Integral) for l in values):
-        raise ValueError(f"traced counts must be integers, got {values!r}")
-    xs = sorted(set(map(int, values)))
+    xs = sorted({check_count(l, "traced count L", 1) for l in l_values})
     if len(xs) < 2:
         raise ValueError("need at least two distinct L values to fit a line")
     ys = [Fraction(solve_n0(m_zeros, l)) for l in xs]

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types and the one check every count goes through."""
+
+import numbers
 
 
 class CapabilityError(ValueError):
@@ -11,3 +13,21 @@ class NoCrossingError(RuntimeError):
     def __init__(self, message: str, window: tuple[int, int]):
         super().__init__(f"{message} (searched N in [{window[0]}, {window[1]}])")
         self.window = window
+
+
+def check_count(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as a plain int, if it is an integer, not a bool, in lo..hi.
+
+    Anything else raises ValueError naming ``name``, so a bool or a float
+    such as 5.0 is refused rather than truncated; a missing bound is open.
+    """
+    # the exact int test spares the common case the slower ABC check
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, numbers.Integral)
+    ):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    value = int(value)
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        span = f"{'' if lo is None else lo}..{'' if hi is None else hi}"
+        raise ValueError(f"{name} {value} outside {span}")
+    return value

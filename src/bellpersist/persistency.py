@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import bell, dicke
-from .errors import CapabilityError
+from .errors import CapabilityError, check_count
 
 # continued-fraction convergents (p, q) of pi, just below and just above it
 _PI_LO, _PI_HI = (103993, 33102), (104348, 33215)
@@ -97,8 +97,7 @@ class PersistencyResult:
     margin: float
 
     def __post_init__(self):
-        if not 0 <= self.max_traced < self.n_parties:
-            raise ValueError("traced count must lie in [0, N)")
+        check_count(self.max_traced, "traced count", 0, self.n_parties - 1)
 
 
 def binary_entropy(x: float) -> float:
@@ -210,11 +209,9 @@ def ghz_persistency(model: QcrModel, n_parties: int, exact: bool = True) -> Pers
     in the b a^M form and (C_M / C_(M+1)) (M+1) / (N-M) > 1 for the
     exact geometric constants).
     """
-    if n_parties < 2:
-        raise ValueError("need at least two parties")
+    n = check_count(n_parties, "party count N", 2)
     if exact and model.family not in ("makb", "gbi"):
         raise CapabilityError("exact certificates exist for the makb/gbi families only")
-    n = n_parties
     lf = _log_factorials(n)
 
     def float_violates(m: int) -> bool:
@@ -257,10 +254,8 @@ def dicke_persistency(n_parties: int, m_zeros: int) -> PersistencyResult:
     S > C(N, M)^2.  Every L is tested: near half filling the violating L
     do not form a prefix, so no scan may stop at the first failure.
     """
-    if not 0 <= m_zeros <= n_parties:
-        raise ValueError("need 0 <= M <= N")
-    if n_parties < 2:
-        raise ValueError("need at least two parties")
+    n_parties = check_count(n_parties, "party count N", 2)
+    m_zeros = check_count(m_zeros, "zeros count M", 0, n_parties)
     row, denom = dicke._sigma_row(n_parties, m_zeros)
     best = max((traced for traced in range(1, n_parties - 1) if row[traced] > denom), default=0)
     at = max(best, 1) if n_parties > 2 else 0

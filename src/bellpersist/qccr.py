@@ -43,7 +43,7 @@ from typing import Mapping, Sequence, Union
 
 from . import bell, qstate
 from ._lazy import lazy_import
-from .errors import CapabilityError
+from .errors import CapabilityError, check_count
 
 np = lazy_import("numpy")
 
@@ -65,9 +65,11 @@ class GhzMixture:
     block_size: int
 
     def __post_init__(self):
-        bell._check_count(self.n_parties, "party count")
-        if not 1 <= bell._check_count(self.block_size, "block size") <= self.n_parties:
-            raise ValueError("block size must lie in [1, n_parties]")
+        # stored as plain ints, which the JSON form can write
+        n_parties = check_count(self.n_parties, "party count")
+        object.__setattr__(self, "n_parties", n_parties)
+        block_size = check_count(self.block_size, "block size", 1, n_parties)
+        object.__setattr__(self, "block_size", block_size)
 
     def visibility(self, subset_size: int) -> float:
         if subset_size != self.block_size:
@@ -149,8 +151,8 @@ def makb_game(n: int, n_total: int | None = None) -> GameSpec:
 def gbi_game(n: int, grid: int = 32) -> GameSpec:
     """Geometric game with settings discretized to ``grid`` uniform
     equatorial angles per party (practical stand-in for the continuum)."""
-    if n < 2 or grid < 2:
-        raise ValueError("need at least two parties and two settings per party")
+    n = check_count(n, "party count", 2)
+    grid = check_count(grid, "grid size", 2)
     if grid**n > 200_000:
         raise CapabilityError("explicit geometric game too large; reduce grid or parties")
     coeffs = {}
@@ -344,10 +346,9 @@ def simulate(
     that player's uniform coin, which is the ``VisibilityModel(0.0)``
     control.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if jobs < 1:
-        raise ValueError("need at least one job")
+    trials = check_count(trials, "trials", 1)
+    seed = check_count(seed, "seed", 0)
+    jobs = check_count(jobs, "jobs", 1)
     components, probs, coeffs, corr = _settings_table(game)
     k = game.n_parties
     if strategy is not None:
@@ -356,7 +357,7 @@ def simulate(
         for row in strategy:
             for answer in row:
                 # a float or bool answer raises rather than being truncated
-                if bell._check_count(answer, "strategy answer") not in (1, -1):
+                if check_count(answer, "strategy answer") not in (1, -1):
                     raise ValueError("strategy answers must be +-1")
         answers = np.array(strategy, dtype=np.int64)
         corr = answers[np.arange(k), components].prod(axis=1)
@@ -488,11 +489,8 @@ def marginal_feasibility(dist: Mapping, n_parties: int) -> FeasibilityResult:
         entries[tuple(int(s) for s in key)] = _exactify(value)
     if len({len(key) for key in entries}) > 1:
         raise ValueError("settings tuples differ in length")
-    k = len(next(iter(entries)))
-    if not 1 <= k <= n_parties <= MAX_FEASIBILITY_PARTIES:
-        raise ValueError(
-            f"need k <= N <= {MAX_FEASIBILITY_PARTIES}, got k={k}, N={n_parties}"
-        )
+    k = check_count(len(next(iter(entries))), "marginal size k", 1, MAX_FEASIBILITY_PARTIES)
+    n_parties = check_count(n_parties, "party count N", k, MAX_FEASIBILITY_PARTIES)
     table = {key: entries.get(key, Fraction(0)) for key in itertools.product((0, 1), repeat=k)}
     if any(v < 0 for v in table.values()):
         raise ValueError("probabilities must be nonnegative")

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.stats import qmc
 
 from bellpersist import bell, dicke, qstate
 from bellpersist.bell import (
@@ -255,16 +254,18 @@ class TestGbiConstants:
             gbi_quantum(1)
 
     def test_quantum_part_quasi_monte_carlo(self):
-        sampler = qmc.Sobol(d=5, scramble=True, seed=90)
-        points = sampler.random_base2(m=16)
-        est = np.mean(np.abs(np.cos(2 * math.pi * points.sum(axis=1))))
+        # 2^20 sums of five uniform angles: the standard error of the mean
+        # of |cos| is about 3e-4, so abs=2e-3 is more than six of them
+        rng = np.random.default_rng(90)
+        angles = sum(rng.random(1 << 20) for _ in range(5))
+        est = np.mean(np.abs(np.cos(2 * math.pi * angles)))
         assert est == pytest.approx(2 / math.pi, abs=2e-3)
 
     def test_exact_classical_values(self):
         expected = [F(1, 2), F(1, 3), F(5, 24), F(2, 15), F(61, 720), F(17, 315)]
         assert [gbi_classical(n) for n in range(2, 8)] == expected
 
-    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("n", range(2, 15))
     def test_integration_route_agrees(self, n):
         assert gbi_classical_by_integration(n) == gbi_classical(n)
 
@@ -290,8 +291,6 @@ class TestGbiConstants:
     def test_range_caps(self):
         with pytest.raises(ValueError):
             gbi_classical(1)
-        with pytest.raises(CapabilityError):
-            gbi_classical_by_integration(11)
 
     def test_no_rational_cap(self):
         # alternating-permutation counts from 2 A(k+1) = sum_j C(k, j) A(j) A(k-j)

@@ -159,6 +159,12 @@ class TestExitCodes:
         assert result.returncode == 1
         assert "capped" in result.stderr
 
+    def test_negative_seed_exit_one(self):
+        argv = ["qccr", "simulate", "--game", str(DATA / "chsh_game.json"), "--trials", "10"]
+        result = run_cli(argv + ["--seed", "-1"])
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "bellpersist: seed -1 outside 0..\n"
+
     def test_missing_file_exit_one(self):
         result = run_cli(["monogamy", "bound", "--file", "/nonexistent/x.txt"])
         assert result.returncode == 1

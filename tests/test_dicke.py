@@ -315,7 +315,7 @@ class TestFit:
         ids=["fractional", "bool", "integral-float", "string"],
     )
     def test_rejects_non_integer_counts(self, l_values):
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="traced count L .* is not an integer"):
             fit_n0_line(2, l_values)
 
     def test_accepts_numpy_integers_and_iterators(self):

@@ -556,7 +556,14 @@ class TestMarginalFeasibility:
 
 
 class TestJsonRoundTrip:
-    @pytest.mark.parametrize("builder", [chsh_game, lambda: makb_game(3, 5)])
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            chsh_game,
+            lambda: makb_game(3, 5),
+            pytest.param(lambda: makb_game(3, np.int64(5)), id="numpy-register"),
+        ],
+    )
     def test_round_trip_preserves_values(self, builder):
         game = builder()
         restored = game_from_json(game_to_json(game))
