@@ -9,21 +9,23 @@ geometric one (a = pi/2).  Asymptotically the preserved fraction tends
 to the root of H(gamma) = gamma log2 a.
 """
 
+import math
+
 from bellpersist import persistency
 
 
 def main():
-    for label, model in (("mermin-type", persistency.QcrModel.makb()),
-                         ("geometric", persistency.QcrModel.gbi())):
-        print(f"--- {label} family (a = {model.a:.4f}) ---")
+    for label, family, a in (("mermin-type", "makb", math.sqrt(2.0)),
+                             ("geometric", "gbi", math.pi / 2.0)):
+        print(f"--- {label} family (a = {a:.4f}) ---")
         for n in range(4, 13):
-            r = persistency.ghz_persistency(model, n)
+            r = persistency.ghz_persistency(family, n)
             print(f"  N={n:3d}: lose up to {r.max_traced} "
                   f"(subgroup {r.witness_m}, margin {r.margin:.4f})")
-        gamma = persistency.gamma_crit(model.a)
+        gamma = persistency.gamma_crit(a)
         print(f"  critical preserved fraction gamma = {gamma:.6f}")
         for n in (100, 1000, 10**4):
-            frac = persistency.ghz_persistency(model, n).witness_m / n
+            frac = persistency.ghz_persistency(family, n).witness_m / n
             print(f"  frontier fraction at N={n}: {frac:.4f}")
         print(f"  => about {100 * (1 - gamma):.1f}% of parties are expendable "
               f"in the large-N limit")

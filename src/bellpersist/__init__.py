@@ -61,7 +61,6 @@ _EXPORTS = {
     ),
     "persistency": (
         "PersistencyResult",
-        "QcrModel",
         "binary_entropy",
         "dicke_persistency",
         "gamma_crit",

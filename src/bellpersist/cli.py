@@ -95,14 +95,18 @@ def _write(args, text: str) -> None:
         return
     # mode "x" creates a new file with the permissions plain open() gives
     tmp = f"{args.output}.{os.urandom(4).hex()}.tmp"
-    handle = open(tmp, "x", encoding="utf-8")
     try:
-        with handle:
-            handle.write(text)
-        os.replace(tmp, args.output)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        handle = open(tmp, "x", encoding="utf-8")
+        try:
+            with handle:
+                handle.write(text)
+            os.replace(tmp, args.output)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # name the path given, not the temp file beside it
+        raise OSError(exc.errno, exc.strerror, args.output) from exc
 
 
 def _cmd_gamma_crit(args) -> None:
@@ -154,10 +158,9 @@ def _cmd_dicke_sigma(args) -> None:
 
 
 def _cmd_persistency_ghz(args) -> None:
-    model = persistency.QcrModel.makb() if args.family == "makb" else persistency.QcrModel.gbi()
     rows = []
     for n in args.n:
-        result = persistency.ghz_persistency(model, n, exact=not args.asymptotic)
+        result = persistency.ghz_persistency(args.family, n, exact=not args.asymptotic)
         rows.append(
             {
                 "N": n,

@@ -7,13 +7,16 @@ inequality with quantum-to-classical ratio b * a^M iff
     C(N, M)^-1 * b * a^M > 1,
 
 since the block lands on the measured subset with probability 1/C(N,M).
+Two Bell families score the mixtures, each named by a string: "makb",
+the Mermin-type family with (a, b) = (sqrt 2, 1/sqrt 2), and "gbi", the
+geometric inequality with (a, b) = (pi/2, 1/2).
 The number of parties that may be lost while the remaining ones still
 violate follows from scanning M; asymptotically the fraction M/N that
 must be preserved tends to the root of H(gamma) = gamma * log2(a) with
 H the binary entropy.
 
-Frontier decisions are certified in integers at every N.  For a = sqrt(2)
-the test is 2^(M-1) > C(N, M)^2.  For the geometric family Euler's zigzag series
+Frontier decisions are certified in integers at every N.  For makb the
+test is 2^(M-1) > C(N, M)^2.  For gbi Euler's zigzag series
 (N. D. Elkies, Amer. Math. Monthly 110 (2003) 561) gives, with s = M + 1,
 C_M = A_M / M! = 2 (2/pi)^s sum_{k>=0} (-1)^(ks) (2k+1)^-s = 2 (2/pi)^s (1 + eps)
 with |eps| <= sum_{k>=1} (2k+1)^-s <= 3^-s + int_1^inf (2x+1)^-s dx =
@@ -35,10 +38,10 @@ register is known to be a ceiling) are out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import bell, dicke
-from .errors import CapabilityError, check_count
+from .errors import check_count
 
 # continued-fraction convergents (p, q) of pi, just below and just above it
 _PI_LO, _PI_HI = (103993, 33102), (104348, 33215)
@@ -46,38 +49,8 @@ _PI_LO, _PI_HI = (103993, 33102), (104348, 33215)
 # log k! for k = 0, 1, 2, ..., grown on demand by _log_factorials
 _log_factorial_cache: list[float] = [0.0]
 
-
-# the (a, b) of each family whose frontier is certified in integers
-_FAMILIES = {(math.sqrt(2.0), 1.0 / math.sqrt(2.0)): "makb", (math.pi / 2.0, 0.5): "gbi"}
-
-
-@dataclass(frozen=True)
-class QcrModel:
-    """Exponential growth model ratio(M) = b * a^M for a Bell family.
-
-    ``family`` is read off (a, b) at construction: "makb" for
-    (sqrt 2, 1/sqrt 2), "gbi" for (pi/2, 1/2), both as double-precision
-    floats, and "custom" for any other pair, so it cannot contradict them.
-    """
-
-    a: float
-    b: float
-    family: str = field(init=False)
-
-    def __post_init__(self):
-        if not self.a > 1:
-            raise ValueError("growth base a must exceed 1")
-        if not self.b > 0:
-            raise ValueError("prefactor b must be positive")
-        object.__setattr__(self, "family", _FAMILIES.get((self.a, self.b), "custom"))
-
-    @classmethod
-    def makb(cls) -> "QcrModel":
-        return cls(math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-
-    @classmethod
-    def gbi(cls) -> "QcrModel":
-        return cls(math.pi / 2.0, 0.5)
+# the growth model (a, b) of ratio(M) = b * a^M for each family
+_GROWTH = {"makb": (math.sqrt(2.0), 1.0 / math.sqrt(2.0)), "gbi": (math.pi / 2.0, 0.5)}
 
 
 @dataclass(frozen=True)
@@ -148,7 +121,7 @@ def _log_factorials(n: int) -> list[float]:
     return cache
 
 
-def _log_condition(model: QcrModel, m: int, log_binom: float) -> float:
+def _log_condition(family: str, m: int, log_binom: float) -> float:
     """log(C(N, M)^-1 b a^M), given log C(N, M): the one float form of the
     condition, for the float proposal and for the margin.
 
@@ -157,15 +130,16 @@ def _log_condition(model: QcrModel, m: int, log_binom: float) -> float:
     precision, the exact ratio (2/pi) / C_M replaces b a^M (C_1 = 1 for
     the lone party left at N = 2).
     """
-    if model.family == "gbi" and m < 34:
+    if family == "gbi" and m < 34:
         coeff = bell.gbi_qcr_coefficient(m) if m > 1 else 2
         return math.log(float(coeff) / math.pi) - log_binom
-    return math.log(model.b) + m * math.log(model.a) - log_binom
+    a, b = _GROWTH[family]
+    return math.log(b) + m * math.log(a) - log_binom
 
 
-def _violates(model: QcrModel, n: int, m: int) -> bool:
-    """Certified C(n, m)^-1 b a^m > 1 for the makb and gbi families, 2 <= m < n."""
-    if model.family == "makb":
+def _violates(family: str, n: int, m: int) -> bool:
+    """Certified C(n, m)^-1 b a^m > 1 for the family, 2 <= m < n."""
+    if family == "makb":
         # (1/sqrt2) sqrt2^m > C(n, m)  <=>  2^(m-1) > C(n, m)^2
         return 2 ** (m - 1) > math.comb(n, m) ** 2
     # (2/pi) / C_m > C(n, m) <=> (pi/2)^m > 2 (1 + eps) C(n, m), |eps| < 2 / 3^(m+1);
@@ -179,63 +153,58 @@ def _violates(model: QcrModel, n: int, m: int) -> bool:
     raise RuntimeError("pi bracket too coarse to certify the frontier")
 
 
-def ghz_persistency(model: QcrModel, n_parties: int, exact: bool = True) -> PersistencyResult:
+def ghz_persistency(family: str, n_parties: int, exact: bool = True) -> PersistencyResult:
     """Largest number of parties that may be traced out of the
-    symmetrized GHZ-block mixture while some subgroup still violates.
+    symmetrized GHZ-block mixture while some subgroup still violates the
+    ``family`` inequality, "makb" or "gbi".
 
     ``max_traced`` is the largest t such that subgroups of M = N - t
     parties satisfy C(N, M)^-1 b a^M > 1 (zero if even t = 1 fails);
     ``witness_m`` is the subgroup size at that frontier (N - 1 when
     nothing may be traced) and ``margin`` the condition value there.
-    ``exact`` (the default) certifies each row in integers at any N.  It
-    exists for the makb and gbi families only, which :class:`QcrModel`
-    reads off (a, b), so ``QcrModel(sqrt(2), 1/sqrt(2))`` certifies as
-    ``QcrModel.makb()`` does; any other model passes ``exact=False``.
+    ``exact`` (the default) certifies each row in integers at any N;
+    ``exact=False`` returns the float proposal below unchecked.
 
     The condition's logarithm f(M) = log b + M log a - log C(N, M) is
     convex in M on 2 <= M <= N-1: log C(N, M) has second difference
     -log[(M+1)(N-M+1) / (M (N-M))] < -log(1 + 1/M), and log(b a^M) is
     linear (the exact geometric ratio (2/pi) / C_M used below M = 34 has
     second differences of size at most 0.065, below log(1 + 1/M) there).
-    So the M with f(M) <= 0 form an interval, and if M = 2 does not
-    violate, the violating M are exactly {M >= M_f}.  The float proposal
-    is therefore M = 2 when f(2) > 0, else M_f, found by bisection.
+    So the M with f(M) <= 0 form an interval.  For N >= 3, M = 2 never
+    violates in either family: for makb 2 < C(N, 2)^2 since C(N, 2) >= 3,
+    and for gbi 4/pi < 3 <= C(N, 2).  So the violating M are a suffix
+    {M >= M_f}, and the float proposal M_f is found by bisection from
+    lo = 2.
 
     Certified runs step the proposal until M violates exactly and
     M - 1 does not (or M - 1 < 2).  That pair fixes the frontier
-    because, for both built-in families on 2 <= M <= N-1, the violating
+    because, for both families on 2 <= M <= N-1, the violating
     set is {M >= M*}: no M <= N/2 violates, and above N/2 the condition
     grows with M (the ratio of successive values is a (M+1) / (N-M) > 1
     in the b a^M form and (C_M / C_(M+1)) (M+1) / (N-M) > 1 for the
     exact geometric constants).
     """
+    if family not in ("makb", "gbi"):
+        raise ValueError(f"unknown Bell family {family!r}; use 'makb' or 'gbi'")
     n = check_count(n_parties, "party count N", 2)
-    if exact and model.family not in ("makb", "gbi"):
-        raise CapabilityError("exact certificates exist for the makb/gbi families only")
     lf = _log_factorials(n)
 
-    def float_violates(m: int) -> bool:
-        # log C(n, m) = lf[n] - lf[m] - lf[n - m]
-        return _log_condition(model, m, lf[n] - lf[m] - lf[n - m]) > 0
-
     # first float-violating m in [2, n-1], or m == n when none violates
-    if n > 2 and float_violates(2):
-        m = 2
-    else:
-        lo, m = 2, n  # lo does not violate; m violates or is n
-        while m - lo > 1:
-            mid = (lo + m) // 2
-            if float_violates(mid):
-                m = mid
-            else:
-                lo = mid
+    lo, m = 2, n  # lo does not violate; m violates or is n
+    while m - lo > 1:
+        mid = (lo + m) // 2
+        # log C(n, mid) = lf[n] - lf[mid] - lf[n - mid]
+        if _log_condition(family, mid, lf[n] - lf[mid] - lf[n - mid]) > 0:
+            m = mid
+        else:
+            lo = mid
     if exact:
-        while m < n and not _violates(model, n, m):
+        while m < n and not _violates(family, n, m):
             m += 1
-        while m > 2 and _violates(model, n, m - 1):
+        while m > 2 and _violates(family, n, m - 1):
             m -= 1
     witness = min(m, n - 1)
-    margin = _log_condition(model, witness, math.log(math.comb(n, witness)))
+    margin = _log_condition(family, witness, math.log(math.comb(n, witness)))
     return PersistencyResult(n, n - m, witness, math.exp(margin))
 
 

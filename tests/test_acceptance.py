@@ -55,17 +55,17 @@ def test_c02_geometric_classical_constants():
 
 def test_c03_ghz_persistency_thresholds():
     start = time.monotonic()
-    makb8 = persistency.ghz_persistency(persistency.QcrModel.makb(), 8)
-    makb9 = persistency.ghz_persistency(persistency.QcrModel.makb(), 9)
-    gbi6 = persistency.ghz_persistency(persistency.QcrModel.gbi(), 6)
-    gbi7 = persistency.ghz_persistency(persistency.QcrModel.gbi(), 7)
+    makb8 = persistency.ghz_persistency("makb", 8)
+    makb9 = persistency.ghz_persistency("makb", 9)
+    gbi6 = persistency.ghz_persistency("gbi", 6)
+    gbi7 = persistency.ghz_persistency("gbi", 7)
     assert makb8.max_traced == 0 and makb9.max_traced >= 1
     assert gbi6.max_traced == 0 and gbi7.max_traced >= 1
     assert abs(gbi7.margin - 1440 / (427 * math.pi)) < 1e-9
 
     n = 10**4
-    frontier_makb = persistency.ghz_persistency(persistency.QcrModel.makb(), n).witness_m / n
-    frontier_gbi = persistency.ghz_persistency(persistency.QcrModel.gbi(), n).witness_m / n
+    frontier_makb = persistency.ghz_persistency("makb", n).witness_m / n
+    frontier_gbi = persistency.ghz_persistency("gbi", n).witness_m / n
     elapsed = time.monotonic() - start
     assert abs(frontier_makb - persistency.gamma_crit(math.sqrt(2.0))) < 0.01
     assert abs(frontier_gbi - persistency.gamma_crit(math.pi / 2.0)) < 0.01

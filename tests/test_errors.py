@@ -26,7 +26,6 @@ from bellpersist.dicke import (
 from bellpersist.errors import check_count
 from bellpersist.persistency import (
     PersistencyResult,
-    QcrModel,
     dicke_persistency,
     ghz_persistency,
 )
@@ -60,7 +59,7 @@ ENTRY_POINTS = [
     ("xz_component-k", lambda v: xz_component(4, 1, v), "x-count k", 0, 4),
     ("DickeMixture-n", lambda v: DickeMixture(v, ((0, Fraction(1)),)), "qubit count n", 1, None),
     ("DickeMixture-m", lambda v: DickeMixture(4, ((v, Fraction(1)),)), "zeros count m", 0, 4),
-    ("ghz_persistency", lambda v: ghz_persistency(QcrModel.makb(), v), "party count N", 2, None),
+    ("ghz_persistency", lambda v: ghz_persistency("makb", v), "party count N", 2, None),
     ("dicke_persistency-N", lambda v: dicke_persistency(v, 1), "party count N", 2, None),
     ("dicke_persistency-M", lambda v: dicke_persistency(10, v), "zeros count M", 0, 10),
     ("PersistencyResult", lambda v: PersistencyResult(5, v, 3, 1.0), "traced count", 0, 4),

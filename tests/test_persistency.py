@@ -1,14 +1,13 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bellpersist import bell, dicke, persistency
-from bellpersist.errors import CapabilityError
 from bellpersist.persistency import (
     PersistencyResult,
-    QcrModel,
     binary_entropy,
     dicke_persistency,
     gamma_crit,
@@ -30,26 +29,27 @@ def _violates_by_scan(family, n, m):
     return ratio > PI_HI
 
 
-def _row_scan_log_condition(model, ms, log_binom):
+def _row_scan_log_condition(family, ms, log_binom):
     """log(C(N, M)^-1 b a^M) over an array of M, as the numpy row scan
     that preceded the bisection computed it."""
-    logs = math.log(model.b) + ms * math.log(model.a) - log_binom
-    for i in np.flatnonzero(ms < 34) if model.family == "gbi" else ():
+    a, b = {"makb": (math.sqrt(2.0), 1.0 / math.sqrt(2.0)), "gbi": (math.pi / 2.0, 0.5)}[family]
+    logs = math.log(b) + ms * math.log(a) - log_binom
+    for i in np.flatnonzero(ms < 34) if family == "gbi" else ():
         coeff = bell.gbi_qcr_coefficient(int(ms[i])) if ms[i] > 1 else 2
         logs[i] = math.log(float(coeff) / math.pi) - log_binom[i]
     return logs
 
 
-def _row_scan(model, n):
+def _row_scan(family, n):
     """Reference float frontier: evaluate every M in [2, N-1] and take the
     first violating one; returns (max_traced, witness_m, margin)."""
     ms = np.arange(2, n)
     lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
-    hits = np.flatnonzero(_row_scan_log_condition(model, ms, lf[n] - lf[ms] - lf[n - ms]) > 0)
+    hits = np.flatnonzero(_row_scan_log_condition(family, ms, lf[n] - lf[ms] - lf[n - ms]) > 0)
     m = int(ms[hits[0]]) if hits.size else n
     witness = min(m, n - 1)
     log_binom = np.array([math.log(math.comb(n, witness))])
-    margin = _row_scan_log_condition(model, np.array([witness]), log_binom)
+    margin = _row_scan_log_condition(family, np.array([witness]), log_binom)
     return n - m, witness, math.exp(margin[0])
 
 
@@ -116,29 +116,29 @@ class TestGammaCrit:
 
 class TestGhzPersistency:
     def test_makb_first_instance_at_nine(self):
-        assert ghz_persistency(QcrModel.makb(), 9).max_traced == 1
-        assert ghz_persistency(QcrModel.makb(), 8).max_traced == 0
+        assert ghz_persistency("makb", 9).max_traced == 1
+        assert ghz_persistency("makb", 8).max_traced == 0
 
     def test_makb_boundary_value_not_strict(self):
         # at N = 8, M = 7 the condition value is exactly 1
-        result = ghz_persistency(QcrModel.makb(), 8)
+        result = ghz_persistency("makb", 8)
         assert result.witness_m == 7
         assert result.margin == pytest.approx(1.0, abs=1e-12)
 
     def test_gbi_first_instance_at_seven(self):
-        r6 = ghz_persistency(QcrModel.gbi(), 6)
-        r7 = ghz_persistency(QcrModel.gbi(), 7)
+        r6 = ghz_persistency("gbi", 6)
+        r7 = ghz_persistency("gbi", 7)
         assert r6.max_traced == 0 and r7.max_traced == 1
         assert r7.witness_m == 6
         assert r7.margin == pytest.approx(1440 / (427 * math.pi), abs=1e-9)
 
     def test_exact_and_float_agree(self):
         # includes the makb tie at N = 8, where 2^6 = C(8, 7)^2
-        for model in (QcrModel.makb(), QcrModel.gbi()):
+        for family in ("makb", "gbi"):
             for n in range(2, 2601):
-                exact = ghz_persistency(model, n, exact=True)
-                approx = ghz_persistency(model, n, exact=False)
-                assert exact.max_traced == approx.max_traced, (model.family, n)
+                exact = ghz_persistency(family, n, exact=True)
+                approx = ghz_persistency(family, n, exact=False)
+                assert exact.max_traced == approx.max_traced, (family, n)
 
     def test_gbi_constant_closed_form_bound(self):
         # C_M = 2 (2/pi)^(M+1) (1 + eps_M) with |eps_M| < 2 * 3^-(M+1), the
@@ -156,10 +156,9 @@ class TestGhzPersistency:
 
     @pytest.mark.parametrize("family", ["makb", "gbi"])
     def test_certified_matches_per_m_scan(self, family):
-        model = QcrModel.makb() if family == "makb" else QcrModel.gbi()
         for n in range(2, 301):
             frontier = next((m for m in range(2, n) if _violates_by_scan(family, n, m)), n)
-            result = ghz_persistency(model, n, exact=True)
+            result = ghz_persistency(family, n, exact=True)
             assert (result.max_traced, result.witness_m) == (n - frontier, min(frontier, n - 1)), n
             m = result.witness_m
             if m >= 2:
@@ -176,10 +175,9 @@ class TestGhzPersistency:
         inner = persistency._log_condition
         monkeypatch.setattr(persistency, "_log_condition", lambda *args: inner(*args) + shift)
         for family in ("makb", "gbi"):
-            model = QcrModel.makb() if family == "makb" else QcrModel.gbi()
             for n in range(2, 121):
                 frontier = next((m for m in range(2, n) if _violates_by_scan(family, n, m)), n)
-                assert ghz_persistency(model, n, exact=True).max_traced == n - frontier, (family, n)
+                assert ghz_persistency(family, n, exact=True).max_traced == n - frontier, (family, n)
 
     def test_log_factorials_match_numpy_cumsum(self):
         lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 2601)))))
@@ -187,57 +185,33 @@ class TestGhzPersistency:
 
     @pytest.mark.parametrize("family", ["makb", "gbi"])
     def test_float_proposal_matches_row_scan(self, family):
-        model = QcrModel.makb() if family == "makb" else QcrModel.gbi()
         for n in range(2, 2601):
-            result = ghz_persistency(model, n, exact=False)
-            assert (result.max_traced, result.witness_m, result.margin) == _row_scan(model, n), n
-
-    @pytest.mark.parametrize("a,b", [(2.0, 1.0), (1.2, 50.0)])
-    def test_float_proposal_matches_row_scan_custom(self, a, b):
-        # b = 50 violates already at M = 2, on the falling side of the
-        # convex condition, where a rising-branch search would miss it
-        model = QcrModel(a, b)
-        for n in range(2, 201):
-            result = ghz_persistency(model, n, exact=False)
-            assert (result.max_traced, result.witness_m, result.margin) == _row_scan(model, n), n
+            result = ghz_persistency(family, n, exact=False)
+            assert (result.max_traced, result.witness_m, result.margin) == _row_scan(family, n), n
 
     def test_monotone_in_n(self):
-        for model in (QcrModel.makb(), QcrModel.gbi()):
+        for family in ("makb", "gbi"):
             previous = 0
             for n in range(2, 201):
-                current = ghz_persistency(model, n).max_traced
-                assert current >= previous, (model.family, n)
+                current = ghz_persistency(family, n).max_traced
+                assert current >= previous, (family, n)
                 previous = current
 
     def test_frontier_fraction_converges(self):
-        for model, a in ((QcrModel.makb(), math.sqrt(2.0)), (QcrModel.gbi(), math.pi / 2)):
-            fraction = ghz_persistency(model, 10**4).witness_m / 10**4
+        for family, a in (("makb", math.sqrt(2.0)), ("gbi", math.pi / 2)):
+            fraction = ghz_persistency(family, 10**4).witness_m / 10**4
             assert abs(fraction - gamma_crit(a)) < 0.01
 
-    def test_custom_model(self):
-        result = ghz_persistency(QcrModel(2.0, 1.0), 12, exact=False)
-        assert 0 <= result.max_traced < 12
-
-    def test_custom_model_has_no_certificate(self):
-        with pytest.raises(CapabilityError):
-            ghz_persistency(QcrModel(2.0, 1.0), 12)
-
-    def test_family_follows_growth_model(self):
-        # the family is read off (a, b), so no tag can contradict them
-        makb = QcrModel(math.sqrt(2.0), 1 / math.sqrt(2.0))
-        assert makb == QcrModel.makb() and makb.family == "makb"
-        assert QcrModel(math.pi / 2, 0.5) == QcrModel.gbi()
-        assert QcrModel(2.0, 1.0).family == "custom"
-        with pytest.raises(TypeError):
-            QcrModel(2.0, 1.0, "makb")
-        for n in range(2, 301):
-            assert ghz_persistency(makb, n) == ghz_persistency(QcrModel.makb(), n), n
+    @pytest.mark.parametrize(
+        "family", ["custom", "MAKB", None, ["makb"]], ids=["custom", "MAKB", "None", "list"]
+    )
+    def test_refuses_unknown_family(self, family):
+        with pytest.raises(ValueError, match=re.escape(repr(family))):
+            ghz_persistency(family, 12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ghz_persistency(QcrModel.makb(), 1)
-        with pytest.raises(ValueError):
-            QcrModel(0.9, 1.0)
+            ghz_persistency("makb", 1)
         with pytest.raises(ValueError):
             PersistencyResult(4, 4, 0, 1.0)
 
@@ -288,7 +262,7 @@ class TestDickePersistency:
                 result = dicke_persistency(n, m)
                 assert result.witness_m == n - max(result.max_traced, 1), (n, m)
                 assert result.margin == float(dicke.sigma_sum(n, m, n - result.witness_m))
-            ghz = ghz_persistency(QcrModel.makb(), n)
+            ghz = ghz_persistency("makb", n)
             assert ghz.witness_m == n - max(ghz.max_traced, 1), n
         assert dicke_persistency(2, 1).witness_m == 2
 
