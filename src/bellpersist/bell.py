@@ -162,12 +162,23 @@ class BellFunctional:
         """
         spp = payload.get("settings_per_party", 2)
         coefficients = payload["coefficients"]
+        # keys parse by lookups in {str(s): s for s in range(spp)}, cut to
+        # the parts the keys use so a large spp costs nothing; a key any
+        # part of which misses takes the general parse, which words
+        # every refusal
+        table: dict[str, int] = {}
+        commas = type(spp) is int and spp > 10
+        if type(spp) is int:
+            parts = set(",".join(coefficients).split(",") if commas else "".join(coefficients))
+            table = {t: int(t) for t in parts if t.isdecimal() and str(int(t)) == t and int(t) < spp}
         parsed: dict[str, tuple[int, ...]] = {}
         for text in coefficients:
-            key = tuple(map(int, text.split(",") if "," in text else text))
-            spelled = _key_string(key, spp)
-            if spelled != text:
-                raise ValueError(f"settings key {text!r} must be spelled {spelled!r}")
+            key = tuple(map(table.get, text.split(",") if commas else text))
+            if not table or None in key:
+                key = tuple(map(int, text.split(",") if "," in text else text))
+                spelled = _key_string(key, spp)
+                if spelled != text:
+                    raise ValueError(f"settings key {text!r} must be spelled {spelled!r}")
             parsed[text] = key
         f = cls(payload["n_parties"], {parsed[t]: c for t, c in coefficients.items()}, spp)
         dist = payload.get("settings_distribution")

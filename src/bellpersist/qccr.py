@@ -34,9 +34,11 @@ check the parity model against live in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -85,6 +87,9 @@ class VisibilityModel:
     v: float
 
     def __post_init__(self):
+        # as bell._check_number refuses coefficients: a bool is no visibility
+        if isinstance(self.v, bool) or not isinstance(self.v, numbers.Real):
+            raise ValueError(f"visibility {self.v!r} is not a number")
         if not 0.0 <= self.v <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
 
@@ -122,6 +127,8 @@ class GameSpec:
                 raise ValueError("game observables must lie in the xy plane")
         if not isinstance(self.state, (GhzMixture, VisibilityModel)):
             raise ValueError("a game state must be a GhzMixture or a VisibilityModel")
+        if not isinstance(self.name, str):
+            raise ValueError(f"game name {self.name!r} is not a string")
 
     @property
     def n_parties(self) -> int:
@@ -221,8 +228,8 @@ class SimulationResult:
 # forward steps inside a guide bucket before the rest fall back to a
 # binary search over the whole cdf
 _GUIDE_STEPS = 8
-# rows per slice of a discarded draw, which bounds the memory it takes
-_DISCARD_ROWS = 1 << 16
+# rounds per block of a stream, which bounds the memory a stream takes
+_BLOCK = 1 << 16
 
 
 def _guide_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,20 +271,6 @@ def _draw_settings(
     return index
 
 
-def _discard_bits(
-    rng: np.random.Generator, rows: int, k: int, slice_rows: int = _DISCARD_ROWS
-) -> None:
-    """Advance ``rng`` as ``rng.integers(0, 2, size=(rows, k))`` does,
-    holding at most ``slice_rows`` rows at a time.
-
-    An int64 draw below 2 takes its bits from the bit generator alone,
-    with no buffer kept by the call, so draws in row slices leave the
-    generator in the state one whole draw leaves it in.
-    """
-    for start in range(0, rows, slice_rows):
-        rng.integers(0, 2, size=(min(slice_rows, rows - start), k))
-
-
 def _simulate_chunk(
     rng: np.random.Generator,
     trials: int,
@@ -299,7 +292,7 @@ def _simulate_chunk(
     product of the y_i m_i and the target is y_1 ... y_k sign(g); the
     y_i cancel, so a round succeeds when the parity has the sign of g.
 
-    Two identities keep the stream of ``rng.choice`` and the +-1 form
+    Three identities keep the stream of ``rng.choice`` and the +-1 form
     while doing less work.  The setting index is numpy's choice, which
     is a right searchsorted of the uniforms on the normalized cdf;
     :func:`_draw_settings` finds the same index from the same uniforms
@@ -307,14 +300,29 @@ def _simulate_chunk(
     over the still-unresolved trials and one binary search of those
     left.  The XOR of all m_i is the parity itself, so the m_i, the
     chunk's last draw, are not drawn; each chunk owns its generator, so
-    skipping them changes no other number.  The y_i still are drawn,
-    since they come before the parity in the stream, but in row slices
-    that are dropped at once.
+    skipping them changes no other number.  The y_i are not drawn
+    either, but jumped over.  ``default_rng`` gives a PCG64 bit
+    generator, and ``advance(n)`` moves it past n 64-bit words: a
+    uniform takes one word, and the 0/1 draw of the y_i, k * trials
+    bounded 32-bit draws that PCG64 serves two to a word, takes
+    ceil(k * trials / 2).  So the stream is ``trials`` settings uniforms,
+    then those words, then ``trials`` parity uniforms, and a copy of the
+    bit generator advanced by ``trials + ceil(k * trials / 2)`` words
+    stands at the first parity uniform.  The rounds are then played in
+    blocks of ``_BLOCK``, each drawing its settings from ``rng`` and its
+    parities from the copy, so a chunk holds one block's arrays whatever
+    ``trials`` is.
     """
-    s_idx = _draw_settings(rng, trials, cdf, guide)
-    _discard_bits(rng, trials, k)  # the y_i, which cancel
-    parity = ~(rng.random(trials) < 0.5 * (1.0 + corr[s_idx]))
-    return int(np.count_nonzero(parity == negative[s_idx]))
+    ahead = copy.deepcopy(rng.bit_generator)
+    ahead.advance(trials + (k * trials + 1) // 2)
+    parities = np.random.Generator(ahead)
+    successes = 0
+    for start in range(0, trials, _BLOCK):
+        rounds = min(_BLOCK, trials - start)
+        s_idx = _draw_settings(rng, rounds, cdf, guide)
+        parity = ~(parities.random(rounds) < 0.5 * (1.0 + corr[s_idx]))
+        successes += int(np.count_nonzero(parity == negative[s_idx]))
+    return successes
 
 
 def simulate(
@@ -339,7 +347,12 @@ def simulate(
     independently seeded streams spawned from the master seed; counts
     merge by addition, so the result depends only on (seed, jobs).
     ``jobs`` above ``trials`` runs ``trials`` streams of one round each,
-    which is what those ``jobs`` streams would play.  The result's
+    which is what those ``jobs`` streams would play.  Each stream is
+    played in blocks of ``_BLOCK`` rounds, so memory does not grow with
+    ``trials``: ``default_rng`` gives PCG64, whose ``advance`` counts
+    64-bit words, and a copy of it advanced past the settings uniforms
+    and the ceil(k * trials / 2) words of the y_i draws the parities
+    that the whole stream would (see :func:`_simulate_chunk`).  The result's
     ``analytic`` is the expected success of the correlator table played:
     :func:`quantum_success` for the state, the strategy's own value under
     ``strategy``.  Leaving a broadcast out of the guess multiplies it by

@@ -327,6 +327,28 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="spelled"):
             BellFunctional.from_json(payload)
 
+    @pytest.mark.parametrize(
+        "n,spp,key,message",
+        [
+            (2, 2, "0,1", "settings key '0,1' must be spelled '01'"),
+            (2, 2, " 0,+1", "settings key ' 0,+1' must be spelled '01'"),
+            (2, 12, "01", "settings key '01' must be spelled '0,1'"),
+            (1, 2, "5", "settings tuple (5,) out of range"),
+            (2, 2, "0", "settings tuple (0,) has wrong arity"),
+            (2, 12, "0,1,2", "settings tuple (0, 1, 2) has wrong arity"),
+        ],
+    )
+    def test_refusal_messages(self, n, spp, key, message):
+        payload = {"n_parties": n, "settings_per_party": spp, "coefficients": {key: 1.0}}
+        with pytest.raises(ValueError) as info:
+            BellFunctional.from_json(payload)
+        assert str(info.value) == message
+
+    def test_one_party_many_settings_round_trip(self):
+        # one party above ten settings: each key is one setting, no comma
+        f = BellFunctional(1, {(s,): float(s + 1) for s in range(12)}, settings_per_party=12)
+        assert BellFunctional.from_json(f.to_json()) == f
+
     def test_distribution_validation(self):
         for dist in (
             {"00": 0.5},

@@ -259,6 +259,21 @@ class TestExitCodes:
         assert main(["qccr", "simulate", "--game", str(path), "--trials", "10"]) == 1
         assert capsys.readouterr().err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "where,value,line",
+        [
+            (("state",), {"kind": "visibility", "v": True}, "visibility True is not a number"),
+            (("name",), ["x"], "game name ['x'] is not a string"),
+        ],
+        ids=["bool-visibility", "list-name"],
+    )
+    def test_game_spec_value_refused(self, tmp_path, where, value, line):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(_replaced(_GAME, where, value)))
+        result = run_cli(["qccr", "simulate", "--game", str(path), "--trials", "10"])
+        assert result.returncode == 1 and result.stdout == ""
+        assert result.stderr == f"bellpersist: {line}\n"
+
     def test_subset_of_every_party(self, tmp_path, capsys):
         # every subset of the register plays alike, so the column lists
         # the players, also when the GHZ mixture spans more parties

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -211,6 +212,22 @@ class TestSimulation:
         sigma = math.hypot(*(max(math.sqrt(r * (1 - r) / trials), 1e-4) for r in rates))
         assert abs(rates[0] - rates[1]) < 4 * sigma
 
+    def test_memory_flat_in_trials(self):
+        # a chunk holds one block's arrays however many rounds it plays
+        game = chsh_game()
+        simulate(game, 10, 1)
+        peaks = []
+        for trials in (2**17, 2**21):
+            tracemalloc.start()
+            try:
+                simulate(game, trials, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # at most four float64 arrays of 2**16 rounds more, fixed here so
+        # that a larger block fails too
+        assert peaks[1] <= peaks[0] + 4 * 8 * 2**16, peaks
+
     def test_jobs_above_trials_run_one_stream_per_trial(self):
         game = chsh_game()
         assert simulate(game, 7, 3, jobs=50) == simulate(game, 7, 3, jobs=7)
@@ -297,6 +314,25 @@ def _answers(game):
     return np.random.default_rng(0).choice([-1, 1], size=(k, spp))
 
 
+def _assert_chunk_matches_oracle(game, trials, seed):
+    """The parity kernel counts what _signed_chunk counts, for the state's
+    correlators and for a strategy played as its +-1 table."""
+    k = game.n_parties
+    components, probs, coeffs, corr = qccr._settings_table(game)
+    answers = _answers(game)
+    table = np.prod([answers[party, components[:, party]] for party in range(k)], axis=0)
+    guide = qccr._guide_table(probs)
+    for strategy, played in ((None, corr), (answers, table)):
+        expected = _signed_chunk(
+            np.random.default_rng(seed), trials, probs, np.sign(coeffs), corr,
+            k, strategy, components, None,
+        )
+        got = qccr._simulate_chunk(
+            np.random.default_rng(seed), trials, *guide, coeffs < 0, played, k
+        )
+        assert got == expected, (game.name, trials, seed, strategy is None)
+
+
 class TestSignBitOracle:
     """The parity kernel counts what the +-1 products count, for the
     state's correlators and for a classical strategy played as the +-1
@@ -305,21 +341,22 @@ class TestSignBitOracle:
     @_ORACLE_GAMES
     def test_counts_match_signed_products(self, builder):
         game = builder()
-        k = game.n_parties
-        components, probs, coeffs, corr = qccr._settings_table(game)
-        answers = _answers(game)
-        table = np.prod([answers[party, components[:, party]] for party in range(k)], axis=0)
-        guide = qccr._guide_table(probs)
-        for strategy, played in ((None, corr), (answers, table)):
-            for seed in range(1, 6):
-                expected = _signed_chunk(
-                    np.random.default_rng(seed), 10_000, probs, np.sign(coeffs), corr,
-                    k, strategy, components, None,
-                )
-                got = qccr._simulate_chunk(
-                    np.random.default_rng(seed), 10_000, *guide, coeffs < 0, played, k
-                )
-                assert got == expected, (game.name, strategy is None, seed)
+        for seed in range(1, 6):
+            _assert_chunk_matches_oracle(game, 10_000, seed)
+
+    @pytest.mark.parametrize(
+        "builder",
+        [chsh_game, lambda: gbi_game(3, grid=8), lambda: makb_game(4, 6)],
+        ids=["chsh", "gbi3x8", "makb4in6"],
+    )
+    def test_counts_match_across_block_boundaries(self, builder):
+        # the chunk plays in blocks, drawing the parities from a copy of
+        # the generator advanced past the y_i; the oracle draws every
+        # number in stream order
+        game = builder()
+        block = qccr._BLOCK
+        for trials in (1, block - 1, block, block + 1, 3 * block + 5):
+            _assert_chunk_matches_oracle(game, trials, seed=trials)
 
     @_ORACLE_GAMES
     @pytest.mark.parametrize("jobs", [1, 3])
@@ -406,20 +443,26 @@ class TestSettingsDraw:
 
 
 class TestDiscardedDraw:
-    """Row slices of the discarded 0/1 draw consume the stream exactly as
-    one whole draw does."""
+    """The 0/1 draw of the y_i, which _simulate_chunk jumps over, takes
+    ceil(rows * k / 2) 64-bit words of PCG64, two 32-bit draws a word,
+    whether drawn whole or in row slices."""
 
     @pytest.mark.parametrize("seed", [1, 7, 2024])
     @pytest.mark.parametrize(
-        "rows,k,slice_rows", [(1000, 3, 7), (999, 2, 1), (12345, 5, 333), (50, 3, 64)]
+        "rows,k,slice_rows",
+        [(1000, 3, 7), (999, 2, 1), (12345, 5, 333), (50, 3, 64), (1, 1, 1), (7, 3, 2)],
     )
     def test_slices_leave_whole_draw_state(self, seed, rows, k, slice_rows):
         whole, sliced = np.random.default_rng(seed), np.random.default_rng(seed)
+        ahead = np.random.default_rng(seed)
         whole.integers(0, 2, size=(rows, k))
-        qccr._discard_bits(sliced, rows, k, slice_rows)
+        for start in range(0, rows, slice_rows):
+            sliced.integers(0, 2, size=(min(slice_rows, rows - start), k))
+        ahead.bit_generator.advance((rows * k + 1) // 2)
         assert sliced.bit_generator.state == whole.bit_generator.state
-        assert np.array_equal(sliced.random(5), whole.random(5))
-        assert np.array_equal(sliced.integers(0, 2, size=7), whole.integers(0, 2, size=7))
+        expected = whole.random(5)
+        assert np.array_equal(sliced.random(5), expected)
+        assert np.array_equal(ahead.random(5), expected)
 
 
 def _without_distribution(game):
