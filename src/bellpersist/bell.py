@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import copy
 import math
-import numbers
 from fractions import Fraction
 from functools import reduce
 from typing import Mapping, Sequence, Union
 
 from . import qstate
 from ._lazy import lazy_import
-from .errors import CapabilityError, check_count
+from .errors import CapabilityError, check_count, check_real
 
 np = lazy_import("numpy")
 
@@ -30,14 +29,6 @@ LR_MAX_PARTY_CAP = 8
 
 Number = Union[int, float, Fraction]
 ObservablePair = tuple["qstate.SiteOperator", "qstate.SiteOperator"]
-
-
-def _check_number(value):
-    """Reject a coefficient or probability that is not a real number."""
-    # the exact float test spares the common case the slower ABC check
-    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
-        raise ValueError(f"coefficient or probability {value!r} is not a number")
-    return value
 
 
 def _key_string(key: tuple[int, ...], settings_per_party: int) -> str:
@@ -64,7 +55,7 @@ class BellFunctional:
         self.n_parties = check_count(n_parties, "party count", 1)
         self.settings_per_party = check_count(settings_per_party, "settings count", 2)
         self.coefficients = {
-            self._check_key(k): v for k, v in coefficients.items() if _check_number(v) != 0
+            self._check_key(k): v for k, v in coefficients.items() if check_real(v, "coefficient") != 0
         }
         self.settings_distribution: dict[tuple[int, ...], Number] | None = None
 
@@ -190,7 +181,7 @@ class BellFunctional:
         # and every key found make the key sets equal; NaN fails
         if len(dist) != len(derived) or not all(
             (p := derived.get(parsed.get(text))) is not None
-            and abs(float(_check_number(value)) - float(p)) <= 1e-12 * float(p)
+            and abs(float(check_real(value, "probability")) - float(p)) <= 1e-12 * float(p)
             for text, value in dist.items()
         ):
             raise ValueError("settings probabilities are not |coefficient| / sum |coefficients|")

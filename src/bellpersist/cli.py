@@ -46,6 +46,8 @@ def _parse_range(token: str) -> list[int]:
             values = [int(lo)]
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse range {token!r}; use LO:HI")
+    except (OverflowError, MemoryError):
+        raise argparse.ArgumentTypeError(f"range {token!r} too large to hold")
     if not values:
         raise argparse.ArgumentTypeError(f"empty range {token!r}")
     return values

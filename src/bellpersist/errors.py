@@ -1,4 +1,4 @@
-"""Shared exception types and the one check every count goes through."""
+"""Shared exception types and the checks every count and real value go through."""
 
 import numbers
 
@@ -30,4 +30,13 @@ def check_count(value, name: str, lo: int | None = None, hi: int | None = None) 
     if (lo is not None and value < lo) or (hi is not None and value > hi):
         span = f"{'' if lo is None else lo}..{'' if hi is None else hi}"
         raise ValueError(f"{name} {value} outside {span}")
+    return value
+
+
+def check_real(value, name: str):
+    """``value`` itself, if it is a real number and not a bool; anything
+    else raises ValueError naming ``name``."""
+    # the exact float test spares the common case the slower ABC check
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{name} {value!r} is not a number")
     return value

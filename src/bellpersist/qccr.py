@@ -45,7 +45,7 @@ from typing import Mapping, Sequence, Union
 
 from . import bell, qstate
 from ._lazy import lazy_import
-from .errors import CapabilityError, check_count
+from .errors import CapabilityError, check_count, check_real
 
 np = lazy_import("numpy")
 
@@ -87,10 +87,7 @@ class VisibilityModel:
     v: float
 
     def __post_init__(self):
-        # as bell._check_number refuses coefficients: a bool is no visibility
-        if isinstance(self.v, bool) or not isinstance(self.v, numbers.Real):
-            raise ValueError(f"visibility {self.v!r} is not a number")
-        if not 0.0 <= self.v <= 1.0:
+        if not 0.0 <= check_real(self.v, "visibility") <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
 
     def visibility(self, subset_size: int) -> float:
@@ -484,9 +481,10 @@ def marginal_feasibility(dist: Mapping, n_parties: int) -> FeasibilityResult:
     """Can a k-party settings distribution be every k-marginal of an
     exchangeable N-party distribution?
 
-    ``dist`` maps settings tuples over {0, 1}, or strings of 0s and 1s
-    as in the JSON form, to probabilities (see :func:`_exactify`);
-    absent tuples have probability 0.  The distribution must be
+    ``dist`` maps settings tuples of the integers 0 and 1 (no bool or
+    float), or strings of 0s and 1s as in the JSON form, each tuple
+    once, to probabilities (see :func:`_exactify`); absent tuples have
+    probability 0.  The distribution must be
     permutation symmetric (a marginal of an exchangeable distribution
     always is).  Writing q_j for the probability of one N-party tuple
     with j primed settings, the requirement is
@@ -497,9 +495,16 @@ def marginal_feasibility(dist: Mapping, n_parties: int) -> FeasibilityResult:
         raise ValueError("settings distribution must be a nonempty mapping")
     entries = {}
     for key, value in dist.items():
-        if not isinstance(key, (str, tuple)) or any(s not in (0, 1, "0", "1") for s in key):
+        if not isinstance(key, (str, tuple)) or not all(
+            s in ("0", "1")
+            or (isinstance(s, numbers.Integral) and not isinstance(s, bool) and s in (0, 1))
+            for s in key
+        ):
             raise ValueError(f"settings key {key!r} is not a tuple of 0s and 1s")
-        entries[tuple(int(s) for s in key)] = _exactify(value)
+        settings = tuple(int(s) for s in key)
+        if settings in entries:
+            raise ValueError(f"settings key {key!r} names a tuple given before")
+        entries[settings] = _exactify(value)
     if len({len(key) for key in entries}) > 1:
         raise ValueError("settings tuples differ in length")
     k = check_count(len(next(iter(entries))), "marginal size k", 1, MAX_FEASIBILITY_PARTIES)
@@ -585,7 +590,7 @@ def game_from_json(text: str) -> GameSpec:
         functional = bell.BellFunctional.from_json(payload["functional"])
         observables = tuple(
             tuple(
-                qstate.PlaneObservable(o["plane"], 2.0 * math.pi * o["turns"])
+                qstate.PlaneObservable(o["plane"], 2.0 * math.pi * check_real(o["turns"], "turns"))
                 for o in per_party
             )
             for per_party in payload["observables"]

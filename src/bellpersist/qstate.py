@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from ._lazy import lazy_import
-from .errors import CapabilityError
+from .errors import CapabilityError, check_real
 
 np = lazy_import("numpy")
 
@@ -56,7 +56,7 @@ class PlaneObservable:
     def __post_init__(self):
         if self.plane not in ("xz", "xy"):
             raise ValueError(f"unknown plane {self.plane!r}, expected 'xz' or 'xy'")
-        if not math.isfinite(self.angle):
+        if not math.isfinite(check_real(self.angle, "observable angle")):
             raise ValueError(f"observable angle {self.angle!r} is not finite")
 
     @classmethod

@@ -264,8 +264,10 @@ class TestExitCodes:
         [
             (("state",), {"kind": "visibility", "v": True}, "visibility True is not a number"),
             (("name",), ["x"], "game name ['x'] is not a string"),
+            (("observables", 0, 0, "turns"), True, "turns True is not a number"),
+            (("observables", 0, 0, "turns"), "0.1", "turns '0.1' is not a number"),
         ],
-        ids=["bool-visibility", "list-name"],
+        ids=["bool-visibility", "list-name", "bool-turns", "string-turns"],
     )
     def test_game_spec_value_refused(self, tmp_path, where, value, line):
         path = tmp_path / "game.json"
@@ -311,6 +313,15 @@ class TestExitCodes:
         many = run_cli(argv + ["--jobs", "1000000000000"], preexec_fn=capped, timeout=120)
         assert many.returncode == 0, many.stderr
         assert many.stdout == run_cli(argv + ["--jobs", "5"]).stdout
+
+    def test_range_too_large_exit_two(self):
+        # the list of 10**20 party counts cannot be sized, let alone held;
+        # the range's length overflows before anything is allocated
+        token = "2:100000000000000000000"
+        result = run_cli(["persistency", "ghz", "--family", "makb", "--n", token])
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.count("\n") == 1 and f"range '{token}' too large" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_tolerance_below_float_spacing_returns(self):
         # the bisection runs to adjacent floats and stops there
@@ -615,7 +626,7 @@ _EXECUTED_ARGV = GOLDEN_COMMANDS | {
     "persistency_ghz_makb": ["persistency", "ghz", "--family", "makb", "--n", "6:9"],
 }
 
-# the public names the package exports, by module
+# the public names of each module
 _PUBLIC = {
     "bell": (
         "BellFunctional", "gbi_classical", "gbi_classical_by_integration", "gbi_qcr",
@@ -701,17 +712,19 @@ class TestModuleContract:
         assert result.stderr == ",".join(sorted(_EXECUTED[name]))
 
     def test_public_names_resolve(self):
+        # each public name lives on its module only; the package holds the
+        # modules, not a second flat route to their names
         import bellpersist
 
         for module_name, names in _PUBLIC.items():
             module = getattr(bellpersist, module_name)
             for name in names:
-                assert getattr(bellpersist, name) is getattr(module, name), name
-        public = sorted(name for names in _PUBLIC.values() for name in names)
-        assert sorted(bellpersist.__all__) == public
-        assert set(public) <= set(dir(bellpersist))
-        with pytest.raises(AttributeError):
-            bellpersist.no_such_name
+                assert hasattr(module, name), f"{module_name}.{name}"
+        for name in ("simulate", "sigma_sum", "__all__", "no_such_name"):
+            with pytest.raises(AttributeError):
+                getattr(bellpersist, name)
+        flat = set(dir(bellpersist)) & {name for names in _PUBLIC.values() for name in names}
+        assert not flat, sorted(flat)
 
     def test_removed_names_are_gone(self):
         import bellpersist

@@ -1,6 +1,8 @@
 """Every count an entry point takes goes through ``errors.check_count``:
 a bool, a float (integral or not), a string, or a value outside the
-argument's range raises ValueError, and the message names the argument."""
+argument's range raises ValueError, and the message names the argument.
+Every real value goes through ``errors.check_real``, which refuses a
+bool or a string the same way."""
 
 from fractions import Fraction
 
@@ -23,7 +25,7 @@ from bellpersist.dicke import (
     solve_n0,
     xz_component,
 )
-from bellpersist.errors import check_count
+from bellpersist.errors import check_count, check_real
 from bellpersist.persistency import (
     PersistencyResult,
     dicke_persistency,
@@ -113,3 +115,11 @@ def test_plain_int_returned_and_bounds_named():
         check_count(-1, "count", 0)
     with pytest.raises(ValueError, match=r"^count 5\.0 is not an integer$"):
         check_count(5.0, "count")
+
+
+def test_real_returned_as_given_and_bool_refused():
+    for value in (0.5, 1, Fraction(1, 3), np.float32(0.25)):
+        assert check_real(value, "turns") is value
+    for value, shown in ((True, "True"), ("0.1", "'0.1'"), (None, "None"), (1j, "1j")):
+        with pytest.raises(ValueError, match=rf"^turns {shown} is not a number$"):
+            check_real(value, "turns")

@@ -597,6 +597,27 @@ class TestMarginalFeasibility:
         with pytest.raises(ValueError):
             marginal_feasibility({(0, 0): F(1, 2), (1, 1): F(1, 4)}, 3)
 
+    @pytest.mark.parametrize(
+        "dist,line",
+        [
+            ({(True, False): 0.5, (0, 1): 0.5}, "settings key (True, False) is not a tuple"),
+            ({(1.0, 0.0): 0.5, (0, 1): 0.5}, "settings key (1.0, 0.0) is not a tuple"),
+            ({"10": 0.25, (1, 0): 0.5, "01": 0.5}, "settings key (1, 0) names a tuple given"),
+            ({(1, 0): 0.5, "10": 0.25, "01": 0.5}, "settings key '10' names a tuple given"),
+        ],
+        ids=["bool", "float", "string-then-tuple", "tuple-then-string"],
+    )
+    def test_key_refused_by_name(self, dist, line):
+        # True and 1.0 equal 1, and "10" and (1, 0) spell one tuple, but a
+        # key is read only in its documented forms and only once
+        with pytest.raises(ValueError) as info:
+            marginal_feasibility(dist, 4)
+        assert str(info.value).startswith(line)
+
+    def test_integer_types_accepted_as_settings(self):
+        dist = {(np.int64(1), 0): F(1, 2), ("0", "1"): F(1, 2)}
+        assert marginal_feasibility(dist, 2) == marginal_feasibility({"10": 0.5, "01": 0.5}, 2)
+
 
 class TestJsonRoundTrip:
     @pytest.mark.parametrize(
