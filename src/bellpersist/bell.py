@@ -7,25 +7,23 @@ sign-function family of full-correlation inequalities, which the tests
 use to confirm that a correlation sum above 1 (:func:`dicke.sym_sigma`)
 gives a violation, lives in ``tests/oracles.py``.
 
-Local-realistic maxima are computed by exhaustive enumeration of
-deterministic strategies, never heuristically.
+Local-realistic maxima come exactly from a Walsh-Hadamard transform, and
+GHZ values under equatorial settings are sums of cosines.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import operator
 from fractions import Fraction
-from functools import reduce
 from typing import Mapping, Sequence, Union
 
 from . import qstate
-from ._lazy import lazy_import
 from .errors import CapabilityError, check_count, check_real
 
-np = lazy_import("numpy")
-
-LR_MAX_PARTY_CAP = 8
+LR_MAX_PARTY_CAP = 16
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 Number = Union[int, float, Fraction]
 ObservablePair = tuple["qstate.SiteOperator", "qstate.SiteOperator"]
@@ -83,27 +81,27 @@ class BellFunctional:
                 raise ValueError(f"settings tuple {key} out of range")
         return key
 
-    def _abs_numerators(self) -> tuple[list[int], int]:
-        """Each |c| written as n / D over one common denominator D.
+    def _numerators(self) -> tuple[list[int], int]:
+        """Each c written as n / D over one common denominator D.
 
         A float's ``as_integer_ratio`` has a power-of-two denominator, so
         for float coefficients D is the largest of them; the numerators
         follow the order of ``coefficients``.
         """
         ratios = [
-            c.as_integer_ratio() if isinstance(c, float) else Fraction(c).as_integer_ratio()
+            (c if isinstance(c, (float, int, Fraction)) else Fraction(c)).as_integer_ratio()
             for c in self.coefficients.values()
         ]
         denominators = {d for _, d in ratios}
         common = math.lcm(*denominators)
         scale = {d: common // d for d in denominators}
-        return [abs(p) * scale[d] for p, d in ratios], common
+        return [p * scale[d] for p, d in ratios], common
 
     def abs_total(self) -> Fraction:
         """sum |c| over the coefficients, exactly: T / D from one integer
-        sum T of the numerators of :meth:`_abs_numerators`."""
-        numerators, common = self._abs_numerators()
-        return Fraction(sum(numerators), common)
+        sum T of the |numerators| of :meth:`_numerators`."""
+        numerators, common = self._numerators()
+        return Fraction(sum(map(abs, numerators)), common)
 
     def with_game_distribution(self) -> "BellFunctional":
         """The functional with P(s) = |g(s)| / sum |g| attached: itself when
@@ -119,7 +117,7 @@ class BellFunctional:
         if self.settings_distribution is not None:
             return self
         game = copy.copy(self)
-        numerators, _ = self._abs_numerators()
+        numerators = [abs(p) for p in self._numerators()[0]]
         total = sum(numerators)
         game.settings_distribution = {
             k: n / total if isinstance(c, float) else Fraction(n, total)
@@ -229,27 +227,44 @@ def makb_xy_settings(n: int) -> tuple[float, float]:
 
 
 def lr_max(f: BellFunctional) -> float:
-    """Maximum of the functional over deterministic local strategies.
+    """Maximum over deterministic local strategies, exact up to the one
+    rounding of the returned float (int / int division).
 
-    Enumerates all 2^(2n) assignments of +-1 outcomes to every party's
-    two settings (exactly; strategies of parties 2..n are enumerated and
-    party 1 is optimized in closed form per strategy).
+    Party i's outcome pair (a(0), a(1)) is e_i (1, (-1)^t_i), one pair per
+    sign e_i and bit t_i, so a strategy profile scores (prod_i e_i) G(t),
+    G(t) = sum_s g(s) (-1)^(t . s) the Walsh-Hadamard transform of g.  The
+    signs reach both +-G(t), so the maximum is max_t |G(t)|; for one party,
+    |g(0)| + |g(1)|.  G runs on integer numerators over one denominator.
     """
     if f.settings_per_party != 2:
-        raise CapabilityError("exhaustive search implemented for two settings only")
+        raise CapabilityError("LR maxima implemented for two settings only")
     n = f.n_parties
     if n > LR_MAX_PARTY_CAP:
-        raise CapabilityError(f"exhaustive search capped at {LR_MAX_PARTY_CAP} parties")
-    coeff = np.zeros((2,) * n)
-    for key, value in f.coefficients.items():
-        coeff[key] = float(value)
-    if n == 1:
-        return float(np.abs(coeff).sum())
-    # rows of `strategies`: outcome pairs (a(0), a(1)) per trailing party
-    base = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-    strategies = reduce(np.kron, [base] * (n - 1))
-    grouped = strategies @ coeff.reshape(2, -1).T
-    return float(np.max(np.abs(grouped).sum(axis=1)))
+        raise CapabilityError(f"LR maxima capped at {LR_MAX_PARTY_CAP} parties")
+    numerators, common = f._numerators()
+    table = [0] * (1 << n)
+    for key, p in zip(f.coefficients, numerators):  # settings are index bits
+        table[int(bytes(key).translate(_BINARY_DIGITS), 2)] = p
+    # each stage transforms the lowest index bit and moves it to the top
+    for _ in range(n):
+        even, odd = table[::2], table[1::2]
+        table = [*map(operator.add, even, odd), *map(operator.sub, even, odd)]
+    return max(map(abs, table)) / common
+
+
+def ghz_value(f: BellFunctional, turns: Sequence[Sequence[float]]) -> float:
+    """Quantum mean value on (|0..0> + |1..1>)/sqrt(2) when party i measures
+    cos(2 pi a) sx + sin(2 pi a) sy, a = ``turns[i][s]``, at setting s: the
+    sum of g(s) times the GHZ mean cos(sum of angles) of each product, the
+    angles of a row added left to right in radians, as ``qccr`` plays them.
+    """
+    if len(turns) != f.n_parties:
+        raise ValueError(f"need settings for {f.n_parties} parties, got {len(turns)}")
+    angles = [[2.0 * math.pi * a for a in row] for row in turns]
+    return math.fsum(
+        float(c) * math.cos(sum(row[s] for row, s in zip(angles, key)))
+        for key, c in f.coefficients.items()
+    )
 
 
 def quantum_value(

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from . import __version__, bell, dicke, monogamy, persistency, qccr, qstate
+from . import __version__, bell, dicke, monogamy, persistency, qccr
 from .errors import CapabilityError
 
 _SYMBOLIC = {
@@ -214,9 +214,7 @@ def _cmd_makb_qcr(args) -> None:
     for n in args.n_range:
         f = bell.makb(n)
         lr = bell.lr_max(f)
-        a, ap = bell.makb_xy_settings(n)
-        pair = (qstate.PlaneObservable.xy_turns(a), qstate.PlaneObservable.xy_turns(ap))
-        quantum = bell.quantum_value(f, qstate.ghz_state(n), [pair] * n)
+        quantum = bell.ghz_value(f, [bell.makb_xy_settings(n)] * n)
         rows.append({"n": n, "lr_max": lr, "quantum": quantum, "qcr": quantum / lr})
     _emit(args, rows)
 
@@ -377,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     makb_p = sub.add_parser("makb", help="Mermin-type functionals")
     makb_sub = makb_p.add_subparsers(dest="subcommand", required=True)
-    p = makb_sub.add_parser("qcr", help="quantum-to-classical ratios by enumeration")
+    p = makb_sub.add_parser("qcr", help="quantum-to-classical ratios from exact LR maxima")
     p.add_argument("--n-range", type=_parse_range, default=list(range(2, 9)))
     _add_common(p)
     p.set_defaults(func=_cmd_makb_qcr)

@@ -196,7 +196,8 @@ def _success(game: GameSpec, value: float) -> float:
 
 
 def classical_best(game: GameSpec) -> float:
-    """Optimal classical success probability (1 + LR/sum|g|)/2."""
+    """Optimal classical success probability (1 + LR/sum|g|)/2, LR exact
+    from :func:`bell.lr_max` (two settings, at most 16 players)."""
     return _success(game, bell.lr_max(game.functional))
 
 

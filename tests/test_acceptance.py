@@ -79,19 +79,25 @@ def test_c03_ghz_persistency_thresholds():
 
 def test_c04_makb_ratio_by_enumeration():
     start = time.monotonic()
-    for n in range(2, 9):
+    for n in range(2, 17):
         f = bell.makb(n)
         lr = bell.lr_max(f)
-        alpha, alpha_prime = bell.makb_xy_settings(n)
-        pair = (
-            qstate.PlaneObservable.xy_turns(alpha),
-            qstate.PlaneObservable.xy_turns(alpha_prime),
-        )
-        quantum = bell.quantum_value(f, qstate.ghz_state(n), [pair] * n)
+        assert lr == 1.0, n
+        settings = bell.makb_xy_settings(n)
+        quantum = bell.ghz_value(f, [settings] * n)
         assert abs(quantum / lr - 2 ** ((n - 1) / 2)) < 1e-9, n
+        if n <= 8:
+            # the dense state is the independent second route
+            pair = tuple(qstate.PlaneObservable.xy_turns(a) for a in settings)
+            dense = bell.quantum_value(f, qstate.ghz_state(n), [pair] * n)
+            assert abs(dense / lr - 2 ** ((n - 1) / 2)) < 1e-9, n
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
-    report(4, f"QCR(n)=2^((n-1)/2) for n=2..8 at the symmetric settings in {elapsed:.2f}s")
+    report(
+        4,
+        f"LR = 1 exactly and QCR(n)=2^((n-1)/2) for n=2..16 at the symmetric settings "
+        f"(dense oracle for n<=8) in {elapsed:.2f}s",
+    )
 
 
 def test_c05_monogamy_bound():

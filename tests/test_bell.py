@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bellpersist import bell, dicke, qstate
+from bellpersist import bell, dicke, qccr, qstate
 from bellpersist.bell import (
     BellFunctional,
     gbi_classical,
     gbi_classical_by_integration,
     gbi_qcr,
     gbi_quantum,
+    ghz_value,
     lr_max,
     makb,
     makb_xy_settings,
@@ -87,17 +90,52 @@ class TestMakb:
         assert value == pytest.approx(2.0, abs=1e-12)
 
 
+_COEFFICIENTS = {
+    "int": st.integers(-40, 40),
+    "fraction": st.fractions(max_denominator=60).filter(lambda q: abs(q) < 50),
+    "float": st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+}
+
+
+@st.composite
+def two_setting_tables(draw):
+    """A coefficient table of one number type on 1..5 parties."""
+    n = draw(st.integers(1, 5))
+    value = _COEFFICIENTS[draw(st.sampled_from(sorted(_COEFFICIENTS)))]
+    return n, {k: draw(value) for k in itertools.product((0, 1), repeat=n)}
+
+
+def brute_force_lr(n, coeffs):
+    """Largest score over all 4^n deterministic strategy profiles, in Fractions."""
+    exact = {k: F(c) for k, c in coeffs.items()}
+    best = None
+    for profile in itertools.product(((1, 1), (1, -1), (-1, 1), (-1, -1)), repeat=n):
+        score = sum(
+            (c if math.prod(pair[s] for pair, s in zip(profile, k)) > 0 else -c)
+            for k, c in exact.items()
+        )
+        best = score if best is None else max(best, score)
+    return best
+
+
 class TestLrMax:
     def test_chsh_normalized_bound(self):
         assert lr_max(makb(2)) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(2, 17))
     def test_makb_bound_is_one(self, n):
-        assert lr_max(makb(n)) == pytest.approx(1.0, abs=1e-12)
+        assert lr_max(makb(n)) == 1.0
 
     def test_all_positive_saturates_at_sum(self):
         f = BellFunctional(3, {k: 0.25 for k in itertools.product((0, 1), repeat=3)})
         assert lr_max(f) == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "coeffs,total",
+        [({(0,): F(3, 4), (1,): -2}, 2.75), ({(0,): -0.5}, 0.5), ({(1,): 3}, 3.0)],
+    )
+    def test_one_party_is_abs_sum(self, coeffs, total):
+        assert lr_max(BellFunctional(1, coeffs)) == total
 
     def test_matches_full_enumeration(self):
         rng = np.random.default_rng(21)
@@ -116,14 +154,46 @@ class TestLrMax:
                 best = max(best, value)
             assert lr_max(f) == pytest.approx(best, abs=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(two_setting_tables())
+    def test_equals_brute_force(self, table):
+        # the exact maximum, correctly rounded, for int, Fraction and float tables
+        n, coeffs = table
+        assert lr_max(BellFunctional(n, coeffs)) == float(brute_force_lr(n, coeffs))
+
     def test_party_cap(self):
-        f = BellFunctional(9, {(0,) * 9: 1.0})
+        f = BellFunctional(17, {(0,) * 17: 1.0})
         with pytest.raises(CapabilityError):
             lr_max(f)
+
+    def test_settings_cap(self):
+        with pytest.raises(CapabilityError):
+            lr_max(BellFunctional(2, {(0, 2): 1}, settings_per_party=3))
 
     def test_cached(self):
         f = makb(4)
         assert lr_max(f) is lr_max(f) or lr_max(f) == lr_max(f)
+
+
+class TestGhzValue:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_dense_oracle(self, n):
+        f = makb(n)
+        rng = np.random.default_rng(n)
+        for turns in ([makb_xy_settings(n)] * n, rng.uniform(-1, 1, size=(n, 2)).tolist()):
+            dense = quantum_value(f, qstate.ghz_state(n), [xy_pair(*row) for row in turns])
+            assert ghz_value(f, turns) == pytest.approx(dense, abs=1e-13)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_game_success(self, n):
+        # a pure GHZ block has visibility 1, so value = (2 p - 1) sum|g|
+        game = qccr.makb_game(n)
+        value = (2.0 * qccr.quantum_success(game) - 1.0) * float(game.functional.abs_total())
+        assert ghz_value(makb(n), [makb_xy_settings(n)] * n) == pytest.approx(value, abs=1e-12)
+
+    def test_party_count_mismatch(self):
+        with pytest.raises(ValueError):
+            ghz_value(makb(3), [(0.0, 0.25)] * 2)
 
 
 class TestQuantumValue:

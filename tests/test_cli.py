@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellpersist import qccr
+from bellpersist import bell, qccr, qstate
 from bellpersist.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -383,6 +383,30 @@ class TestLibraryDecides:
         assert main(["qccr", "simulate", "--game", str(path), "--trials", "100"]) == 0
         assert capsys.readouterr().out.splitlines()[1].split(",")[-1] == classical
 
+    def test_classical_best_empty_past_party_cap(self, tmp_path, capsys):
+        # 17 two-setting players lie past the LR cap: the column is left
+        # empty rather than the table of 2^17 transform entries allocated
+        n = 17
+        f = bell.BellFunctional(n, {(0,) * n: 1, (1,) * n: -1})
+        pair = (qstate.PlaneObservable.xy_turns(0.0), qstate.PlaneObservable.xy_turns(0.25))
+        path = tmp_path / "game.json"
+        path.write_text(qccr.game_to_json(qccr.GameSpec(f, (pair,) * n, qccr.VisibilityModel(1.0))))
+        assert main(["qccr", "simulate", "--game", str(path), "--trials", "100"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 2 and rows[1].endswith(",")
+
+    def test_makb_qcr_past_eight_parties(self, capsys):
+        assert main(["makb", "qcr", "--n-range", "9:12"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[:2] for row in rows] == [[str(n), "1"] for n in range(9, 13)]
+        for n, _, quantum, qcr in rows:
+            assert quantum == qcr and float(qcr) == pytest.approx(2 ** ((int(n) - 1) / 2), rel=1e-11)
+
+    def test_makb_qcr_past_sixteen_parties_exit_one(self):
+        result = run_cli(["makb", "qcr", "--n-range", "17:17"])
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "bellpersist: party count 17 outside 2..16\n"
+
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -555,9 +579,8 @@ class TestPinnedGameOutputs:
             assert capsys.readouterr().out.splitlines()[1] == row, (seed, jobs)
 
 
-# golden commands that compute with arrays: the dense state, the LR
-# enumeration and the Monte Carlo
-_NUMPY_COMMANDS = {"makb_qcr.csv", "qccr_simulate.csv"}
+# golden commands that compute with arrays: the Monte Carlo
+_NUMPY_COMMANDS = {"qccr_simulate.csv"}
 _NUMPY_FREE = {"version": ["--version"]} | {
     name: GOLDEN_COMMANDS[name] for name in sorted(set(GOLDEN_COMMANDS) - _NUMPY_COMMANDS)
 }
@@ -612,7 +635,7 @@ _EXECUTED = {
     "persistency_ghz_makb": {"persistency"},
     "persistency_dicke_m1.csv": {"persistency", "dicke"},
     "monogamy_bound.csv": {"monogamy", "qstate"},
-    "makb_qcr.csv": {"bell", "qstate"},
+    "makb_qcr.csv": {"bell"},
     "dicke_fit_m1.csv": {"dicke"},
     "dicke_sigma.json": {"dicke"},
     "qccr_simulate.csv": {"qccr", "bell", "qstate"},
@@ -630,7 +653,7 @@ _EXECUTED_ARGV = GOLDEN_COMMANDS | {
 _PUBLIC = {
     "bell": (
         "BellFunctional", "gbi_classical", "gbi_classical_by_integration", "gbi_qcr",
-        "gbi_quantum", "lr_max", "makb", "makb_xy_settings", "quantum_value",
+        "gbi_quantum", "ghz_value", "lr_max", "makb", "makb_xy_settings", "quantum_value",
     ),
     "dicke": (
         "DickeMixture", "N0Fit", "SymCorrelation", "fit_n0_line", "reduced_dicke", "sigma_sum",
@@ -678,8 +701,8 @@ _REMOVED = {
 _IMPORTS = {
     "__init__": {"_lazy", "errors"},
     "_lazy": set(),
-    "bell": {"_lazy", "errors", "qstate"},
-    "cli": {"__init__", "bell", "dicke", "errors", "monogamy", "persistency", "qccr", "qstate"},
+    "bell": {"errors", "qstate"},
+    "cli": {"__init__", "bell", "dicke", "errors", "monogamy", "persistency", "qccr"},
     "dicke": {"errors"},
     "errors": set(),
     "monogamy": {"errors", "qstate"},
