@@ -1,6 +1,6 @@
 """Two-setting Bell functionals and their classical/quantum values.
 
-Covers the recursively built Mermin-type (MAKB) family and the exact
+Covers the Mermin-type (MAKB) family, in closed form, and the exact
 classical constants of the geometric (continuum-settings, equatorial)
 inequality together with its quantum value 2/pi.  The complete
 sign-function family of full-correlation inequalities, which the tests
@@ -14,6 +14,7 @@ GHZ values under equatorial settings are sums of cosines.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -187,31 +188,38 @@ class BellFunctional:
 
 
 def makb(n: int) -> BellFunctional:
-    """Mermin-type functional on ``n`` parties from the halving recursion.
+    """Mermin-type functional on ``n`` parties, in closed form.
 
-    Base case on two parties is (A1(A2 + A2') + A1'(A2 - A2'))/2; each
-    added party contributes (A+A')/2 times the previous functional plus
-    (A-A')/2 times the previous functional with primed and unprimed
-    settings exchanged everywhere.  Coefficients are exact dyadic
-    rationals; for odd n half of them vanish.
+    The halving recursion starts from g_1 = A (coefficient 1 on the
+    unprimed setting, 0 on the primed one) and adds a party by
+    g_{n+1}(s, 0) = (g_n(s) + g_n(s')) / 2 and
+    g_{n+1}(s, 1) = (g_n(s) - g_n(s')) / 2, with s' the tuple s with primed
+    and unprimed settings exchanged; on two parties this is
+    (A1(A2 + A2') + A1'(A2 - A2'))/2.  With k the count of primed settings
+    in s and z = 1 + i, its solution is
+
+        g_n(s) = Re[z^(n-1) (-i)^k] / 2^(n-1).
+
+    By induction on n: at n = 1, Re 1 = 1 and Re(-i) = 0.  Step: s' has
+    n - k primed settings and Re w = Re conj(w), so 2^(n-1) g_n(s') =
+    Re[conj(z)^(n-1) i^n (-i)^k] = Re[i z^(n-1) (-i)^k], as conj(z) i = z.
+    Then 2^n g_{n+1}(s, 0) = Re[(1 + i) z^(n-1) (-i)^k] = Re[z^n (-i)^k]
+    and 2^n g_{n+1}(s, 1) = Re[(1 - i) z^(n-1) (-i)^k] = Re[z^n (-i)^(k+1)],
+    as 1 - i = -i z; (s, 0) has k primed settings and (s, 1) has k + 1.
+
+    z^(n-1) = a + bi is formed in Gaussian integers, and Re[(a + bi)(-i)^k]
+    is a, b, -a, -b for k = 0, 1, 2, 3 mod 4, so every coefficient is an
+    exact dyadic rational, +-2^(-floor(n/2)) or 0; the zeros (half of the
+    tuples for odd n) are left out.  Keys run in lexicographic order.
     """
     n = check_count(n, "party count", 2, 16)
-    coeffs: dict[tuple[int, ...], Fraction] = {(0,): Fraction(1)}
+    a, b = 1, 0
     for _ in range(n - 1):
-        new: dict[tuple[int, ...], Fraction] = {}
-        # a key can be absent while its prime-swapped mirror is not
-        keys = set(coeffs) | {tuple(1 - s for s in k) for k in coeffs}
-        for key in keys:
-            value = coeffs.get(key, Fraction(0))
-            swapped = coeffs.get(tuple(1 - s for s in key), Fraction(0))
-            plus = (value + swapped) / 2
-            minus = (value - swapped) / 2
-            if plus:
-                new[key + (0,)] = plus
-            if minus:
-                new[key + (1,)] = minus
-        coeffs = new
-    return BellFunctional(n, coeffs)
+        a, b = a - b, a + b  # (a + bi)(1 + i)
+    by_count = [Fraction(c, 1 << (n - 1)) for c in (a, b, -a, -b)]
+    # the i-th tuple in lexicographic order spells i in binary
+    keys = enumerate(itertools.product((0, 1), repeat=n))
+    return BellFunctional(n, {key: c for i, key in keys if (c := by_count[i.bit_count() % 4])})
 
 
 def makb_xy_settings(n: int) -> tuple[float, float]:

@@ -39,14 +39,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+from ._record import frozen
 from .errors import NoCrossingError, check_count
 
 
-@dataclass(frozen=True)
+@frozen
 class DickeMixture:
     """Weighted mixture of Dicke components on ``n`` qubits.
 
@@ -69,7 +69,7 @@ class DickeMixture:
             raise ValueError(f"component weights sum to {total}, expected 1")
 
 
-@dataclass(frozen=True)
+@frozen
 class SymCorrelation:
     """Common correlation-tensor values of a permutation-symmetric state.
 
@@ -304,7 +304,7 @@ def solve_n0(m_zeros: int, n_traced: int) -> float:
     raise NoCrossingError("no upward crossing of 1 found", (start, max_n))
 
 
-@dataclass(frozen=True)
+@frozen
 class N0Fit:
     """Least-squares line through (L, N0) crossing points."""
 

@@ -15,16 +15,16 @@ the bound is what matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Union
 
+from ._record import frozen
 from .errors import CapabilityError
 from .qstate import PauliString, anticommutes
 
 MAX_VERTICES = 24
 
 
-@dataclass(frozen=True)
+@frozen
 class AnticommGraph:
     """Vertices with their neighbours as int bitmasks: bit j of
     ``neighbor_masks[i]`` is set iff vertices i and j are adjacent."""

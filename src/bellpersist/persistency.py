@@ -38,9 +38,9 @@ register is known to be a ceiling) are out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import bell, dicke
+from ._record import frozen
 from .errors import check_count
 
 # continued-fraction convergents (p, q) of pi, just below and just above it
@@ -53,7 +53,7 @@ _log_factorial_cache: list[float] = [0.0]
 _GROWTH = {"makb": (math.sqrt(2.0), 1.0 / math.sqrt(2.0)), "gbi": (math.pi / 2.0, 0.5)}
 
 
-@dataclass(frozen=True)
+@frozen
 class PersistencyResult:
     """How many of ``n_parties`` may be traced out while a violation survives.
 

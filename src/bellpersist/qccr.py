@@ -39,12 +39,12 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from . import bell, qstate
 from ._lazy import lazy_import
+from ._record import frozen
 from .errors import CapabilityError, check_count, check_real
 
 np = lazy_import("numpy")
@@ -52,7 +52,7 @@ np = lazy_import("numpy")
 MAX_FEASIBILITY_PARTIES = 12
 
 
-@dataclass(frozen=True)
+@frozen
 class GhzMixture:
     """Uniform mixture over party subsets of a GHZ block plus noise.
 
@@ -79,7 +79,7 @@ class GhzMixture:
         return 1.0 / math.comb(self.n_parties, self.block_size)
 
 
-@dataclass(frozen=True)
+@frozen
 class VisibilityModel:
     """Correlations v * cos(sum of angles); v = 0 is the uncorrelated
     control, v = 1 a pure GHZ block on the measured parties."""
@@ -97,7 +97,7 @@ class VisibilityModel:
 StateModel = Union[GhzMixture, VisibilityModel]
 
 
-@dataclass(frozen=True)
+@frozen
 class GameSpec:
     """A playable game: functional, state model, and one equatorial (xy
     plane) observable per party per setting; the parity model plays
@@ -212,7 +212,7 @@ def quantum_success(game: GameSpec) -> float:
     return _success(game, float(np.dot(coeffs, corr)))
 
 
-@dataclass(frozen=True)
+@frozen
 class SimulationResult:
     game: str
     trials: int
@@ -394,7 +394,7 @@ def simulate(
 # --- exchangeable-marginal feasibility -------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class FeasibilityResult:
     """Outcome of the exchangeable-extension linear program.
 
@@ -563,6 +563,7 @@ def marginal_feasibility(dist: Mapping, n_parties: int) -> FeasibilityResult:
 
 def game_to_json(game: GameSpec) -> str:
     kind = "ghz_mixture" if isinstance(game.state, GhzMixture) else "visibility"
+    state = {name: getattr(game.state, name) for name in game.state._fields}
     return json.dumps(
         {
             "name": game.name,
@@ -571,7 +572,7 @@ def game_to_json(game: GameSpec) -> str:
                 [{"plane": obs.plane, "turns": obs.turns} for obs in per_party]
                 for per_party in game.observables
             ],
-            "state": {"kind": kind, **asdict(game.state)},
+            "state": {"kind": kind, **state},
         },
         sort_keys=True,
     )

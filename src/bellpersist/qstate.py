@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 from ._lazy import lazy_import
+from ._record import frozen
 from .errors import CapabilityError, check_real
 
 np = lazy_import("numpy")
@@ -39,7 +39,7 @@ def _pauli_matrices() -> dict[str, np.ndarray]:
     }
 
 
-@dataclass(frozen=True)
+@frozen
 class PlaneObservable:
     """A +/-1-valued single-qubit observable confined to one Bloch plane.
 
@@ -78,7 +78,7 @@ class PlaneObservable:
         return np.array([[0.0, c - 1.0j * s], [c + 1.0j * s, 0.0]], dtype=complex)
 
 
-@dataclass(frozen=True)
+@frozen
 class PauliString:
     """A tensor product of single-qubit Pauli operators, e.g. ``XZI``.
 
@@ -126,7 +126,7 @@ def anticommutes(p: Union[PauliString, str], q: Union[PauliString, str]) -> bool
     return clashes % 2 == 1
 
 
-@dataclass(frozen=True)
+@frozen
 class DenseState:
     """A pure state vector or a density operator on ``n_qubits`` qubits.
 

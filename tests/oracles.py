@@ -1,12 +1,12 @@
 """Second routes that the tests check the library against.
 
 Exponential in the register size: dense Dicke states, mixtures and
-partial traces, the dense correlation sum, the sign-function family of
-full-correlation inequalities (the Zukowski-Brukner criterion, PRL 88,
-210401, 2002, that a correlation sum above 1 gives a violation) and
-dense game states.  Polynomial: the point-by-point Dicke threshold and
-persistency scans, one ``sigma_sum`` per point, that the library's
-Krawtchouk recurrences replaced.
+partial traces, the dense correlation sum, the MAKB halving recursion,
+the sign-function family of full-correlation inequalities (the
+Zukowski-Brukner criterion, PRL 88, 210401, 2002, that a correlation sum
+above 1 gives a violation) and dense game states.  Polynomial: the
+point-by-point Dicke threshold and persistency scans, one ``sigma_sum``
+per point, that the library's Krawtchouk recurrences replaced.
 """
 
 from __future__ import annotations
@@ -202,6 +202,32 @@ def dicke_persistency_by_points(n_parties: int, m_zeros: int) -> PersistencyResu
     best = max((traced for traced, value in sums.items() if value > 1), default=0)
     at = max(best, 1)
     return PersistencyResult(n_parties, best, n_parties - at, float(sums[at]))
+
+
+def makb_by_recursion(n: int) -> dict[tuple[int, ...], Fraction]:
+    """Nonzero MAKB coefficients on ``n`` parties from the halving
+    recursion that :func:`bell.makb` solves in closed form.
+
+    Starting from the one-party functional A, each added party contributes
+    (A+A')/2 times the previous functional plus (A-A')/2 times the previous
+    functional with primed and unprimed settings exchanged everywhere.
+    """
+    coeffs: dict[tuple[int, ...], Fraction] = {(0,): Fraction(1)}
+    for _ in range(n - 1):
+        new: dict[tuple[int, ...], Fraction] = {}
+        # a key can be absent while its prime-swapped mirror is not
+        keys = set(coeffs) | {tuple(1 - s for s in k) for k in coeffs}
+        for key in keys:
+            value = coeffs.get(key, Fraction(0))
+            swapped = coeffs.get(tuple(1 - s for s in key), Fraction(0))
+            plus = (value + swapped) / 2
+            minus = (value - swapped) / 2
+            if plus:
+                new[key + (0,)] = plus
+            if minus:
+                new[key + (1,)] = minus
+        coeffs = new
+    return coeffs
 
 
 @dataclass(frozen=True)

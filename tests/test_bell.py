@@ -24,6 +24,7 @@ from bellpersist.errors import CapabilityError
 from oracles import (
     SignFunction,
     dicke_state,
+    makb_by_recursion,
     optimize_wwwzb_angles,
     random_pure_state,
     wwwzb_max,
@@ -75,6 +76,13 @@ class TestMakb:
             assert lo + hi == child.get(key, F(0))
             mirrored = tuple(1 - s for s in key)
             assert lo - hi == child.get(mirrored, F(0))
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_closed_form_equals_recursion(self, n):
+        coeffs = makb(n).coefficients
+        assert coeffs == makb_by_recursion(n)
+        assert all(type(c) is Fraction for c in coeffs.values())
+        assert list(coeffs) == sorted(coeffs)
 
     def test_range_check(self):
         with pytest.raises(ValueError):

@@ -595,6 +595,8 @@ def _run_python(script, argv=()):
 class TestStartup:
     @pytest.mark.parametrize("name", sorted(_NUMPY_FREE))
     def test_exact_commands_leave_numpy_unloaded(self, name):
+        # nor dataclasses, nor the inspect it imports: records come from
+        # bellpersist._record
         script = (
             "import sys\n"
             "from bellpersist.cli import main\n"
@@ -605,6 +607,8 @@ class TestStartup:
             "assert code == 0, code\n"
             "loaded = sorted(m for m in sys.modules if m.startswith('numpy.'))\n"
             "assert 'numpy._core' not in sys.modules and not loaded, loaded\n"
+            "heavy = sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
+            "assert not heavy, heavy\n"
         )
         result = _run_python(script, _NUMPY_FREE[name])
         assert result.returncode == 0, result.stderr
@@ -701,14 +705,15 @@ _REMOVED = {
 _IMPORTS = {
     "__init__": {"_lazy", "errors"},
     "_lazy": set(),
+    "_record": set(),
     "bell": {"errors", "qstate"},
     "cli": {"__init__", "bell", "dicke", "errors", "monogamy", "persistency", "qccr"},
-    "dicke": {"errors"},
+    "dicke": {"_record", "errors"},
     "errors": set(),
-    "monogamy": {"errors", "qstate"},
-    "persistency": {"bell", "dicke", "errors"},
-    "qccr": {"_lazy", "bell", "errors", "qstate"},
-    "qstate": {"_lazy", "errors"},
+    "monogamy": {"_record", "errors", "qstate"},
+    "persistency": {"_record", "bell", "dicke", "errors"},
+    "qccr": {"_lazy", "_record", "bell", "errors", "qstate"},
+    "qstate": {"_lazy", "_record", "errors"},
 }
 
 
