@@ -17,6 +17,7 @@ import copy
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -113,13 +114,17 @@ class BellFunctional:
         float coefficient P(s) is the float ``n(s) / T``: int/int true
         division is correctly rounded, so it equals ``float(Fraction(|g(s)|)
         / abs_total())`` bit for bit.  Any other coefficient gets the exact
-        ``Fraction(n(s), T)``.
+        ``Fraction(n(s), T)``.  A sum |g| past the largest float raises
+        ValueError: a game's success probabilities divide by it.
         """
         if self.settings_distribution is not None:
             return self
         game = copy.copy(self)
-        numerators = [abs(p) for p in self._numerators()[0]]
+        numerators, common = self._numerators()
+        numerators = [abs(p) for p in numerators]
         total = sum(numerators)
+        if Fraction(total, common) > sys.float_info.max:
+            raise ValueError("game coefficients' sum |g| exceeds the largest float")
         game.settings_distribution = {
             k: n / total if isinstance(c, float) else Fraction(n, total)
             for (k, c), n in zip(self.coefficients.items(), numerators)

@@ -88,11 +88,13 @@ def gamma_crit(a: float) -> float:
 
     This is the asymptotic fraction of parties that must be preserved
     for the condition C(N, gamma N)^-1 * b * a^(gamma N) > 1 to hold.
-    The root lies in (1/2, 1) iff 1 < a < 4.  Bisection keeps
-    g(lo) > 0 >= g(hi) for g(x) = H(x) - x log2(a) and stops when the
-    midpoint equals an end, that is when lo and hi are adjacent floats
-    (at most about 52 halvings); it returns lo, so the returned value and
-    the next float above it bracket the sign change of g as evaluated.
+    The root lies in (1/2, 1) iff 1 < a < 4: for g(x) = H(x) - x log2(a),
+    g(1/2) = 1 - log2(a) / 2 > 0 and g(1) = -log2(a) < 0, so the
+    bisection starts from those exact ends.  It keeps g(lo) > 0 >= g(hi)
+    and stops when the midpoint equals an end, that is when lo and hi
+    are adjacent floats (about 52 halvings); it returns lo, so the
+    returned value and the next float above it bracket the sign change
+    of g as evaluated.
     """
     if not 1.0 < a < 4.0:
         raise ValueError(f"growth base {a!r}: the root lies in (1/2, 1) only for 1 < a < 4")
@@ -101,9 +103,7 @@ def gamma_crit(a: float) -> float:
     def g(x: float) -> float:
         return binary_entropy(x) - x * log2a
 
-    lo, hi = 0.5 + 1e-9, 1.0 - 1e-12
-    if not (g(lo) > 0 > g(hi)):
-        raise RuntimeError("bisection bracket failed")  # unreachable for 1 < a < 4
+    lo, hi = 0.5, 1.0
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         if g(mid) > 0:
             lo = mid

@@ -34,7 +34,6 @@ check the parity model against live in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 import math
@@ -227,7 +226,7 @@ class SimulationResult:
 # binary search over the whole cdf
 _GUIDE_STEPS = 8
 # rounds per block of a stream, which bounds the memory a stream takes
-_BLOCK = 1 << 16
+_BLOCK = 1 << 15
 
 
 def _guide_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,26 +239,22 @@ def _guide_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cdf, cdf.searchsorted(np.arange(buckets + 1) / buckets, side="right")
 
 
-def _draw_settings(
-    rng: np.random.Generator, trials: int, cdf: np.ndarray, guide: np.ndarray
-) -> np.ndarray:
-    """``rng.choice(len(probs), size=trials, p=probs)``, index for index,
-    given ``(cdf, guide) = _guide_table(probs)``.
+def _draw_settings(u: np.ndarray, cdf: np.ndarray, guide: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")`` for uniforms u in [0, 1),
+    given ``(cdf, guide) = _guide_table(probs)``: the settings index each
+    uniform picks.
 
-    With ``p``, numpy's choice is ``cdf = p.cumsum(); cdf /= cdf[-1]``
-    followed by ``cdf.searchsorted(rng.random(trials), side="right")``;
-    this takes the same uniforms u and finds the same indices through the
-    guide table (Chen and Asau 1974).  With B a power of two, u * B is
-    exact, so the index for u lies in [guide[floor(u B)], guide[floor(u B) + 1]].  Each trial
-    steps forward from the low end while cdf[index] <= u.  A trial in
-    bucket j needs at most guide[j + 1] - guide[j] steps; those spreads
-    sum to len(cdf) <= B and each bucket holds u with probability 1/B, so
-    in expectation at most a fraction 1/(s + 1) of trials is still
+    The indices are found through the guide table (Chen and Asau 1974).
+    With B a power of two, u * B is exact, so the index for u lies in
+    [guide[floor(u B)], guide[floor(u B) + 1]].  Each trial steps forward
+    from the low end while cdf[index] <= u.  A trial in bucket j needs
+    at most guide[j + 1] - guide[j] steps; those spreads sum to
+    len(cdf) <= B and each bucket holds u with probability 1/B, so in
+    expectation at most a fraction 1/(s + 1) of trials is still
     unresolved after s steps.  After ``_GUIDE_STEPS`` passes, each over
     the unresolved trials only, those left take the binary search, so a
-    skewed ``p`` never costs much more than the plain search.
+    skewed ``probs`` never costs much more than the plain search.
     """
-    u = rng.random(trials)
     index = guide[(u * (len(guide) - 1)).astype(np.intp)]
     active = np.flatnonzero(cdf[index] <= u)
     for _ in range(_GUIDE_STEPS):
@@ -276,49 +271,31 @@ def _simulate_chunk(
     guide: np.ndarray,
     negative: np.ndarray,
     corr: np.ndarray,
-    k: int,
 ) -> int:
     """Successes in ``trials`` rounds drawn from ``rng``, with the
     settings probabilities given as ``_guide_table(probs)``.
 
-    Every +-1 value v is carried as its sign bit, v == -1, so a product
-    of +-1 values is the XOR of their bits; ``negative`` holds the sign
-    bit of each coefficient.  The draws are those of the +-1 form: the
-    setting index, y_i = 2 u - 1 from a 0/1 draw u, the parity against
-    its bias (1 + corr) / 2, then m_i from 0/1 draws with the last one
-    fixed so the product of all m_i is the parity.  The guess is the
-    product of the y_i m_i and the target is y_1 ... y_k sign(g); the
-    y_i cancel, so a round succeeds when the parity has the sign of g.
-
-    Three identities keep the stream of ``rng.choice`` and the +-1 form
-    while doing less work.  The setting index is numpy's choice, which
-    is a right searchsorted of the uniforms on the normalized cdf;
-    :func:`_draw_settings` finds the same index from the same uniforms
-    through a guide table, in at most ``_GUIDE_STEPS`` forward passes
-    over the still-unresolved trials and one binary search of those
-    left.  The XOR of all m_i is the parity itself, so the m_i, the
-    chunk's last draw, are not drawn; each chunk owns its generator, so
-    skipping them changes no other number.  The y_i are not drawn
-    either, but jumped over.  ``default_rng`` gives a PCG64 bit
-    generator, and ``advance(n)`` moves it past n 64-bit words: a
-    uniform takes one word, and the 0/1 draw of the y_i, k * trials
-    bounded 32-bit draws that PCG64 serves two to a word, takes
-    ceil(k * trials / 2).  So the stream is ``trials`` settings uniforms,
-    then those words, then ``trials`` parity uniforms, and a copy of the
-    bit generator advanced by ``trials + ceil(k * trials / 2)`` words
-    stands at the first parity uniform.  The rounds are then played in
-    blocks of ``_BLOCK``, each drawing its settings from ``rng`` and its
-    parities from the copy, so a chunk holds one block's arrays whatever
-    ``trials`` is.
+    Round r takes the uniforms 2r and 2r + 1 of ``rng``: the first picks
+    the setting through :func:`_draw_settings`, and the parity is -1
+    when the second is not below its bias (1 + corr) / 2.  Every +-1
+    value v is carried as its sign bit, v == -1, so a product of +-1
+    values is the XOR of their bits; ``negative`` holds the sign bit of
+    each coefficient.  The +-1 round also hands each player a coin y_i
+    and an outcome m_i whose product over the players is the parity;
+    the guess is the product of the y_i m_i and the target is
+    y_1 ... y_k sign(g).  Each y_i appears once in both, so the y_i
+    cancel and the product of the m_i is the parity: a round succeeds
+    when the parity has the sign of g, and neither the y_i nor the m_i
+    are drawn.  The rounds are played in blocks of ``_BLOCK``, so a
+    chunk holds one block's arrays whatever ``trials`` is; a block reads
+    its rounds' uniforms in stream order, so the count does not depend
+    on ``_BLOCK``.
     """
-    ahead = copy.deepcopy(rng.bit_generator)
-    ahead.advance(trials + (k * trials + 1) // 2)
-    parities = np.random.Generator(ahead)
     successes = 0
     for start in range(0, trials, _BLOCK):
-        rounds = min(_BLOCK, trials - start)
-        s_idx = _draw_settings(rng, rounds, cdf, guide)
-        parity = ~(parities.random(rounds) < 0.5 * (1.0 + corr[s_idx]))
+        u = rng.random((min(_BLOCK, trials - start), 2))
+        s_idx = _draw_settings(u[:, 0], cdf, guide)
+        parity = ~(u[:, 1] < 0.5 * (1.0 + corr[s_idx]))
         successes += int(np.count_nonzero(parity == negative[s_idx]))
     return successes
 
@@ -345,17 +322,14 @@ def simulate(
     independently seeded streams spawned from the master seed; counts
     merge by addition, so the result depends only on (seed, jobs).
     ``jobs`` above ``trials`` runs ``trials`` streams of one round each,
-    which is what those ``jobs`` streams would play.  Each stream is
-    played in blocks of ``_BLOCK`` rounds, so memory does not grow with
-    ``trials``: ``default_rng`` gives PCG64, whose ``advance`` counts
-    64-bit words, and a copy of it advanced past the settings uniforms
-    and the ceil(k * trials / 2) words of the y_i draws the parities
-    that the whole stream would (see :func:`_simulate_chunk`).  The result's
-    ``analytic`` is the expected success of the correlator table played:
-    :func:`quantum_success` for the state, the strategy's own value under
-    ``strategy``.  Leaving a broadcast out of the guess multiplies it by
-    that player's uniform coin, which is the ``VisibilityModel(0.0)``
-    control.
+    which is what those ``jobs`` streams would play.  Round r of a stream
+    takes its uniforms 2r and 2r + 1 (see :func:`_simulate_chunk`), and a
+    stream plays in blocks of ``_BLOCK`` rounds, so memory does not grow
+    with ``trials``.  The result's ``analytic`` is the expected success of the
+    correlator table played: :func:`quantum_success` for the state, the
+    strategy's own value under ``strategy``.  Leaving a broadcast out of
+    the guess multiplies it by that player's uniform coin, which is the
+    ``VisibilityModel(0.0)`` control.
     """
     trials = check_count(trials, "trials", 1)
     seed = check_count(seed, "seed", 0)
@@ -384,7 +358,7 @@ def simulate(
     successes = 0
     for child, chunk in zip(np.random.SeedSequence(seed).spawn(streams), counts):
         successes += _simulate_chunk(
-            np.random.default_rng(child), int(chunk), cdf, guide, negative, corr, k
+            np.random.default_rng(child), int(chunk), cdf, guide, negative, corr
         )
     rate = successes / trials
     stderr = math.sqrt(max(rate * (1.0 - rate), 1e-300) / trials)
@@ -420,7 +394,10 @@ def _exactify(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(value).limit_denominator(10**12)
     if isinstance(value, (Fraction, int, str)) and not isinstance(value, bool):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"probability {value!r} divides by zero") from None
     raise ValueError(f"cannot interpret probability {value!r}")
 
 

@@ -276,6 +276,28 @@ class TestExitCodes:
         assert result.returncode == 1 and result.stdout == ""
         assert result.stderr == f"bellpersist: {line}\n"
 
+    @pytest.mark.parametrize("keep_distribution", [False, True], ids=["derived", "given"])
+    def test_coefficient_sum_past_float_range_one_line(self, tmp_path, keep_distribution):
+        # each coefficient is a float, but sum |g| = 4e308 is not
+        spec = _replaced(
+            _GAME, ("functional", "coefficients"),
+            {"00": 1e308, "01": 1e308, "10": 1e308, "11": -1e308},
+        )
+        if not keep_distribution:
+            del spec["functional"]["settings_distribution"]
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(spec))
+        result = run_cli(["qccr", "simulate", "--game", str(path), "--trials", "10"])
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "bellpersist: game coefficients' sum |g| exceeds the largest float\n"
+
+    def test_feasibility_zero_denominator_one_line(self, tmp_path):
+        path = tmp_path / "dist.json"
+        path.write_text('{"00": "1/0", "11": 1, "01": 0, "10": 0}')
+        result = run_cli(["qccr", "feasibility", "--dist", str(path), "--n-total", "4"])
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "bellpersist: probability '1/0' divides by zero\n"
+
     def test_subset_of_every_party(self, tmp_path, capsys):
         # every subset of the register plays alike, so the column lists
         # the players, also when the GHZ mixture spans more parties
@@ -541,22 +563,22 @@ PINNED_GAMES = {
 }
 PINNED_SIMULATE_ROWS = {
     "gbi3x32": {
-        ("1", "1"): "gbi3x32,0+1+2,200000,1,0.893105,0.000690899627207,0.893965613429,",
-        ("1", "2"): "gbi3x32,0+1+2,200000,1,0.893275,0.000690415723948,0.893965613429,",
-        ("7", "1"): "gbi3x32,0+1+2,200000,7,0.89377,0.000689003581631,0.893965613429,",
-        ("7", "2"): "gbi3x32,0+1+2,200000,7,0.893885,0.000688674839002,0.893965613429,",
+        ("1", "1"): "gbi3x32,0+1+2,200000,1,0.894345,0.000687357334197,0.893965613429,",
+        ("1", "2"): "gbi3x32,0+1+2,200000,1,0.894845,0.000685920644007,0.893965613429,",
+        ("7", "1"): "gbi3x32,0+1+2,200000,7,0.894425,0.000687127787879,0.893965613429,",
+        ("7", "2"): "gbi3x32,0+1+2,200000,7,0.894015,0.000688302912151,0.893965613429,",
     },
     "chsh": {
-        ("1", "1"): "chsh,0+1,200000,1,0.85394,0.000789703983781,0.853553390593,0.75",
-        ("1", "2"): "chsh,0+1,200000,1,0.853735,0.00079016311536,0.853553390593,0.75",
-        ("7", "1"): "chsh,0+1,200000,7,0.852815,0.000792217065504,0.853553390593,0.75",
-        ("7", "2"): "chsh,0+1,200000,7,0.853335,0.000791057449794,0.853553390593,0.75",
+        ("1", "1"): "chsh,0+1,200000,1,0.854055,0.000789446188714,0.853553390593,0.75",
+        ("1", "2"): "chsh,0+1,200000,1,0.854675,0.000788053438464,0.853553390593,0.75",
+        ("7", "1"): "chsh,0+1,200000,7,0.85512,0.00078705077854,0.853553390593,0.75",
+        ("7", "2"): "chsh,0+1,200000,7,0.854395,0.000788683028773,0.853553390593,0.75",
     },
     "makb4": {
-        ("1", "1"): "makb4,0+1+2+3,200000,1,0.52331,0.00111681834669,0.52357022604,0.625",
-        ("1", "2"): "makb4,0+1+2+3,200000,1,0.52173,0.00111697763429,0.52357022604,0.625",
-        ("7", "1"): "makb4,0+1+2+3,200000,7,0.523295,0.00111681991157,0.52357022604,0.625",
-        ("7", "2"): "makb4,0+1+2+3,200000,7,0.52249,0.0011169024127,0.52357022604,0.625",
+        ("1", "1"): "makb4,0+1+2+3,200000,1,0.523655,0.00111678207582,0.52357022604,0.625",
+        ("1", "2"): "makb4,0+1+2+3,200000,1,0.52312,0.00111683809391,0.52357022604,0.625",
+        ("7", "1"): "makb4,0+1+2+3,200000,7,0.524055,0.00111673935405,0.52357022604,0.625",
+        ("7", "2"): "makb4,0+1+2+3,200000,7,0.523505,0.00111679791139,0.52357022604,0.625",
     },
 }
 

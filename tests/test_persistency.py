@@ -99,10 +99,13 @@ class TestGammaCrit:
             probe = gamma + 1e-4
             assert binary_entropy(probe) < probe * math.log2(a)
 
-    @pytest.mark.parametrize("a", [math.sqrt(2.0), math.pi / 2.0, 2.0, 3.5])
+    @pytest.mark.parametrize(
+        "a", [math.sqrt(2.0), math.pi / 2.0, 2.0, 3.5, 1.000000000001, 3.99999999]
+    )
     def test_root_to_double_precision(self, a):
         # gamma and the next float above it bracket the sign change of the
-        # residual: the bisection runs until its ends are adjacent floats
+        # residual: the bisection runs until its ends are adjacent floats;
+        # the last two bases put the root within 1e-12 of 1 and 1e-9 of 1/2
         gamma = gamma_crit(a)
         residual = lambda x: binary_entropy(x) - x * math.log2(a)
         assert residual(gamma) > 0 >= residual(math.nextafter(gamma, 1.0))

@@ -170,6 +170,17 @@ class TestSimulation:
                     seed,
                 )
 
+    def test_z_scores_unbiased_over_seeds(self):
+        # over 200 seeds the z-scores of the rate against its analytic
+        # value have mean 0 and spread 1, as independent streams give
+        game = chsh_game()
+        z = np.array([
+            (r.success_rate - r.analytic) / r.stderr
+            for r in (simulate(game, trials=10**4, seed=seed) for seed in range(200))
+        ])
+        assert abs(z.mean()) < 4 / math.sqrt(len(z)), z.mean()
+        assert 0.8 <= z.std() <= 1.2, z.std()
+
     def test_classical_strategy_bounded(self):
         game = chsh_game()
         result = simulate(game, trials=10**6, seed=11, strategy=[[1, 1], [1, 1]])
@@ -205,8 +216,7 @@ class TestSimulation:
         np.testing.assert_allclose(dense, corr, atol=1e-12)
         trials, table = 10**5, qccr._guide_table(probs)
         rates = [
-            qccr._simulate_chunk(np.random.default_rng(29), trials, *table, coeffs < 0, c, 3)
-            / trials
+            qccr._simulate_chunk(np.random.default_rng(29), trials, *table, coeffs < 0, c) / trials
             for c in (corr, dense)
         ]
         sigma = math.hypot(*(max(math.sqrt(r * (1 - r) / trials), 1e-4) for r in rates))
@@ -283,13 +293,21 @@ class TestSimulation:
 
 def _signed_chunk(rng, trials, probs, signs, corr, k, strategy, settings_components, drop_player):
     """The Monte Carlo round as products of +-1 int64 values; the reference
-    for the sign-bit form of qccr._simulate_chunk."""
-    s_idx = rng.choice(len(probs), size=trials, p=probs)
-    y = rng.integers(0, 2, size=(trials, k)) * 2 - 1
+    for the sign-bit form of qccr._simulate_chunk.
+
+    All rounds' uniforms are read at once, two per round: the setting is
+    the right searchsorted of the first on the cdf, the parity compares
+    the second with its bias.  The coins y_i and the outcomes m_i come
+    from a second generator, seeded from ``rng`` after those uniforms."""
+    u = rng.random((trials, 2))
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    s_idx = cdf.searchsorted(u[:, 0], side="right")
+    coins = np.random.default_rng(rng.integers(2**63))
+    y = coins.integers(0, 2, size=(trials, k)) * 2 - 1
     if strategy is None:
-        parity_prob = 0.5 * (1.0 + corr[s_idx])
-        parity = np.where(rng.random(trials) < parity_prob, 1, -1)
-        m = rng.integers(0, 2, size=(trials, k)) * 2 - 1
+        parity = np.where(u[:, 1] < 0.5 * (1.0 + corr[s_idx]), 1, -1)
+        m = coins.integers(0, 2, size=(trials, k)) * 2 - 1
         m[:, -1] = parity * np.prod(m[:, :-1], axis=1)
     else:
         comps = settings_components[s_idx]
@@ -327,9 +345,7 @@ def _assert_chunk_matches_oracle(game, trials, seed):
             np.random.default_rng(seed), trials, probs, np.sign(coeffs), corr,
             k, strategy, components, None,
         )
-        got = qccr._simulate_chunk(
-            np.random.default_rng(seed), trials, *guide, coeffs < 0, played, k
-        )
+        got = qccr._simulate_chunk(np.random.default_rng(seed), trials, *guide, coeffs < 0, played)
         assert got == expected, (game.name, trials, seed, strategy is None)
 
 
@@ -350,9 +366,8 @@ class TestSignBitOracle:
         ids=["chsh", "gbi3x8", "makb4in6"],
     )
     def test_counts_match_across_block_boundaries(self, builder):
-        # the chunk plays in blocks, drawing the parities from a copy of
-        # the generator advanced past the y_i; the oracle draws every
-        # number in stream order
+        # the chunk plays in blocks; the oracle reads every round's
+        # uniforms at once
         game = builder()
         block = qccr._BLOCK
         for trials in (1, block - 1, block, block + 1, 3 * block + 5):
@@ -395,8 +410,7 @@ def _table_probs(game):
 
 
 _TINY = np.full(30_000, 1e-9)
-# settings probabilities that qccr._draw_settings must draw exactly as
-# numpy's Generator.choice does
+# settings probabilities whose cdf qccr._draw_settings must search exactly
 DRAW_CASES = {
     "len1": lambda: np.ones(1),
     "len2": lambda: _normalized([0.3, 0.7]),
@@ -413,17 +427,18 @@ DRAW_CASES = {
 
 
 def _assert_draw_matches_choice(probs, seed, trials):
-    expected_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    expected = expected_rng.choice(len(probs), size=trials, p=probs)
-    got = qccr._draw_settings(rng, trials, *qccr._guide_table(probs))
-    assert np.array_equal(got, expected)
-    # the same stream is consumed, so later draws match too
-    assert rng.random() == expected_rng.random()
+    # strided, as _simulate_chunk passes a column of its uniforms
+    u = np.random.default_rng(seed).random((trials, 2))[:, 0]
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    got = qccr._draw_settings(u, *qccr._guide_table(probs))
+    assert np.array_equal(got, cdf.searchsorted(u, side="right"))
 
 
 class TestSettingsDraw:
-    """The guide-table draw equals numpy's weighted choice index for index;
-    a numpy whose choice changes must fail here."""
+    """The guide-table draw equals the right searchsorted of the uniforms
+    on the normalized cdf, which is numpy's weighted choice, index for
+    index."""
 
     @pytest.mark.parametrize("case", sorted(DRAW_CASES))
     def test_equals_numpy_choice(self, case):
@@ -440,29 +455,6 @@ class TestSettingsDraw:
     )
     def test_random_positive_weights(self, weights, seed):
         _assert_draw_matches_choice(_normalized(weights), seed, 5_000)
-
-
-class TestDiscardedDraw:
-    """The 0/1 draw of the y_i, which _simulate_chunk jumps over, takes
-    ceil(rows * k / 2) 64-bit words of PCG64, two 32-bit draws a word,
-    whether drawn whole or in row slices."""
-
-    @pytest.mark.parametrize("seed", [1, 7, 2024])
-    @pytest.mark.parametrize(
-        "rows,k,slice_rows",
-        [(1000, 3, 7), (999, 2, 1), (12345, 5, 333), (50, 3, 64), (1, 1, 1), (7, 3, 2)],
-    )
-    def test_slices_leave_whole_draw_state(self, seed, rows, k, slice_rows):
-        whole, sliced = np.random.default_rng(seed), np.random.default_rng(seed)
-        ahead = np.random.default_rng(seed)
-        whole.integers(0, 2, size=(rows, k))
-        for start in range(0, rows, slice_rows):
-            sliced.integers(0, 2, size=(min(slice_rows, rows - start), k))
-        ahead.bit_generator.advance((rows * k + 1) // 2)
-        assert sliced.bit_generator.state == whole.bit_generator.state
-        expected = whole.random(5)
-        assert np.array_equal(sliced.random(5), expected)
-        assert np.array_equal(ahead.random(5), expected)
 
 
 def _without_distribution(game):
