@@ -5,8 +5,8 @@ With a continuum of equatorial settings the quantum value is the mean of
 the optimal classical value C_n is an exact rational: the count of
 alternating permutations over n!.  Their ratio therefore grows like
 (pi/2)^n.  Two independent exact routes (the permutation recurrence and
-piecewise-polynomial integration of the defining sign integral) agree
-term by term.
+truncated means of the Irwin-Hall law for the defining sign integral)
+agree term by term.
 """
 
 import math

@@ -182,7 +182,7 @@ class BellFunctional:
         f = f.with_game_distribution()
         derived = f.settings_distribution
         # keys are distinct strings that parse one to one, so equal counts
-        # and every key found make the key sets equal; NaN fails
+        # and every key found make the key sets equal
         if len(dist) != len(derived) or not all(
             (p := derived.get(parsed.get(text))) is not None
             and abs(float(check_real(value, "probability")) - float(p)) <= 1e-12 * float(p)
@@ -311,9 +311,9 @@ _zigzag_cache: list[int] = [1]
 _zigzag_row: list[int] = [1]
 
 
-def _zigzag_numbers(n: int) -> list[int]:
-    """Alternating-permutation counts 1, 1, 1, 2, 5, 16, 61, ... via the
-    boustrophedon recurrence (cached incrementally)."""
+def _zigzag_number(n: int) -> int:
+    """A_n, the count of alternating permutations of n elements (1, 1, 1,
+    2, 5, 16, 61, ...), by the boustrophedon recurrence, cached incrementally."""
     global _zigzag_row
     while len(_zigzag_cache) <= n:
         size = len(_zigzag_cache)
@@ -322,7 +322,7 @@ def _zigzag_numbers(n: int) -> list[int]:
             new.append(new[-1] + _zigzag_row[size - 1 - k])
         _zigzag_row = new
         _zigzag_cache.append(new[-1])
-    return _zigzag_cache[: n + 1]
+    return _zigzag_cache[n]
 
 
 def gbi_quantum(n: int) -> float:
@@ -337,11 +337,11 @@ def gbi_classical(n: int) -> Fraction:
     """Optimal classical value of the geometric inequality, exactly.
 
     Equals the number of alternating permutations of n elements divided
-    by n!; see :func:`gbi_classical_by_integration` for the independent
-    integral route.
+    by n!; :func:`gbi_classical_by_integration` reaches it independently,
+    by truncated means of the Irwin-Hall law.
     """
     n = check_count(n, "party count", 2)
-    return Fraction(_zigzag_numbers(n)[n], math.factorial(n))
+    return Fraction(_zigzag_number(n), math.factorial(n))
 
 
 def gbi_qcr(n: int) -> float:
@@ -355,96 +355,49 @@ def gbi_qcr_coefficient(n: int) -> Fraction:
     return Fraction(2, 1) / c
 
 
-# exact piecewise-polynomial machinery for the defining sign integral
-
-Poly = list  # coefficient list, lowest order first, Fraction entries
-
-
-def _poly_mul(p: Poly, q: Poly) -> Poly:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def _poly_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return [
-        (p[i] if i < len(p) else Fraction(0)) + (q[i] if i < len(q) else Fraction(0))
-        for i in range(n)
-    ]
-
-
-def _poly_eval(p: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_integrate(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
-    anti = [Fraction(0)] + [c / (i + 1) for i, c in enumerate(p)]
-    return _poly_eval(anti, hi) - _poly_eval(anti, lo)
-
-
-def _shifted_power(shift: int, degree: int) -> Poly:
-    """Coefficients of (V + shift)^degree."""
-    return [
-        Fraction(math.comb(degree, i) * shift ** (degree - i)) for i in range(degree + 1)
-    ]
-
-
-def _uniform_sum_pieces(m: int) -> list[Poly]:
-    """Exact density of a sum of m U(0,1) variables, one polynomial per
-    unit interval [j, j+1)."""
-    fact = math.factorial(m - 1)
-    pieces = []
-    for j in range(m):
-        poly = [Fraction(0)] * m
-        for i in range(j + 1):
-            c = Fraction((-1) ** i * math.comb(m, i), fact)
-            shifted = _shifted_power(-i, m - 1)
-            poly = [a + c * b for a, b in zip(poly, shifted)]
-        pieces.append(poly)
-    return pieces
-
-
-def _window_average_piece(y0: int, offset: int) -> Poly:
-    """Average of the square wave sign(cos(pi x / 2)) over the unit
-    window [y, y+1], as a linear polynomial in V where y = 2V - offset
-    and y0 = floor(y).  Piecewise linear with period 4 in y."""
-    k = y0 % 4
-    base = y0 - k
-    if k == 0:  # 1 - 2(y - base)
-        return [Fraction(1 + 2 * (offset + base)), Fraction(-4)]
-    if k == 1:
-        return [Fraction(-1)]
-    if k == 2:  # 2(y - base) - 5
-        return [Fraction(-2 * (offset + base) - 5), Fraction(4)]
-    return [Fraction(1)]
+# sign(cos 2 pi t) on the open quarter turn (r/4, (r+1)/4), by r mod 4
+_QUARTER_SIGNS = (1, -1, -1, 1)
 
 
 def gbi_classical_by_integration(n: int) -> Fraction:
-    """Classical optimum from its defining sign integral, exactly.
+    """Classical optimum from its defining sign integral, exactly, by
+    truncated means of the Irwin-Hall law.
 
-    The optimum is the average of sign(cos(2 pi sum_i alpha_i)) with the
-    first angle uniform on a half-turn window ending at (-n+2)/4 and the
-    others uniform on [0, 1/2].  Substituting the Irwin-Hall density of
-    the angle sum turns this into exact polynomial integrals over
-    half-integer intervals.
+    The optimum is the average of s(sum_i alpha_i), s(t) = sign(cos 2 pi t),
+    with the first angle uniform on [w - 1/2, w], w = (2 - n)/4 = q/4, and
+    the other m = n - 1 uniform on [0, 1/2]; X is the sum of those m.
+    Averaging over the first angle gives C_n = E h(X) with h(x) =
+    2 int_{w-1/2}^{w} s(a + x) da.  As s(t - 1/2) = -s(t), h'(x) = 4 s(x + w)
+    off the jumps of s, and s = S(r) on each quarter turn (r/4, (r+1)/4).
+    So h is continuous and piecewise linear: h(0) = (S(q-2) + S(q-1)) / 2,
+    the slope on (0, 1/4) is 4 S(q), and at x = k/4 it changes by
+    4 (S(q+k) - S(q+k-1)): -8 where x + w = 1/4, +8 where x + w = 3/4
+    (mod 1), else 0.  As X lies in [0, m/2] with E X = m/4,
+
+        C_n = h(0) + S(q) m + sum_{k=1}^{2m-1} 4 (S(q+k) - S(q+k-1)) E[(X - k/4)_+].
+
+    X = Y/2 with Y Irwin-Hall (m uniforms on [0, 1]); integrating its CDF
+    sum_j (-1)^j C(m, j) (y - j)_+^m / m! gives E[(c - Y)_+] =
+    sum_j (-1)^j C(m, j) (c - j)_+^(m+1) / (m+1)!, and Y -> m - Y gives
+
+        E[(X - k/4)_+] = sum_j (-1)^j C(m, j) (2m - k - 2j)_+^(m+1) / (2^(m+2) (m+1)!),
+
+    integers over one denominator.  The recurrence of :func:`gbi_classical`
+    is not used.
     """
     n = check_count(n, "party count", 2)
     m = n - 1
-    pieces = _uniform_sum_pieces(m)
-    total = Fraction(0)
-    for h in range(2 * m):  # V in [h/2, (h+1)/2]
-        fpoly = pieces[h // 2]
-        # the two unit windows cover the half-turn range of the first angle
-        ipoly = _poly_add(
-            _window_average_piece(h - n, n), _window_average_piece(h - n + 1, n - 1)
-        )
-        product = _poly_mul(fpoly, ipoly)
-        total += _poly_integrate(product, Fraction(h, 2), Fraction(h + 1, 2))
-    return total / 2
+    q = 1 - m
+
+    def sign(r: int) -> int:
+        return _QUARTER_SIGNS[r % 4]
+
+    breaks = 0  # sum_k (S(q+k) - S(q+k-1)) times the integer sum over j
+    for k in range(1, 2 * m):
+        if jump := sign(q + k) - sign(q + k - 1):
+            breaks += jump * sum(
+                (-1) ** j * math.comb(m, j) * (2 * m - k - 2 * j) ** (m + 1)
+                for j in range((2 * m - k + 1) // 2)
+            )
+    head = Fraction(sign(q - 2) + sign(q - 1), 2) + sign(q) * m
+    return head + Fraction(breaks, math.factorial(m + 1) << m)

@@ -23,7 +23,6 @@ from .errors import CapabilityError
 
 _SYMBOLIC = {
     "sqrt2": math.sqrt(2.0),
-    "pi": math.pi,
     "pi/2": math.pi / 2.0,
 }
 

@@ -1,5 +1,6 @@
 """Shared exception types and the checks every count and real value go through."""
 
+import math
 import numbers
 
 
@@ -34,9 +35,12 @@ def check_count(value, name: str, lo: int | None = None, hi: int | None = None) 
 
 
 def check_real(value, name: str):
-    """``value`` itself, if it is a real number and not a bool; anything
-    else raises ValueError naming ``name``."""
+    """``value`` itself, if it is a finite real number and not a bool;
+    anything else, NaN and +-inf included, raises ValueError naming ``name``."""
     # the exact float test spares the common case the slower ABC check
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValueError(f"{name} {value!r} is not a number")
+    # comparisons, not math.isfinite, so no exact value is made a float
+    if value != value or value == math.inf or value == -math.inf:
+        raise ValueError(f"{name} {value!r} is not finite")
     return value

@@ -389,10 +389,10 @@ class FeasibilityResult:
 
 def _exactify(value) -> Fraction:
     """Exact probability from a Fraction, an int, a rational string such
-    as "1/4", or a float (read as the nearest fraction with denominator
-    at most 10^12, so 0.1 is 1/10)."""
+    as "1/4", or a finite float (read as the nearest fraction with
+    denominator at most 10^12, so 0.1 is 1/10)."""
     if isinstance(value, float):
-        return Fraction(value).limit_denominator(10**12)
+        return Fraction(check_real(value, "probability")).limit_denominator(10**12)
     if isinstance(value, (Fraction, int, str)) and not isinstance(value, bool):
         try:
             return Fraction(value)

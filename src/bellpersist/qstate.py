@@ -56,8 +56,7 @@ class PlaneObservable:
     def __post_init__(self):
         if self.plane not in ("xz", "xy"):
             raise ValueError(f"unknown plane {self.plane!r}, expected 'xz' or 'xy'")
-        if not math.isfinite(check_real(self.angle, "observable angle")):
-            raise ValueError(f"observable angle {self.angle!r} is not finite")
+        check_real(self.angle, "observable angle")
 
     @classmethod
     def xy_turns(cls, alpha: float) -> "PlaneObservable":

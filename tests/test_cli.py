@@ -109,7 +109,7 @@ class TestOutputModes:
 
 class TestExitCodes:
     @pytest.mark.parametrize(
-        "token,code", [("foo", 2), ("1.0", 1), ("4", 1), ("nan", 1), ("inf", 1)]
+        "token,code", [("foo", 2), ("pi", 2), ("1.0", 1), ("4", 1), ("nan", 1), ("inf", 1)]
     )
     def test_bad_base_one_stderr_line(self, token, code):
         # an unparsable token is a usage error; a number outside 1 < a < 4
@@ -266,8 +266,9 @@ class TestExitCodes:
             (("name",), ["x"], "game name ['x'] is not a string"),
             (("observables", 0, 0, "turns"), True, "turns True is not a number"),
             (("observables", 0, 0, "turns"), "0.1", "turns '0.1' is not a number"),
+            (("functional", "coefficients", "00"), float("nan"), "coefficient nan is not finite"),
         ],
-        ids=["bool-visibility", "list-name", "bool-turns", "string-turns"],
+        ids=["bool-visibility", "list-name", "bool-turns", "string-turns", "nan-coefficient"],
     )
     def test_game_spec_value_refused(self, tmp_path, where, value, line):
         path = tmp_path / "game.json"

@@ -2,7 +2,7 @@
 a bool, a float (integral or not), a string, or a value outside the
 argument's range raises ValueError, and the message names the argument.
 Every real value goes through ``errors.check_real``, which refuses a
-bool or a string the same way."""
+bool, a string or a non-finite float the same way."""
 
 from fractions import Fraction
 
@@ -122,4 +122,7 @@ def test_real_returned_as_given_and_bool_refused():
         assert check_real(value, "turns") is value
     for value, shown in ((True, "True"), ("0.1", "'0.1'"), (None, "None"), (1j, "1j")):
         with pytest.raises(ValueError, match=rf"^turns {shown} is not a number$"):
+            check_real(value, "turns")
+    for value, shown in ((float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf")):
+        with pytest.raises(ValueError, match=rf"^turns {shown} is not finite$"):
             check_real(value, "turns")

@@ -588,6 +588,8 @@ class TestMarginalFeasibility:
             marginal_feasibility(uniform, 13)
         with pytest.raises(ValueError):
             marginal_feasibility({(0, 0): F(1, 2), (1, 1): F(1, 4)}, 3)
+        with pytest.raises(ValueError, match="^probability inf is not finite$"):
+            marginal_feasibility({"0": math.inf, "1": 0.5}, 2)
 
     @pytest.mark.parametrize(
         "dist,line",
