@@ -26,7 +26,7 @@ def main():
           f"{r.success_rate:.4f} +- {r.stderr:.4f}")
     r = qccr.simulate(game, trials=200_000, seed=42, strategy=[[1, 1], [1, 1]])
     print(f"  best classical strategy simulated:  {r.success_rate:.4f}")
-    control = qccr.GameSpec(game.functional, game.observables, qccr.VisibilityModel(0.0))
+    control = qccr.GameSpec(game.functional, game.turns, qccr.VisibilityModel(0.0))
     r = qccr.simulate(control, trials=200_000, seed=42)
     print(f"  one broadcast dropped (v = 0 control): {r.success_rate:.4f}")
     print()

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from . import qstate
-from .errors import CapabilityError, check_count, check_real
+from .errors import CapabilityError, check_count, check_float, check_real
 
 LR_MAX_PARTY_CAP = 16
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -185,7 +185,7 @@ class BellFunctional:
         # and every key found make the key sets equal
         if len(dist) != len(derived) or not all(
             (p := derived.get(parsed.get(text))) is not None
-            and abs(float(check_real(value, "probability")) - float(p)) <= 1e-12 * float(p)
+            and abs(check_float(value, "probability") - float(p)) <= 1e-12 * float(p)
             for text, value in dist.items()
         ):
             raise ValueError("settings probabilities are not |coefficient| / sum |coefficients|")

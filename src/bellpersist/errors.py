@@ -44,3 +44,12 @@ def check_real(value, name: str):
     if value != value or value == math.inf or value == -math.inf:
         raise ValueError(f"{name} {value!r} is not finite")
     return value
+
+
+def check_float(value, name: str) -> float:
+    """:func:`check_real`'s ``value`` as a float; an exact value no float
+    holds, such as the JSON integer 10**400, raises ValueError naming ``name``."""
+    try:
+        return float(check_real(value, name))
+    except OverflowError:
+        raise ValueError(f"{name} lies outside the float range") from None

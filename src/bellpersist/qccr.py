@@ -26,10 +26,12 @@ small linear program over type classes, solved here in exact rational
 arithmetic with a Farkas certificate on infeasibility.
 
 A :class:`GameSpec` holds exactly what its JSON file holds: the
-functional, whose settings distribution it derives, one observable per
-party per setting, and a visibility model.  The dense realization of
-:class:`GhzMixture` and the dense outcome distributions that the tests
-check the parity model against live in ``tests/oracles.py``.
+functional, whose settings distribution it derives, each setting of
+each party as its turns on the equatorial (x-y) plane, stored as the
+float the file writes, and a visibility model.  It plays the angles
+2 pi times those turns.  The dense realization of :class:`GhzMixture`
+and the dense outcome distributions that the tests check the parity
+model against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ import numbers
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from . import bell, qstate
+from . import bell
 from ._lazy import lazy_import
 from ._record import frozen
-from .errors import CapabilityError, check_count, check_real
+from .errors import CapabilityError, check_count, check_float, check_real
 
 np = lazy_import("numpy")
 
@@ -98,14 +100,15 @@ StateModel = Union[GhzMixture, VisibilityModel]
 
 @frozen
 class GameSpec:
-    """A playable game: functional, state model, and one equatorial (xy
-    plane) observable per party per setting; the parity model plays
+    """A playable game: functional, state model, and ``turns[i][s]``, the
+    turns a of party i's equatorial observable cos(2 pi a) sx +
+    sin(2 pi a) sy at setting s, stored as floats; the parity model plays
     cos(sum of angles), the correlator of equatorial settings only.  The
     functional is stored with its game distribution
     P(s) = |g(s)| / sum |g| attached."""
 
     functional: bell.BellFunctional
-    observables: tuple[tuple[qstate.PlaneObservable, ...], ...]
+    turns: tuple[tuple[float, ...], ...]
     state: StateModel
     name: str = "game"
 
@@ -114,13 +117,12 @@ class GameSpec:
         object.__setattr__(self, "functional", f)
         if not f.coefficients:
             raise ValueError("game functionals need a nonzero coefficient")
-        if len(self.observables) != f.n_parties:
-            raise ValueError("need one observable tuple per party")
-        for per_party in self.observables:
-            if len(per_party) != f.settings_per_party:
-                raise ValueError("need one observable per setting")
-            if any(obs.plane != "xy" for obs in per_party):
-                raise ValueError("game observables must lie in the xy plane")
+        if len(self.turns) != f.n_parties:
+            raise ValueError("need one turns tuple per party")
+        if any(len(per_party) != f.settings_per_party for per_party in self.turns):
+            raise ValueError("need one turn per setting")
+        turns = tuple(tuple(check_float(t, "turns") for t in per_party) for per_party in self.turns)
+        object.__setattr__(self, "turns", turns)
         if not isinstance(self.state, (GhzMixture, VisibilityModel)):
             raise ValueError("a game state must be a GhzMixture or a VisibilityModel")
         if not isinstance(self.name, str):
@@ -134,9 +136,7 @@ class GameSpec:
 def chsh_game() -> GameSpec:
     """Two players sharing a Bell pair; quantum success cos^2(pi/8)."""
     f = bell.BellFunctional(2, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1})
-    a, ap = bell.makb_xy_settings(2)
-    pair = (qstate.PlaneObservable.xy_turns(a), qstate.PlaneObservable.xy_turns(ap))
-    return GameSpec(f, (pair, pair), GhzMixture(2, 2), name="chsh")
+    return GameSpec(f, (bell.makb_xy_settings(2),) * 2, GhzMixture(2, 2), name="chsh")
 
 
 def makb_game(n: int, n_total: int | None = None) -> GameSpec:
@@ -146,9 +146,8 @@ def makb_game(n: int, n_total: int | None = None) -> GameSpec:
     the plain GHZ block.
     """
     n_total = n if n_total is None else n_total
-    a, ap = bell.makb_xy_settings(n)
-    pair = (qstate.PlaneObservable.xy_turns(a), qstate.PlaneObservable.xy_turns(ap))
-    return GameSpec(bell.makb(n), (pair,) * n, GhzMixture(n_total, n), name=f"makb{n}")
+    turns = (bell.makb_xy_settings(n),) * n
+    return GameSpec(bell.makb(n), turns, GhzMixture(n_total, n), name=f"makb{n}")
 
 
 def gbi_game(n: int, grid: int = 32) -> GameSpec:
@@ -164,11 +163,8 @@ def gbi_game(n: int, grid: int = 32) -> GameSpec:
         if abs(g) > 1e-15:
             coeffs[key] = g
     f = bell.BellFunctional(n, coeffs, settings_per_party=grid)
-    obs = tuple(
-        tuple(qstate.PlaneObservable.xy_turns(s / grid) for s in range(grid))
-        for _ in range(n)
-    )
-    return GameSpec(f, obs, VisibilityModel(1.0), name=f"gbi{n}x{grid}")
+    turns = (tuple(s / grid for s in range(grid)),) * n
+    return GameSpec(f, turns, VisibilityModel(1.0), name=f"gbi{n}x{grid}")
 
 
 def _settings_table(game: GameSpec):
@@ -181,8 +177,8 @@ def _settings_table(game: GameSpec):
     coeffs = np.array([f.coefficients[k] for k in keys], dtype=float)
     # added left to right, party by party, as sum() adds a tuple's angles
     angle_sums = 0
-    for party, per_party in enumerate(game.observables):
-        angles = np.array([obs.angle for obs in per_party])
+    for party, per_party in enumerate(game.turns):
+        angles = 2.0 * math.pi * np.array(per_party)
         angle_sums = angle_sums + angles[components[:, party]]
     corr = game.state.visibility(game.n_parties) * np.cos(angle_sums)
     return components, probs, coeffs, corr
@@ -546,8 +542,7 @@ def game_to_json(game: GameSpec) -> str:
             "name": game.name,
             "functional": game.functional.to_json(),
             "observables": [
-                [{"plane": obs.plane, "turns": obs.turns} for obs in per_party]
-                for per_party in game.observables
+                [{"plane": "xy", "turns": t} for t in per_party] for per_party in game.turns
             ],
             "state": {"kind": kind, **state},
         },
@@ -567,13 +562,12 @@ def game_from_json(text: str) -> GameSpec:
         raise ValueError("game spec must be a JSON object")
     try:
         functional = bell.BellFunctional.from_json(payload["functional"])
-        observables = tuple(
-            tuple(
-                qstate.PlaneObservable(o["plane"], 2.0 * math.pi * check_real(o["turns"], "turns"))
-                for o in per_party
-            )
-            for per_party in payload["observables"]
-        )
+        observables = payload["observables"]
+        turns = tuple(tuple(o["turns"] for o in per_party) for per_party in observables)
+        # the parity model plays cos(sum of angles), which only equatorial
+        # settings give; an "xz" observable must not play as if it were one
+        if any(o["plane"] != "xy" for per_party in observables for o in per_party):
+            raise ValueError("game observables must lie in the xy plane")
         state_info = payload["state"]
         if state_info["kind"] == "ghz_mixture":
             state: StateModel = GhzMixture(state_info["n_parties"], state_info["block_size"])
@@ -581,7 +575,7 @@ def game_from_json(text: str) -> GameSpec:
             state = VisibilityModel(state_info["v"])
         else:
             raise ValueError(f"unknown state kind {state_info['kind']!r}")
-        return GameSpec(functional, observables, state, name=payload.get("name", "game"))
+        return GameSpec(functional, turns, state, name=payload.get("name", "game"))
     except KeyError as exc:
         raise ValueError(f"game spec lacks key {exc}") from None
     except (TypeError, AttributeError) as exc:

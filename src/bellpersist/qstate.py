@@ -66,10 +66,6 @@ class PlaneObservable:
     def xz(cls, beta: float) -> "PlaneObservable":
         return cls("xz", beta)
 
-    @property
-    def turns(self) -> float:
-        return self.angle / (2.0 * math.pi)
-
     def matrix(self) -> np.ndarray:
         c, s = math.cos(self.angle), math.sin(self.angle)
         if self.plane == "xz":

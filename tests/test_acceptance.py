@@ -207,7 +207,7 @@ def test_c10_game_simulation():
     assert classical.success_rate <= 0.75 + 4 * classical.stderr
 
     control_game = qccr.GameSpec(
-        game.functional, game.observables, qccr.VisibilityModel(0.0)
+        game.functional, game.turns, qccr.VisibilityModel(0.0)
     )
     control = qccr.simulate(control_game, trials=10**6, seed=20242)
     elapsed = time.monotonic() - start

@@ -2,7 +2,9 @@ import ast
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import math
 import os
 import resource
 import subprocess
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellpersist import bell, qccr, qstate
+from bellpersist import bell, qccr
 from bellpersist.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -292,6 +294,23 @@ class TestExitCodes:
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr == "bellpersist: game coefficients' sum |g| exceeds the largest float\n"
 
+    @pytest.mark.parametrize(
+        "where,value,name",
+        [
+            (("functional", "settings_distribution", "00"), 10**400, "probability"),
+            (("observables", 0, 0, "turns"), 10**400, "turns"),
+            (("observables", 1, 1, "turns"), -(10**400), "turns"),
+        ],
+        ids=["probability", "turns", "negative-turns"],
+    )
+    def test_integer_past_float_range_one_line(self, tmp_path, where, value, name):
+        # a JSON integer has no range; one no float holds is refused by name
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(_replaced(_GAME, where, value)))
+        result = run_cli(["qccr", "simulate", "--game", str(path), "--trials", "10"])
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == f"bellpersist: {name} lies outside the float range\n"
+
     def test_feasibility_zero_denominator_one_line(self, tmp_path):
         path = tmp_path / "dist.json"
         path.write_text('{"00": "1/0", "11": 1, "01": 0, "10": 0}')
@@ -411,9 +430,9 @@ class TestLibraryDecides:
         # empty rather than the table of 2^17 transform entries allocated
         n = 17
         f = bell.BellFunctional(n, {(0,) * n: 1, (1,) * n: -1})
-        pair = (qstate.PlaneObservable.xy_turns(0.0), qstate.PlaneObservable.xy_turns(0.25))
         path = tmp_path / "game.json"
-        path.write_text(qccr.game_to_json(qccr.GameSpec(f, (pair,) * n, qccr.VisibilityModel(1.0))))
+        game = qccr.GameSpec(f, ((0.0, 0.25),) * n, qccr.VisibilityModel(1.0))
+        path.write_text(qccr.game_to_json(game))
         assert main(["qccr", "simulate", "--game", str(path), "--trials", "100"]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert len(rows) == 2 and rows[1].endswith(",")
@@ -538,16 +557,17 @@ class TestGameSpecWorkflow:
 
 # `qccr make-game` bytes (sha256) and `qccr simulate --trials 200000` rows
 # at seeds 1 and 7 with --jobs 1 and 2, as the Fraction-sum, +-1-product
-# implementation of the game path wrote them; any rewrite of that path
-# must keep them byte for byte
+# implementation of the game path wrote them, except that the gbi files
+# hold each turn as s / grid itself, not its trip through radians; any
+# rewrite of that path must keep them byte for byte
 PINNED_GAMES = {
     "gbi3x32": (
         ["--type", "gbi", "--n", "3"],
-        "0c0e2340e64816c1b6d83d31e905681a01029246603efa095b4e9b304c986a03",
+        "36508e7e6a0c115ef79feb1cb04366cfc007550d9210433cdf74ef81982280b7",
     ),
     "gbi2x16": (
         ["--type", "gbi", "--n", "2", "--grid", "16"],
-        "156cc7ecfb3a9168f307beab3e1256f32d2599424e96363965482af722b404d5",
+        "42941490cf8dc0e6d14b788a7b321433eed7f16c5d9012c32727a70a2f37cf3e",
     ),
     "makb3": (
         ["--type", "makb", "--n", "3"],
@@ -600,6 +620,65 @@ class TestPinnedGameOutputs:
             argv = ["--game", str(spec), "--trials", "200000", "--seed", seed, "--jobs", jobs]
             assert main(["qccr", "simulate", *argv]) == 0
             assert capsys.readouterr().out.splitlines()[1] == row, (seed, jobs)
+
+
+# every game make-game writes, with each party's turns as its builder
+# forms them: chsh, makb on 2..16 players alone and inside two more
+# parties, and gbi on every grid to 64 (two players) and 16 (three), on
+# 32 and on the largest grid under the size cap
+_MADE_GAMES = (
+    [pytest.param(["--type", "chsh"], [list(bell.makb_xy_settings(2))] * 2, id="chsh")]
+    + [
+        pytest.param(
+            ["--type", "makb", "--n", str(n), *total],
+            [list(bell.makb_xy_settings(n))] * n,
+            id=f"makb{n}" + (f"in{total[1]}" if total else ""),
+        )
+        for n in range(2, 17)
+        for total in ([], ["--n-total", str(n + 2)])
+    ]
+    + [
+        pytest.param(
+            ["--type", "gbi", "--n", str(n), "--grid", str(grid)],
+            [[s / grid for s in range(grid)]] * n,
+            id=f"gbi{n}x{grid}",
+        )
+        for n, grids in ((2, [*range(2, 65), 447]), (3, [*range(2, 17), 32, 58]))
+        for grid in grids
+    ]
+)
+
+
+class TestMadeGameFiles:
+    @pytest.mark.parametrize("make_args,turns", _MADE_GAMES)
+    def test_file_round_trips_with_builder_turns(self, capsys, make_args, turns):
+        # a GameSpec holds what its file holds: reading a made file and
+        # writing it again gives the same text, and each written turn is
+        # the builder's value itself, not its trip through radians
+        assert main(["qccr", "make-game", *make_args]) == 0
+        text = capsys.readouterr().out
+        assert qccr.game_to_json(qccr.game_from_json(text)) + "\n" == text
+        assert [[o["turns"] for o in row] for row in json.loads(text)["observables"]] == turns
+
+    def test_radian_trip_file_plays_the_same(self, tmp_path, capsys):
+        # earlier files hold each turn t as (2 pi t) / (2 pi), e.g. 11/16
+        # as 0.6874999999999999; 2 pi times that is 2 pi t, so they play
+        # the same rounds
+        new = tmp_path / "new.json"
+        assert main(["qccr", "make-game", *PINNED_GAMES["gbi2x16"][0], "--output", str(new)]) == 0
+        payload = json.loads(new.read_text())
+        for o in itertools.chain.from_iterable(payload["observables"]):
+            o["turns"] = 2.0 * math.pi * o["turns"] / (2.0 * math.pi)
+        assert payload["observables"][0][11]["turns"] == 0.6874999999999999
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(payload, sort_keys=True) + "\n")
+        for seed, jobs in itertools.product(("1", "7"), ("1", "2")):
+            rows = []
+            for spec in (new, old):
+                argv = ["--game", str(spec), "--trials", "200000", "--seed", seed, "--jobs", jobs]
+                assert main(["qccr", "simulate", *argv]) == 0
+                rows.append(capsys.readouterr().out)
+            assert rows[0] == rows[1], (seed, jobs)
 
 
 # golden commands that compute with arrays: the Monte Carlo
@@ -665,11 +744,11 @@ _EXECUTED = {
     "makb_qcr.csv": {"bell"},
     "dicke_fit_m1.csv": {"dicke"},
     "dicke_sigma.json": {"dicke"},
-    "qccr_simulate.csv": {"qccr", "bell", "qstate"},
+    "qccr_simulate.csv": {"qccr", "bell"},
     "qccr_feasibility.csv": {"qccr"},
     "dicke_n0_m2.csv": {"dicke"},
     "makb_coefficients_n3.csv": {"bell"},
-    "qccr_make_game_chsh.json": {"qccr", "bell", "qstate"},
+    "qccr_make_game_chsh.json": {"qccr", "bell"},
 }
 _EXECUTED_ARGV = GOLDEN_COMMANDS | {
     "version": ["--version"],
@@ -735,7 +814,7 @@ _IMPORTS = {
     "errors": set(),
     "monogamy": {"_record", "errors", "qstate"},
     "persistency": {"_record", "bell", "dicke", "errors"},
-    "qccr": {"_lazy", "_record", "bell", "errors", "qstate"},
+    "qccr": {"_lazy", "_record", "bell", "errors"},
     "qstate": {"_lazy", "_record", "errors"},
 }
 
@@ -788,6 +867,9 @@ class TestModuleContract:
         assert not hasattr(bellpersist.dicke.DickeMixture, "dense")
         for method in ("to_density_state", "validate_spectrum"):
             assert not hasattr(bellpersist.qstate.DenseState, method), method
+        # a game holds turns, as its file does, and no observable objects
+        assert not hasattr(bellpersist.qstate.PlaneObservable, "turns")
+        assert not hasattr(bellpersist.qccr.chsh_game(), "observables")
 
     def test_import_graph(self):
         package = Path(__file__).parent.parent / "src" / "bellpersist"

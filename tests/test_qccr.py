@@ -42,7 +42,7 @@ class TestAnalyticValues:
 
     def test_all_positive_coefficients_trivialize(self):
         f = bell.BellFunctional(2, {k: 0.25 for k in itertools.product((0, 1), repeat=2)})
-        game = GameSpec(f, chsh_game().observables, VisibilityModel(1.0))
+        game = GameSpec(f, chsh_game().turns, VisibilityModel(1.0))
         assert classical_best(game) == pytest.approx(1.0, abs=1e-12)
 
     def test_makb3_game(self):
@@ -52,7 +52,7 @@ class TestAnalyticValues:
 
     def test_maximally_mixed_is_fair_coin(self):
         game = chsh_game()
-        control = GameSpec(game.functional, game.observables, VisibilityModel(0.0))
+        control = GameSpec(game.functional, game.turns, VisibilityModel(0.0))
         assert quantum_success(control) == pytest.approx(0.5, abs=1e-15)
 
     def test_classical_best_at_least_half(self):
@@ -62,7 +62,7 @@ class TestAnalyticValues:
                 k: rng.normal() for k in itertools.product((0, 1), repeat=2)
             }
             f = bell.BellFunctional(2, coeffs)
-            game = GameSpec(f, chsh_game().observables, VisibilityModel(1.0))
+            game = GameSpec(f, chsh_game().turns, VisibilityModel(1.0))
             assert classical_best(game) >= 0.5
 
     def test_quantum_beats_classical_iff_lr_exceeded(self):
@@ -71,7 +71,7 @@ class TestAnalyticValues:
         classical = classical_best(game)
         value = sum(
             float(c) * 1.0 / math.comb(2, 2) * math.cos(
-                sum(game.observables[i][s].angle for i, s in enumerate(k))
+                sum(2.0 * math.pi * game.turns[i][s] for i, s in enumerate(k))
             )
             for k, c in game.functional.coefficients.items()
         )
@@ -98,17 +98,25 @@ class TestAnalyticValues:
             assert _dense_success(game, reduced) > classical_best(game)
 
 
+def _observables(game):
+    """Each party's dense observable at each setting: the xy-plane
+    observable at 2 pi times its turns radians, the angle the parity
+    model plays."""
+    return [[qstate.PlaneObservable("xy", 2.0 * math.pi * t) for t in row] for row in game.turns]
+
+
 def _dense_success(game, state):
     """Success probability of measure-and-broadcast play on a dense state
     holding exactly the measured parties, from bell.quantum_value."""
-    value = bell.quantum_value(game.functional, state, game.observables)
+    value = bell.quantum_value(game.functional, state, _observables(game))
     return 0.5 * (1.0 + value / float(game.functional.abs_total()))
 
 
 def _dense_correlators(game, state):
     """Dense correlators of the settings tuples, in the table's order."""
+    observables = _observables(game)
     return np.array([
-        qstate.expectation(state, [game.observables[i][s] for i, s in enumerate(key)])
+        qstate.expectation(state, [observables[i][s] for i, s in enumerate(key)])
         for key in sorted(game.functional.coefficients)
     ])
 
@@ -132,8 +140,8 @@ class TestGhzMixtureModel:
     def test_outcome_distribution_matches_parity_model(self):
         game = makb_game(2, n_total=2)
         for key in itertools.product((0, 1), repeat=2):
-            probs = outcome_distribution(qstate.ghz_state(2), game.observables, key)
-            angle = sum(game.observables[i][s].angle for i, s in enumerate(key))
+            probs = outcome_distribution(qstate.ghz_state(2), _observables(game), key)
+            angle = sum(2.0 * math.pi * game.turns[i][s] for i, s in enumerate(key))
             corr = math.cos(angle)
             expected = np.array(
                 [(1 + corr) / 4, (1 - corr) / 4, (1 - corr) / 4, (1 + corr) / 4]
@@ -188,7 +196,7 @@ class TestSimulation:
 
     def test_zero_visibility_control(self):
         game = chsh_game()
-        control = GameSpec(game.functional, game.observables, VisibilityModel(0.0))
+        control = GameSpec(game.functional, game.turns, VisibilityModel(0.0))
         result = simulate(control, trials=10**6, seed=13)
         assert abs(result.success_rate - 0.5) < 3 * result.stderr
 
@@ -636,7 +644,7 @@ class TestJsonRoundTrip:
             lambda: makb_game(4, 6),
             lambda: gbi_game(3),
             lambda: gbi_game(2, grid=16),
-            lambda: GameSpec(chsh_game().functional, chsh_game().observables, VisibilityModel(0.3)),
+            lambda: GameSpec(chsh_game().functional, chsh_game().turns, VisibilityModel(0.3)),
         ],
         ids=["chsh", "makb4in6", "gbi3x32", "gbi2x16", "chsh-v0.3"],
     )
@@ -675,16 +683,27 @@ class TestJsonRoundTrip:
     def test_non_equatorial_observables_refused(self):
         # the parity model plays cos(sum of angles), which only equatorial
         # settings give; an xz observable must not play as if it were one
-        game = chsh_game()
-        pair = (qstate.PlaneObservable.xz(game.observables[0][0].angle), game.observables[0][1])
+        payload = json.loads(game_to_json(chsh_game()))
+        payload["observables"][0][0]["plane"] = "xz"
         with pytest.raises(ValueError, match="xy plane"):
-            GameSpec(game.functional, (pair, game.observables[1]), game.state)
+            game_from_json(json.dumps(payload))
+
+    def test_turns_are_numbers(self):
+        # a game holds turns, not observable objects: a dense observable
+        # is no number, and the turns are stored as floats
+        game = chsh_game()
+        obs = qstate.PlaneObservable("xy", 2.0 * math.pi * game.turns[0][0])
+        with pytest.raises(ValueError, match="turns PlaneObservable"):
+            GameSpec(game.functional, ((obs, game.turns[0][1]), game.turns[1]), game.state)
+        exact = GameSpec(game.functional, ((F(1, 8), 0), (1, F(-1, 4))), game.state)
+        assert exact.turns == ((0.125, 0.0), (1.0, -0.25))
+        assert all(type(t) is float for row in exact.turns for t in row)
 
     def test_dense_states_not_serialized(self):
         # a game holds only what its file can: no dense state gets in
         game = chsh_game()
         with pytest.raises(ValueError):
-            GameSpec(game.functional, game.observables, qstate.ghz_state(2))
+            GameSpec(game.functional, game.turns, qstate.ghz_state(2))
 
 
 def _classical_or_error(game):

@@ -92,12 +92,15 @@ class TestDefaultsAndValidation:
     def test_default_field(self):
         game = qccr.chsh_game()
         spec = qccr.GameSpec(
-            functional=game.functional, observables=game.observables, state=game.state
+            functional=game.functional, turns=game.turns, state=game.state
         )
         assert spec.name == "game"
+        assert tuple(inspect.signature(qccr.GameSpec).parameters) == (
+            "functional", "turns", "state", "name"
+        )
         assert str(inspect.signature(qccr.GameSpec)).endswith("name='game')")
-        assert spec == qccr.GameSpec(game.functional, game.observables, game.state, "game")
-        assert spec != qccr.GameSpec(game.functional, game.observables, game.state, "other")
+        assert spec == qccr.GameSpec(game.functional, game.turns, game.state, "game")
+        assert spec != qccr.GameSpec(game.functional, game.turns, game.state, "other")
 
     @pytest.mark.parametrize(
         "build",
