@@ -8,7 +8,8 @@ use to confirm that a correlation sum above 1 (:func:`dicke.sym_sigma`)
 gives a violation, lives in ``tests/oracles.py``.
 
 Local-realistic maxima come exactly from a Walsh-Hadamard transform, and
-GHZ values under equatorial settings are sums of cosines.
+GHZ values under equatorial settings are sums of cosines.  Functionals
+are frozen records, their keys and values checked once, when built.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from . import qstate
+from ._record import frozen
 from .errors import CapabilityError, check_count, check_float, check_real
 
 LR_MAX_PARTY_CAP = 16
@@ -36,37 +38,31 @@ def _key_string(key: tuple[int, ...], settings_per_party: int) -> str:
     return ("" if settings_per_party <= 10 else ",").join(map(str, key))
 
 
+@frozen
 class BellFunctional:
     """Linear functional over full correlators of a two-(or more-)setting
     Bell scenario.
 
     ``coefficients`` maps settings tuples (one entry per party, each in
-    ``range(settings_per_party)``) to real weights.  A functional built
-    here carries no settings distribution; :meth:`with_game_distribution`
-    attaches the one a communication game uses, P(s) = |g(s)| / sum |g|.
+    ``range(settings_per_party)``) to nonzero real weights.  A functional
+    built here carries no settings distribution; :meth:`with_game_distribution`
+    attaches the one a game uses, P(s) = |g(s)| / sum |g|.  Derived from
+    the fields, it is no field itself, so equality does not compare it.
     """
 
-    def __init__(
-        self,
-        n_parties: int,
-        coefficients: Mapping[tuple[int, ...], Number],
-        settings_per_party: int = 2,
-    ):
-        self.n_parties = check_count(n_parties, "party count", 1)
-        self.settings_per_party = check_count(settings_per_party, "settings count", 2)
-        self.coefficients = {
-            self._check_key(k): v for k, v in coefficients.items() if check_real(v, "coefficient") != 0
-        }
-        self.settings_distribution: dict[tuple[int, ...], Number] | None = None
+    n_parties: int
+    coefficients: Mapping[tuple[int, ...], Number]
+    settings_per_party: int = 2
+    settings_distribution = None  # no field: with_game_distribution shadows it
 
-    def __eq__(self, other) -> bool:
-        """Same party count, settings count and coefficients; the attached
-        distribution is derived from these, so it is not compared."""
-        if not isinstance(other, BellFunctional):
-            return NotImplemented
-        return (self.n_parties, self.settings_per_party, self.coefficients) == (
-            other.n_parties, other.settings_per_party, other.coefficients
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "n_parties", check_count(self.n_parties, "party count", 1))
+        spp = check_count(self.settings_per_party, "settings count", 2)
+        object.__setattr__(self, "settings_per_party", spp)
+        checked = {
+            self._check_key(k): v for k, v in self.coefficients.items() if check_real(v, "coefficient") != 0
+        }
+        object.__setattr__(self, "coefficients", checked)
 
     def _check_key(self, key: tuple[int, ...]) -> tuple[int, ...]:
         key = tuple(key)
@@ -125,10 +121,10 @@ class BellFunctional:
         total = sum(numerators)
         if Fraction(total, common) > sys.float_info.max:
             raise ValueError("game coefficients' sum |g| exceeds the largest float")
-        game.settings_distribution = {
+        object.__setattr__(game, "settings_distribution", {
             k: n / total if isinstance(c, float) else Fraction(n, total)
             for (k, c), n in zip(self.coefficients.items(), numerators)
-        }
+        })
         return game
 
     def to_json(self) -> dict:

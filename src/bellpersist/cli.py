@@ -116,7 +116,8 @@ def _cmd_gamma_crit(args) -> None:
         a = _parse_scalar(token)
         gamma = persistency.gamma_crit(a)
         residual = persistency.binary_entropy(gamma) - gamma * math.log2(a)
-        rows.append({"a": a, "gamma_crit": gamma, "residual": residual})
+        # repr reads back as the root; 12 digits print a root near 1 as 1
+        rows.append({"a": a, "gamma_crit": repr(gamma), "residual": residual})
     _emit(args, rows)
 
 
@@ -221,7 +222,7 @@ def _cmd_makb_qcr(args) -> None:
 def _cmd_makb_coefficients(args) -> None:
     f = bell.makb(args.n)
     rows = [
-        {"settings": "".join(map(str, key)), "coefficient": float(value)}
+        {"settings": bell._key_string(key, f.settings_per_party), "coefficient": float(value)}
         for key, value in sorted(f.coefficients.items())
     ]
     _emit(args, rows)

@@ -4,9 +4,10 @@ Exact brute-force routines: the GHZ constructor, tensor-product
 expectation values and Pauli-string anticommutation.  The dense oracle
 the tests check the library against (Dicke states, mixtures, partial
 traces) builds on these in ``tests/oracles.py``.  Everything is dense
-and capped at ``MAX_QUBITS`` qubits; basis states are ordered
-lexicographically with qubit 0 most significant, and the computational
-value 0 of a qubit is the +1 eigenstate of sigma_z.
+and capped at ``MAX_QUBITS`` qubits, counts checked by ``check_count``;
+basis states are ordered lexicographically with qubit 0 most significant,
+and the computational value 0 of a qubit is the +1 eigenstate of sigma_z.
+Site operators are +-1-valued, so every expectation lies in [-1, 1].
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence, Union
 
 from ._lazy import lazy_import
 from ._record import frozen
-from .errors import CapabilityError, check_real
+from .errors import CapabilityError, check_count, check_real
 
 np = lazy_import("numpy")
 
@@ -27,6 +28,14 @@ _HERM_ATOL = 1e-12
 _EIG_FLOOR = -1e-10
 # Spectrum checks cost O(8^n); run them automatically only below this size.
 _EIG_CHECK_DIM = 256
+
+
+def _qubit_count(n) -> int:
+    """``n`` through :func:`check_count`; CapabilityError above ``MAX_QUBITS``."""
+    n = check_count(n, "qubit count", 1)
+    if n > MAX_QUBITS:
+        raise CapabilityError(f"{n} qubits outside supported range 1..{MAX_QUBITS}")
+    return n
 
 
 @functools.cache
@@ -134,10 +143,7 @@ class DenseState:
     pure: bool
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise CapabilityError(
-                f"{self.n_qubits} qubits outside supported range 1..{MAX_QUBITS}"
-            )
+        object.__setattr__(self, "n_qubits", _qubit_count(self.n_qubits))
         dim = 2**self.n_qubits
         arr = np.array(self.data, dtype=complex)
         if self.pure:
@@ -189,31 +195,27 @@ def ghz_state(l: int, phase: float = 0.0) -> DenseState:
     of z rotations); it matters when pairing a fixed state with fixed
     equatorial measurement angles.
     """
-    if not 1 <= l <= MAX_QUBITS:
-        raise CapabilityError(f"GHZ size {l} outside supported range 1..{MAX_QUBITS}")
+    l = _qubit_count(l)
     amp = np.zeros(2**l, dtype=complex)
     amp[0] = 1.0 / math.sqrt(2.0)
     amp[-1] = np.exp(1.0j * phase) / math.sqrt(2.0)
     return DenseState(l, amp, pure=True)
 
 
-SiteOperator = Union[PlaneObservable, str, "np.ndarray"]
+SiteOperator = Union[PlaneObservable, str]
 
 
-def _site_matrix(op: SiteOperator) -> tuple[np.ndarray, bool]:
-    """2x2 matrix for a per-qubit operator plus a unit-spectrum flag."""
+def _site_matrix(op: SiteOperator) -> np.ndarray:
+    """The 2x2 matrix of a per-qubit operator, a +-1-valued observable."""
     if isinstance(op, PlaneObservable):
-        return op.matrix(), True
-    if isinstance(op, str):
-        key = op.upper().replace("0", "I")
-        matrices = _pauli_matrices()
-        if key not in matrices:
-            raise ValueError(f"unknown single-qubit operator {op!r}")
-        return matrices[key], True
-    arr = np.asarray(op, dtype=complex)
-    if arr.shape != (2, 2):
-        raise ValueError(f"site operator must be 2x2, got shape {arr.shape}")
-    return arr, False
+        return op.matrix()
+    if not isinstance(op, str):
+        raise ValueError(f"site operator {type(op).__name__} is no PlaneObservable or Pauli letter")
+    key = op.upper().replace("0", "I")
+    matrices = _pauli_matrices()
+    if key not in matrices:
+        raise ValueError(f"unknown single-qubit operator {op!r}")
+    return matrices[key]
 
 
 def _pauli_masks(ps: PauliString, n: int) -> tuple[int, int, int]:
@@ -258,7 +260,8 @@ def expectation(
 
     ``observables`` is either a Pauli string covering the whole register
     or a sequence with one entry per qubit, each a
-    :class:`PlaneObservable`, a Pauli letter, or an explicit 2x2 matrix.
+    :class:`PlaneObservable` or a Pauli letter.  Every such operator has
+    eigenvalues +-1, so a value outside [-1, 1] raises ValueError.
     """
     n = state.n_qubits
     if isinstance(observables, str):
@@ -269,16 +272,11 @@ def expectation(
                 f"operator acts on {len(observables)} qubits, state has {n}"
             )
         value = _pauli_expectation(state, observables)
-        return _as_real(value, unit_spectrum=True)
+        return _as_real(value)
 
     if len(observables) != n:
         raise ValueError(f"need {n} site operators, got {len(observables)}")
-    mats = []
-    all_unit = True
-    for op in observables:
-        mat, unit = _site_matrix(op)
-        mats.append(mat)
-        all_unit = all_unit and unit
+    mats = [_site_matrix(op) for op in observables]
 
     if state.pure:
         psi = state.data.reshape((2,) * n)
@@ -291,14 +289,14 @@ def expectation(
         for axis, mat in enumerate(mats):
             rho = np.moveaxis(np.tensordot(mat, rho, axes=([1], [axis])), 0, axis)
         value = complex(np.trace(rho.reshape(state.dim, state.dim)))
-    return _as_real(value, unit_spectrum=all_unit)
+    return _as_real(value)
 
 
-def _as_real(value: complex, unit_spectrum: bool) -> float:
+def _as_real(value: complex) -> float:
     if abs(value.imag) > 1e-10:
         raise ValueError(f"expectation has non-real value {value}")
     real = float(value.real)
-    if unit_spectrum and abs(real) > 1.0 + 1e-10:
+    if abs(real) > 1.0 + 1e-10:
         raise ValueError(f"expectation {real} outside [-1, 1]")
     return real
 

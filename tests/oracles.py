@@ -253,17 +253,29 @@ class SignFunction:
         return cls(n, np.full((2,) * n, sign, dtype=np.int8))
 
 
-def _sum_observable(pair: ObservablePair, s: int) -> np.ndarray:
-    a, _ = qstate._site_matrix(pair[0])
-    b, _ = qstate._site_matrix(pair[1])
-    return a + (1 if s == 0 else -1) * b
+def _walsh(state: DenseState, site) -> np.ndarray:
+    """sum_t (-1)^(s . t) <site(0, t_0) x ... x site(n-1, t_{n-1})> for every
+    bit tuple s, as a (2,) * n table: the Walsh-Hadamard transform of the
+    correlator table, taken one party axis at a time."""
+    n = state.n_qubits
+    table = np.array(
+        [
+            qstate.expectation(state, [site(i, t) for i, t in enumerate(key)])
+            for key in itertools.product((0, 1), repeat=n)
+        ]
+    ).reshape((2,) * n)
+    for axis in range(n):
+        plus, minus = np.take(table, 0, axis), np.take(table, 1, axis)
+        table = np.stack((plus + minus, plus - minus), axis)
+    return table
 
 
-def _sign_term(
-    state: DenseState, observables: Sequence[ObservablePair], key: tuple[int, ...]
-) -> float:
-    ops = [_sum_observable(observables[i], s) for i, s in enumerate(key)]
-    return qstate.expectation(state, ops)
+def _sign_terms(state: DenseState, observables: Sequence[ObservablePair]) -> np.ndarray:
+    """<(A_1 + s_1 A_1') x ... x (A_n + s_n A_n')> for every s, indexed by
+    the setting bits (bit 0 for +, 1 for -): each product expands into the
+    full correlators of A_i (t_i = 0) and A_i' (t_i = 1) with signs
+    prod_i (-1)^(s_i t_i)."""
+    return _walsh(state, lambda i, t: observables[i][t])
 
 
 def wwwzb_value(
@@ -279,10 +291,7 @@ def wwwzb_value(
     n = sf.n
     if len(observables) != n or state.n_qubits != n:
         raise ValueError("state/observable shapes do not match the sign function")
-    total = 0.0
-    for key in itertools.product((0, 1), repeat=n):
-        total += float(sf.signs[key]) * _sign_term(state, observables, key)
-    return total / 2**n
+    return float(np.sum(sf.signs * _sign_terms(state, observables))) / 2**n
 
 
 def wwwzb_max(state: DenseState, observables: Sequence[ObservablePair]) -> float:
@@ -295,10 +304,7 @@ def wwwzb_max(state: DenseState, observables: Sequence[ObservablePair]) -> float
     n = state.n_qubits
     if len(observables) != n:
         raise ValueError(f"need observable pairs for {n} parties")
-    total = 0.0
-    for key in itertools.product((0, 1), repeat=n):
-        total += abs(_sign_term(state, observables, key))
-    return total / 2**n
+    return float(np.sum(np.abs(_sign_terms(state, observables)))) / 2**n
 
 
 def optimize_wwwzb_angles(
@@ -358,16 +364,10 @@ def outcome_distribution(
 ) -> np.ndarray:
     """Outcome distribution over the 2^k sign patterns of a k-qubit dense
     state when party i measures ``observables[i][key[i]]`` (small k)."""
-    k = state.n_qubits
-    probs = np.zeros(2**k)
-    eye = np.eye(2, dtype=complex)
-    for out in range(2**k):
-        ops = []
-        for party in range(k):
-            sign = 1.0 if not (out >> (k - 1 - party)) & 1 else -1.0
-            ops.append(0.5 * (eye + sign * observables[party][key[party]].matrix()))
-        probs[out] = qstate.expectation(state, ops)
-    return probs
+    # the projector (I + sign O) / 2 of each party expands into the
+    # marginal correlators of the parties with t_i = 1
+    table = _walsh(state, lambda i, t: observables[i][key[i]] if t else "I")
+    return table.ravel() / 2**state.n_qubits
 
 
 def ghz_mixture_density(n_parties: int, block_size: int) -> DenseState:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellpersist import bell, qccr
+from bellpersist import bell, persistency, qccr
 from bellpersist.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -78,8 +78,14 @@ class TestOutputModes:
         assert code == 0
         lines = target.read_text().splitlines()
         assert lines[0] == "a,gamma_crit,residual"
-        assert lines[1].startswith("1.41421356237,0.905117921402,")
+        assert lines[1].startswith("1.41421356237,0.9051179214019102,")
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_gamma_crit_prints_the_root_itself(self, capsys):
+        # the root just below 1 reads back exactly, not as the interval's end
+        assert main(["gamma-crit", "--a", "1.000000000001"]) == 0
+        printed = capsys.readouterr().out.splitlines()[1].split(",")[1]
+        assert float(printed) == persistency.gamma_crit(1.000000000001) < 1
 
     def test_output_file_mode_matches_open(self, tmp_path):
         old = os.umask(0o022)
@@ -808,7 +814,7 @@ _IMPORTS = {
     "__init__": {"_lazy", "errors"},
     "_lazy": set(),
     "_record": set(),
-    "bell": {"errors", "qstate"},
+    "bell": {"_record", "errors", "qstate"},
     "cli": {"__init__", "bell", "dicke", "errors", "monogamy", "persistency", "qccr"},
     "dicke": {"_record", "errors"},
     "errors": set(),

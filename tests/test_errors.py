@@ -32,6 +32,7 @@ from bellpersist.persistency import (
     ghz_persistency,
 )
 from bellpersist.qccr import GhzMixture, chsh_game, gbi_game, marginal_feasibility, simulate
+from bellpersist.qstate import DenseState, ghz_state
 
 _HALVES = {"0": 0.5, "1": 0.5}
 
@@ -80,6 +81,9 @@ ENTRY_POINTS = [
         1,
     ),
     ("marginal_feasibility-N", lambda v: marginal_feasibility(_HALVES, v), "party count N", 1, 12),
+    # above 12 qubits both raise CapabilityError, a ValueError naming the cap
+    ("ghz_state", ghz_state, "qubit count", 1, None),
+    ("DenseState", lambda v: DenseState(v, [1, 0], pure=True), "qubit count", 1, None),
 ]
 
 

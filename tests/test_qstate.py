@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellpersist.errors import CapabilityError
-from bellpersist.qstate import PauliString, PlaneObservable, anticommutes, expectation, ghz_state
+from bellpersist.qstate import (
+    DenseState,
+    PauliString,
+    PlaneObservable,
+    anticommutes,
+    expectation,
+    ghz_state,
+)
 from oracles import (
     PAULI_MATRICES,
     dicke_state,
@@ -32,6 +39,13 @@ class TestConstructors:
     def test_ghz_size_cap(self):
         with pytest.raises(CapabilityError):
             ghz_state(13)
+        with pytest.raises(CapabilityError):
+            DenseState(13, np.zeros(2**13), pure=True)
+
+    def test_qubit_count_stored_as_int(self):
+        # tests/test_errors.py refuses bools, floats and counts below one
+        state = DenseState(np.int64(1), [1, 0], pure=True)
+        assert type(state.n_qubits) is int and type(ghz_state(np.int8(2)).n_qubits) is int
 
     def test_ghz_phase(self):
         state = ghz_state(3, phase=math.pi / 2)
@@ -114,6 +128,12 @@ class TestExpectation:
             expectation(ghz_state(2), "XXX")
         with pytest.raises(ValueError):
             expectation(ghz_state(2), [PlaneObservable.xz(0.0)])
+
+    @pytest.mark.parametrize("op", [2 * PAULI_MATRICES["X"], PAULI_MATRICES["Z"], "W"])
+    def test_site_operator_is_a_plane_observable_or_pauli_letter(self, op):
+        # a matrix, even a +-1-valued one, is no site operator
+        with pytest.raises(ValueError, match="operator"):
+            expectation(ghz_state(2), ["X", op])
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_ghz_xy_oracle_consistency(self, n):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bellpersist import dicke, monogamy, persistency, qccr, qstate
+from bellpersist import bell, dicke, monogamy, persistency, qccr, qstate
 from bellpersist._record import frozen
 
 # one record per module that uses them: (class, field values, field names)
@@ -86,6 +86,33 @@ class TestRecord:
             with pytest.raises(AttributeError):
                 delattr(record, name)
         assert tuple(getattr(record, name) for name in names) == values
+
+
+class TestBellFunctional:
+    # a record whose coefficient dict makes it unhashable, with a settings
+    # distribution that is no field
+    def test_signature(self):
+        assert str(inspect.signature(bell.BellFunctional)) == (
+            "(n_parties, coefficients, settings_per_party=2)"
+        )
+        assert bell.BellFunctional._fields == ("n_parties", "coefficients", "settings_per_party")
+
+    def test_fields_are_frozen(self):
+        f = bell.makb(3)
+        for name in (*f._fields, "settings_distribution"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, None)
+            with pytest.raises(AttributeError):
+                delattr(f, name)
+        assert f.n_parties == 3 and f.settings_distribution is None
+
+    def test_equality_ignores_the_distribution(self):
+        plain = bell.makb(3)
+        attached = plain.with_game_distribution()
+        assert attached.settings_distribution is not None and plain.settings_distribution is None
+        assert attached == plain and attached.coefficients is plain.coefficients
+        assert attached.with_game_distribution() is attached
+        assert "settings_distribution" not in repr(attached)
 
 
 class TestDefaultsAndValidation:
