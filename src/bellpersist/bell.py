@@ -56,12 +56,29 @@ class BellFunctional:
     settings_distribution = None  # no field: with_game_distribution shadows it
 
     def __post_init__(self):
+        """Whole-table passes accept finite plain int, float or Fraction
+        values and, on the nonzero entries, keys of ``n_parties`` plain
+        ints in range.  Else each entry is checked in turn, value before
+        key and zeros dropped unseen, which converts numpy integers and
+        other Real types and words the first refusal."""
         object.__setattr__(self, "n_parties", check_count(self.n_parties, "party count", 1))
         spp = check_count(self.settings_per_party, "settings count", 2)
         object.__setattr__(self, "settings_per_party", spp)
-        checked = {
-            self._check_key(k): v for k, v in self.coefficients.items() if check_real(v, "coefficient") != 0
-        }
+        items, values, checked = self.coefficients.items(), self.coefficients.values(), None
+        # NaN is the one value unequal to itself
+        if (types := set(map(type, values))) <= {int, float, Fraction} and (float not in types or (
+            not {math.inf, -math.inf} & (d := set(values)) and all(map(operator.eq, d, d))
+        )):
+            checked = dict(itertools.compress(items, values))
+            keys, flat = checked.keys(), itertools.chain.from_iterable
+            if not (
+                set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {self.n_parties}
+                and set(map(type, flat(keys))) <= {int}
+                and all(map(range(spp).__contains__, set(flat(keys))))
+            ):
+                checked = None
+        if checked is None:
+            checked = {self._check_key(k): v for k, v in items if check_real(v, "coefficient") != 0}
         object.__setattr__(self, "coefficients", checked)
 
     def _check_key(self, key: tuple[int, ...]) -> tuple[int, ...]:
@@ -84,16 +101,20 @@ class BellFunctional:
 
         A float's ``as_integer_ratio`` has a power-of-two denominator, so
         for float coefficients D is the largest of them; the numerators
-        follow the order of ``coefficients``.
+        follow the order of ``coefficients``.  Each distinct int or float
+        is split once, a Fraction (slow to hash) or other Real entry by
+        entry; each distinct ratio is scaled once, in plain ints.
         """
-        ratios = [
-            (c if isinstance(c, (float, int, Fraction)) else Fraction(c)).as_integer_ratio()
-            for c in self.coefficients.values()
-        ]
-        denominators = {d for _, d in ratios}
-        common = math.lcm(*denominators)
-        scale = {d: common // d for d in denominators}
-        return [p * scale[d] for p, d in ratios], common
+        ratios = values = self.coefficients.values()
+        if set(map(type, values)) <= {int, float}:
+            ratios = {c: c.as_integer_ratio() for c in set(values)}
+        else:
+            plain = (float, int, Fraction)
+            values = [(c if isinstance(c, plain) else Fraction(c)).as_integer_ratio() for c in values]
+            ratios = {r: tuple(map(int, r)) for r in set(values)}
+        common = math.lcm(*{d for _, d in ratios.values()})
+        scaled = {c: p * (common // d) for c, (p, d) in ratios.items()}
+        return list(map(scaled.__getitem__, values)), common
 
     def abs_total(self) -> Fraction:
         """sum |c| over the coefficients, exactly: T / D from one integer
@@ -110,75 +131,90 @@ class BellFunctional:
         float coefficient P(s) is the float ``n(s) / T``: int/int true
         division is correctly rounded, so it equals ``float(Fraction(|g(s)|)
         / abs_total())`` bit for bit.  Any other coefficient gets the exact
-        ``Fraction(n(s), T)``.  A sum |g| past the largest float raises
+        ``Fraction(n(s), T)``, each divided once per distinct pair of n(s)
+        and float or not.  A sum |g| past the largest float raises
         ValueError: a game's success probabilities divide by it.
         """
         if self.settings_distribution is not None:
             return self
         game = copy.copy(self)
         numerators, common = self._numerators()
-        numerators = [abs(p) for p in numerators]
+        numerators = list(map(abs, numerators))
         total = sum(numerators)
         if Fraction(total, common) > sys.float_info.max:
             raise ValueError("game coefficients' sum |g| exceeds the largest float")
-        object.__setattr__(game, "settings_distribution", {
-            k: n / total if isinstance(c, float) else Fraction(n, total)
-            for (k, c), n in zip(self.coefficients.items(), numerators)
-        })
+        kinds = list(map(isinstance, self.coefficients.values(), itertools.repeat(float)))
+        pairs = set(zip(kinds, numerators))
+        share = {(f, n): n / total if f else Fraction(n, total) for f, n in pairs}
+        dist = dict(zip(self.coefficients, map(share.__getitem__, zip(kinds, numerators))))
+        object.__setattr__(game, "settings_distribution", dist)
         return game
 
     def to_json(self) -> dict:
         """The functional as a JSON object, keys spelled by :func:`_key_string`."""
+        keys = sorted(self.coefficients)
+        # _key_string over the whole table, each distinct setting spelled once
+        spell = {s: str(s) for s in set(itertools.chain.from_iterable(keys))}
+        sep = "" if self.settings_per_party <= 10 else ","
+        texts = list(map(sep.join, map(map, itertools.repeat(spell.__getitem__), keys)))
+        payload = {"n_parties": self.n_parties, "settings_per_party": self.settings_per_party}
         # the distribution, when present, has the coefficients' key set
-        spelled = {k: _key_string(k, self.settings_per_party) for k in sorted(self.coefficients)}
-        payload = {
-            "n_parties": self.n_parties,
-            "settings_per_party": self.settings_per_party,
-            "coefficients": {text: float(self.coefficients[k]) for k, text in spelled.items()},
-        }
-        if self.settings_distribution is not None:
-            dist = self.settings_distribution
-            payload["settings_distribution"] = {text: float(dist[k]) for k, text in spelled.items()}
+        for name in ("coefficients", "settings_distribution"):
+            if (table := getattr(self, name)) is not None:
+                payload[name] = dict(zip(texts, map(float, map(table.__getitem__, keys))))
         return payload
 
     @classmethod
     def from_json(cls, payload: dict) -> "BellFunctional":
         """Inverse of :meth:`to_json`; a key not spelled as :func:`_key_string`
-        writes it raises ValueError, so no two keys name one tuple.
+        writes it raises ValueError naming the key, so no two keys name one
+        tuple.
 
         A ``settings_distribution`` in the payload must name the nonzero
         coefficients' keys and give each P(s) of
         :meth:`with_game_distribution` to within 1e-12 relative; the
         result then carries the derived distribution, not the file's.
+        Keys and float probabilities pass in whole-table passes that only
+        accept; else the key-by-key parse and check word each refusal.
         """
-        spp = payload.get("settings_per_party", 2)
+        spp = check_count(payload.get("settings_per_party", 2), "settings count")
         coefficients = payload["coefficients"]
         # keys parse by lookups in {str(s): s for s in range(spp)}, cut to
-        # the parts the keys use so a large spp costs nothing; a key any
-        # part of which misses takes the general parse, which words
-        # every refusal
-        table: dict[str, int] = {}
-        commas = type(spp) is int and spp > 10
-        if type(spp) is int:
-            parts = set(",".join(coefficients).split(",") if commas else "".join(coefficients))
-            table = {t: int(t) for t in parts if t.isdecimal() and str(int(t)) == t and int(t) < spp}
-        parsed: dict[str, tuple[int, ...]] = {}
-        for text in coefficients:
-            key = tuple(map(table.get, text.split(",") if commas else text))
-            if not table or None in key:
-                key = tuple(map(int, text.split(",") if "," in text else text))
-                spelled = _key_string(key, spp)
-                if spelled != text:
-                    raise ValueError(f"settings key {text!r} must be spelled {spelled!r}")
-            parsed[text] = key
-        f = cls(payload["n_parties"], {parsed[t]: c for t, c in coefficients.items()}, spp)
+        # the parts the keys use so a large spp costs nothing
+        commas = spp > 10
+        parts = set(",".join(coefficients).split(",") if commas else "".join(coefficients))
+        table = {t: int(t) for t in parts if t.isdecimal() and str(int(t)) == t and int(t) < spp}
+        texts = map(str.split, coefficients, itertools.repeat(",")) if commas else coefficients
+        try:
+            keys = list(map(tuple, map(map, itertools.repeat(table.__getitem__), texts)))
+        except KeyError:  # a part misses: the general parse, key by key
+            keys = []
+            for text in coefficients:
+                key = tuple(map(table.get, text.split(",") if commas else text))
+                if None in key:
+                    try:
+                        key = tuple(map(int, text.split(",") if "," in text else text))
+                    except ValueError:
+                        raise ValueError(f"settings key {text!r} is not spelled in digits") from None
+                    if (spelled := _key_string(key, spp)) != text:
+                        raise ValueError(f"settings key {text!r} must be spelled {spelled!r}")
+                keys.append(key)
+        values = map(operator.itemgetter(1), coefficients.items())
+        f = cls(payload["n_parties"], dict(zip(keys, values)), spp)
         dist = payload.get("settings_distribution")
         if dist is None:
             return f
         f = f.with_game_distribution()
         derived = f.settings_distribution
-        # keys are distinct strings that parse one to one, so equal counts
-        # and every key found make the key sets equal
+        # the file's P(s) in the derived order, checked per distinct pair;
+        # keys are distinct strings, so equal counts and every key found
+        # make the key sets equal
+        given = list(map(dist.get, itertools.compress(coefficients, coefficients.values())))
+        if len(dist) == len(derived) and set(map(type, given)) == {float} and all(
+            abs(v - float(p)) <= 1e-12 * float(p) for v, p in set(zip(given, derived.values()))
+        ):
+            return f
+        parsed = dict(zip(coefficients, keys))
         if len(dist) != len(derived) or not all(
             (p := derived.get(parsed.get(text))) is not None
             and abs(check_float(value, "probability") - float(p)) <= 1e-12 * float(p)

@@ -157,12 +157,11 @@ def gbi_game(n: int, grid: int = 32) -> GameSpec:
     grid = check_count(grid, "grid size", 2)
     if grid**n > 200_000:
         raise CapabilityError("explicit geometric game too large; reduce grid or parties")
-    coeffs = {}
-    for key in itertools.product(range(grid), repeat=n):
-        g = math.cos(2.0 * math.pi * sum(key) / grid)
-        if abs(g) > 1e-15:
-            coeffs[key] = g
-    f = bell.BellFunctional(n, coeffs, settings_per_party=grid)
+    # cos once per distinct sum(key), the zeros of cos left out
+    cos_of = {t: g for t in range(n * grid) if abs(g := math.cos(2.0 * math.pi * t / grid)) > 1e-15}
+    values = list(map(cos_of.get, map(sum, itertools.product(range(grid), repeat=n))))
+    keys = itertools.product(range(grid), repeat=n)
+    f = bell.BellFunctional(n, dict(itertools.compress(zip(keys, values), values)), grid)
     turns = (tuple(s / grid for s in range(grid)),) * n
     return GameSpec(f, turns, VisibilityModel(1.0), name=f"gbi{n}x{grid}")
 
@@ -172,9 +171,10 @@ def _settings_table(game: GameSpec):
     parties), with their probabilities, coefficients and correlators."""
     f = game.functional
     keys = sorted(f.settings_distribution)
-    components = np.array(keys, dtype=np.int64)
-    probs = np.array([f.settings_distribution[k] for k in keys], dtype=float)
-    coeffs = np.array([f.coefficients[k] for k in keys], dtype=float)
+    count, flat = len(keys), itertools.chain.from_iterable(keys)
+    components = np.fromiter(flat, np.int64, count * game.n_parties).reshape(count, -1)
+    probs = np.fromiter(map(f.settings_distribution.__getitem__, keys), float, count)
+    coeffs = np.fromiter(map(f.coefficients.__getitem__, keys), float, count)
     # added left to right, party by party, as sum() adds a tuple's angles
     angle_sums = 0
     for party, per_party in enumerate(game.turns):

@@ -150,13 +150,14 @@ class DenseState:
             if arr.shape != (dim,):
                 raise ValueError(f"pure state needs shape ({dim},), got {arr.shape}")
             norm = float(np.sum(np.abs(arr) ** 2))
-            if abs(norm - 1.0) > 1e-9:
+            # "not <=" throughout, so that NaN fails every tolerance test
+            if not abs(norm - 1.0) <= 1e-9:
                 raise ValueError(f"state not normalized: |psi|^2 = {norm}")
         else:
             if arr.shape != (dim, dim):
                 raise ValueError(f"density operator needs shape ({dim},{dim})")
             tr = complex(np.trace(arr))
-            if abs(tr - 1.0) > 1e-9:
+            if not abs(tr - 1.0) <= 1e-9:
                 raise ValueError(f"density operator trace {tr} != 1")
             if not np.allclose(arr, arr.conj().T, atol=_HERM_ATOL * dim):
                 raise ValueError("density operator not Hermitian")
@@ -196,6 +197,7 @@ def ghz_state(l: int, phase: float = 0.0) -> DenseState:
     equatorial measurement angles.
     """
     l = _qubit_count(l)
+    phase = check_real(phase, "phase")
     amp = np.zeros(2**l, dtype=complex)
     amp[0] = 1.0 / math.sqrt(2.0)
     amp[-1] = np.exp(1.0j * phase) / math.sqrt(2.0)
@@ -293,10 +295,11 @@ def expectation(
 
 
 def _as_real(value: complex) -> float:
-    if abs(value.imag) > 1e-10:
+    # "not <=", so that a NaN part is refused
+    if not abs(value.imag) <= 1e-10:
         raise ValueError(f"expectation has non-real value {value}")
     real = float(value.real)
-    if abs(real) > 1.0 + 1e-10:
+    if not abs(real) <= 1.0 + 1e-10:
         raise ValueError(f"expectation {real} outside [-1, 1]")
     return real
 

@@ -6,13 +6,17 @@ the sign-function family of full-correlation inequalities (the
 Zukowski-Brukner criterion, PRL 88, 210401, 2002, that a correlation sum
 above 1 gives a violation) and dense game states.  Polynomial: the
 point-by-point Dicke threshold and persistency scans, one ``sigma_sum``
-per point, that the library's Krawtchouk recurrences replaced.
+per point, that the library's Krawtchouk recurrences replaced.  Linear:
+the entry-by-entry checks, splits and divisions of a Bell functional's
+table, and its one cosine per geometric settings tuple, that the
+library's whole-table passes replaced.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -22,7 +26,7 @@ import numpy as np
 from bellpersist import dicke, qstate
 from bellpersist.bell import ObservablePair
 from bellpersist.dicke import DickeMixture
-from bellpersist.errors import CapabilityError, NoCrossingError
+from bellpersist.errors import CapabilityError, NoCrossingError, check_count, check_real
 from bellpersist.persistency import PersistencyResult
 from bellpersist.qstate import MAX_QUBITS, DenseState
 
@@ -227,6 +231,66 @@ def makb_by_recursion(n: int) -> dict[tuple[int, ...], Fraction]:
             if minus:
                 new[key + (1,)] = minus
         coeffs = new
+    return coeffs
+
+
+def checked_by_entries(
+    n_parties, coefficients, settings_per_party=2
+) -> dict[tuple[int, ...], Union[int, float, Fraction]]:
+    """The coefficients :class:`bell.BellFunctional` keeps, checked entry
+    by entry: each value before its key, zero entries dropped before
+    their key is seen, the first offender raising."""
+    n = check_count(n_parties, "party count", 1)
+    spp = check_count(settings_per_party, "settings count", 2)
+
+    def check_key(key):
+        key = tuple(key)
+        if len(key) != n:
+            raise ValueError(f"settings tuple {key} has wrong arity")
+        if any(type(s) is not int for s in key):
+            key = tuple(check_count(s, "setting") for s in key)
+        for s in key:
+            if not 0 <= s < spp:
+                raise ValueError(f"settings tuple {key} out of range")
+        return key
+
+    return {check_key(k): v for k, v in coefficients.items() if check_real(v, "coefficient") != 0}
+
+
+def numerators_by_entries(coefficients) -> tuple[list[int], int]:
+    """Each coefficient as n / D over one common denominator D, split
+    entry by entry into plain ints."""
+    ratios = [
+        tuple(map(int, (c if isinstance(c, (float, int, Fraction)) else Fraction(c)).as_integer_ratio()))
+        for c in coefficients.values()
+    ]
+    denominators = {d for _, d in ratios}
+    common = math.lcm(*denominators)
+    scale = {d: common // d for d in denominators}
+    return [p * scale[d] for p, d in ratios], common
+
+
+def game_distribution_by_entries(coefficients) -> dict:
+    """P(s) = |g(s)| / sum |g|, one division per entry: the float n(s) / T
+    for a float coefficient, else the exact Fraction(n(s), T)."""
+    numerators, common = numerators_by_entries(coefficients)
+    numerators = [abs(p) for p in numerators]
+    total = sum(numerators)
+    if Fraction(total, common) > sys.float_info.max:
+        raise ValueError("game coefficients' sum |g| exceeds the largest float")
+    return {
+        k: n / total if isinstance(c, float) else Fraction(n, total)
+        for (k, c), n in zip(coefficients.items(), numerators)
+    }
+
+
+def gbi_coefficients_by_entries(n: int, grid: int) -> dict[tuple[int, ...], float]:
+    """The discretized geometric functional, one cosine per settings tuple."""
+    coeffs = {}
+    for key in itertools.product(range(grid), repeat=n):
+        g = math.cos(2.0 * math.pi * sum(key) / grid)
+        if abs(g) > 1e-15:
+            coeffs[key] = g
     return coeffs
 
 

@@ -23,8 +23,12 @@ from bellpersist.bell import (
 from bellpersist.errors import CapabilityError
 from oracles import (
     SignFunction,
+    checked_by_entries,
     dicke_state,
+    game_distribution_by_entries,
+    gbi_coefficients_by_entries,
     makb_by_recursion,
+    numerators_by_entries,
     optimize_wwwzb_angles,
     random_pure_state,
     wwwzb_max,
@@ -456,3 +460,83 @@ class TestSettingsKeys:
         f = BellFunctional(2, {(np.int64(1), np.int8(0)): 1})
         assert list(f.coefficients) == [(1, 0)]
         assert all(type(s) is int for s in next(iter(f.coefficients)))
+
+
+def _typed(table):
+    """A table's entries in order with the types of keys and values: equal
+    lists mean bit-identical tables (no zero, NaN or inf is kept)."""
+    return [(k, tuple(map(type, k)), type(v), repr(v)) for k, v in table.items()]
+
+
+def _assert_matches_entry_route(n, coefficients, spp=2):
+    """BellFunctional checks, splits and divides ``coefficients`` as the
+    entry-by-entry route does, refusals word for word."""
+    try:
+        expected = checked_by_entries(n, coefficients, spp)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            BellFunctional(n, coefficients, spp)
+        assert str(info.value) == str(exc)
+        return
+    f = BellFunctional(n, coefficients, spp)
+    assert _typed(f.coefficients) == _typed(expected)
+    assert f._numerators() == numerators_by_entries(expected)
+    try:
+        dist = game_distribution_by_entries(expected)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            f.with_game_distribution()
+        assert str(info.value) == str(exc)
+        return
+    assert _typed(f.with_game_distribution().settings_distribution) == _typed(dist)
+
+
+_SETTINGS = st.integers(0, 2) | st.integers(0, 2).map(np.int64) | st.booleans() | st.integers(-1, 3)
+_VALUES = (
+    st.sampled_from([0, 1, 1.0, F(1), -2, 0.5, F(1, 2), 0.0, -0.0])
+    | st.integers(-5, 5)
+    | st.floats(-4.0, 4.0)
+    | st.fractions(max_denominator=12).filter(lambda q: abs(q) < 5)
+    | st.sampled_from([math.nan, math.inf, -math.inf, True, np.int64(3), np.float64(-0.25)])
+)
+
+
+class TestWholeTablePasses:
+    """The whole-table passes against the entry-by-entry route of
+    ``oracles``: the same entries, numerators and distributions bit for
+    bit, and the same first refusal."""
+
+    @pytest.mark.parametrize(
+        "n,grid", [(2, grid) for grid in range(2, 65)] + [(3, 32)],
+        ids=[f"gbi2x{grid}" for grid in range(2, 65)] + ["gbi3x32"],
+    )
+    def test_geometric_games(self, n, grid):
+        f = qccr.gbi_game(n, grid).functional
+        expected = gbi_coefficients_by_entries(n, grid)
+        assert _typed(f.coefficients) == _typed(expected)
+        assert _typed(f.settings_distribution) == _typed(game_distribution_by_entries(expected))
+        _assert_matches_entry_route(n, expected, grid)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_makb(self, n):
+        f = makb(n).with_game_distribution()
+        assert _typed(f.settings_distribution) == _typed(game_distribution_by_entries(f.coefficients))
+        _assert_matches_entry_route(n, f.coefficients)
+
+    def test_chsh(self):
+        f = qccr.chsh_game().functional
+        assert _typed(f.settings_distribution) == _typed(game_distribution_by_entries(f.coefficients))
+        _assert_matches_entry_route(2, f.coefficients)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_drawn_tables(self, data):
+        n = data.draw(st.integers(1, 3))
+        # keys in range, plain int keys, or keys of any length and setting type
+        key = data.draw(st.sampled_from([
+            st.tuples(*[st.integers(0, 2)] * n),
+            st.tuples(*[st.integers(-1, 3)] * n),
+            st.lists(_SETTINGS, min_size=n - 1, max_size=n + 1).map(tuple),
+        ]))
+        entries = data.draw(st.lists(st.tuples(key, _VALUES), max_size=12))
+        _assert_matches_entry_route(n, dict(entries), 3)

@@ -275,8 +275,19 @@ class TestExitCodes:
             (("observables", 0, 0, "turns"), True, "turns True is not a number"),
             (("observables", 0, 0, "turns"), "0.1", "turns '0.1' is not a number"),
             (("functional", "coefficients", "00"), float("nan"), "coefficient nan is not finite"),
+            # keys that no int() parse reads, refused by name
+            *[
+                (("functional", "coefficients", key), 1.0,
+                 f"settings key {key!r} is not spelled in digits")
+                for key in ("-1-1", " 0 1", "+0+1")
+            ],
+            # the settings count is checked before any key is spelled
+            (("functional", "settings_per_party"), "2", "settings count '2' is not an integer"),
         ],
-        ids=["bool-visibility", "list-name", "bool-turns", "string-turns", "nan-coefficient"],
+        ids=[
+            "bool-visibility", "list-name", "bool-turns", "string-turns", "nan-coefficient",
+            "minus-key", "blank-key", "plus-key", "string-settings-count",
+        ],
     )
     def test_game_spec_value_refused(self, tmp_path, where, value, line):
         path = tmp_path / "game.json"

@@ -497,6 +497,24 @@ class TestGameDistributionExactRoute:
             else:
                 assert type(p) is Fraction and p == exact, key
 
+    @pytest.mark.parametrize(
+        "builder", [lambda: gbi_game(3), lambda: makb_game(4, 6), chsh_game],
+        ids=["gbi3x32", "makb4in6", "chsh"],
+    )
+    def test_settings_table_matches_entry_lists(self, builder):
+        # the arrays as built from one Python list per column
+        game = builder()
+        f = game.functional
+        keys = sorted(f.settings_distribution)
+        expected = (
+            np.array(keys, dtype=np.int64),
+            np.array([f.settings_distribution[k] for k in keys], dtype=float),
+            np.array([f.coefficients[k] for k in keys], dtype=float),
+        )
+        for got, want in zip(qccr._settings_table(game), expected):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
 
 class TestMarginalFeasibility:
     def test_uniform_always_feasible(self):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellpersist import qstate
 from bellpersist.errors import CapabilityError
 from bellpersist.qstate import (
     DenseState,
@@ -50,6 +51,18 @@ class TestConstructors:
     def test_ghz_phase(self):
         state = ghz_state(3, phase=math.pi / 2)
         assert state.amplitudes[-1] == pytest.approx(1j * SQ2)
+
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, True, "0"])
+    def test_ghz_phase_must_be_finite_real(self, phase):
+        with pytest.raises(ValueError, match="phase"):
+            ghz_state(2, phase)
+
+    def test_nan_state_refused(self):
+        # NaN fails every tolerance test, as a value outside it does
+        with pytest.raises(ValueError, match="not normalized"):
+            DenseState(1, [math.nan, 0.0], pure=True)
+        with pytest.raises(ValueError, match="trace"):
+            DenseState(1, [[math.nan, 0.0], [0.0, 0.0]], pure=False)
 
     def test_dicke_2_1(self):
         np.testing.assert_allclose(dicke_state(2, 1).amplitudes, [0, SQ2, SQ2, 0], atol=1e-15)
@@ -161,6 +174,11 @@ class TestExpectation:
         dens = to_density_state(state)
         obs = [PlaneObservable.xz(0.2), "Y", PlaneObservable.xy_turns(0.4)]
         assert expectation(state, obs) == pytest.approx(expectation(dens, obs), abs=1e-12)
+
+    @pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(0.0, math.nan)])
+    def test_nan_value_refused(self, value):
+        with pytest.raises(ValueError, match="expectation"):
+            qstate._as_real(value)
 
     def test_real_within_tolerance_for_hermitian(self):
         rng = np.random.default_rng(7)
