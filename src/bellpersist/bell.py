@@ -38,6 +38,14 @@ def _key_string(key: tuple[int, ...], settings_per_party: int) -> str:
     return ("" if settings_per_party <= 10 else ",").join(map(str, key))
 
 
+def _per_object(fn, values: list) -> map:
+    """``map(fn, values)``, calling ``fn`` once per distinct object, told
+    apart by ``id`` (``values`` keeps each alive): no value is hashed, a
+    Fraction slowly, and 0.0 and -0.0, or 1 and 1.0, stay apart."""
+    done = {i: fn(v) for i, v in dict(zip(map(id, values), values)).items()}
+    return map(done.__getitem__, map(id, values))
+
+
 @frozen
 class BellFunctional:
     """Linear functional over full correlators of a two-(or more-)setting
@@ -151,7 +159,8 @@ class BellFunctional:
         return game
 
     def to_json(self) -> dict:
-        """The functional as a JSON object, keys spelled by :func:`_key_string`."""
+        """The functional as a JSON object, keys spelled by :func:`_key_string`,
+        each distinct value object made a float once (:func:`_per_object`)."""
         keys = sorted(self.coefficients)
         # _key_string over the whole table, each distinct setting spelled once
         spell = {s: str(s) for s in set(itertools.chain.from_iterable(keys))}
@@ -161,7 +170,8 @@ class BellFunctional:
         # the distribution, when present, has the coefficients' key set
         for name in ("coefficients", "settings_distribution"):
             if (table := getattr(self, name)) is not None:
-                payload[name] = dict(zip(texts, map(float, map(table.__getitem__, keys))))
+                floats = _per_object(float, list(map(table.__getitem__, keys)))
+                payload[name] = dict(zip(texts, floats))
         return payload
 
     @classmethod

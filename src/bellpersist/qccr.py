@@ -36,6 +36,7 @@ model against live in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -235,10 +236,18 @@ def _guide_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cdf, cdf.searchsorted(np.arange(buckets + 1) / buckets, side="right")
 
 
-def _draw_settings(u: np.ndarray, cdf: np.ndarray, guide: np.ndarray) -> np.ndarray:
-    """``cdf.searchsorted(u, side="right")`` for uniforms u in [0, 1),
-    given ``(cdf, guide) = _guide_table(probs)``: the settings index each
-    uniform picks.
+def _play_buffers(size: int) -> tuple[np.ndarray, ...]:
+    """The arrays a block of up to ``size`` rounds plays in: its 2 size
+    uniforms, then per round a float, a settings index and two flags."""
+    flags = np.empty(size, bool), np.empty(size, bool)
+    return np.empty(2 * size), np.empty(size), np.empty(size, np.intp), *flags
+
+
+def _draw_settings(u, cdf, guide, index, gathered, unresolved) -> None:
+    """Write ``cdf.searchsorted(u, side="right")`` for uniforms u in
+    [0, 1) into ``index``, given ``(cdf, guide) = _guide_table(probs)``:
+    the settings index each uniform picks.  ``gathered`` (float) and
+    ``unresolved`` (bool), of u's length like ``index``, are scratch.
 
     The indices are found through the guide table (Chen and Asau 1974).
     With B a power of two, u * B is exact, so the index for u lies in
@@ -247,52 +256,57 @@ def _draw_settings(u: np.ndarray, cdf: np.ndarray, guide: np.ndarray) -> np.ndar
     at most guide[j + 1] - guide[j] steps; those spreads sum to
     len(cdf) <= B and each bucket holds u with probability 1/B, so in
     expectation at most a fraction 1/(s + 1) of trials is still
-    unresolved after s steps.  After ``_GUIDE_STEPS`` passes, each over
-    the unresolved trials only, those left take the binary search, so a
-    skewed ``probs`` never costs much more than the plain search.
+    unresolved after s steps.  Each step passes over all trials, in
+    place, and the steps end once none is unresolved; after
+    ``_GUIDE_STEPS`` steps those left take the binary search, so a
+    skewed ``probs`` never costs much more than the plain search.  A
+    take reads each index before writing its slot, so ``index`` gathers
+    in place; ``mode="clip"``, a no-op as every index is in range, keeps
+    numpy from copying ``out``.
     """
-    index = guide[(u * (len(guide) - 1)).astype(np.intp)]
-    active = np.flatnonzero(cdf[index] <= u)
+    np.copyto(index, np.multiply(u, len(guide) - 1, out=gathered), casting="unsafe")
+    np.take(guide, index, out=index, mode="clip")
     for _ in range(_GUIDE_STEPS):
-        index[active] += 1
-        active = active[cdf[index[active]] <= u[active]]
+        np.take(cdf, index, out=gathered, mode="clip")
+        if not np.less_equal(gathered, u, out=unresolved).any():
+            return
+        index += unresolved
+    active = np.flatnonzero(unresolved)
     index[active] = cdf.searchsorted(u[active], side="right")
-    return index
 
 
-def _simulate_chunk(
-    rng: np.random.Generator,
-    trials: int,
-    cdf: np.ndarray,
-    guide: np.ndarray,
-    negative: np.ndarray,
-    corr: np.ndarray,
-) -> int:
+def _simulate_chunk(rng, trials, cdf, guide, negative, bias, buffers) -> int:
     """Successes in ``trials`` rounds drawn from ``rng``, with the
-    settings probabilities given as ``_guide_table(probs)``.
+    settings probabilities given as ``_guide_table(probs)`` and each
+    setting's parity bias (1 + corr) / 2 as ``bias``.
 
     Round r takes the uniforms 2r and 2r + 1 of ``rng``: the first picks
     the setting through :func:`_draw_settings`, and the parity is -1
-    when the second is not below its bias (1 + corr) / 2.  Every +-1
-    value v is carried as its sign bit, v == -1, so a product of +-1
-    values is the XOR of their bits; ``negative`` holds the sign bit of
-    each coefficient.  The +-1 round also hands each player a coin y_i
+    when the second is not below its bias.  Every +-1 value v is carried
+    as its sign bit, v == -1, so a product of +-1 values is the XOR of
+    their bits; ``negative`` holds the sign bit of each coefficient.
+    The +-1 round also hands each player a coin y_i
     and an outcome m_i whose product over the players is the parity;
     the guess is the product of the y_i m_i and the target is
     y_1 ... y_k sign(g).  Each y_i appears once in both, so the y_i
     cancel and the product of the m_i is the parity: a round succeeds
     when the parity has the sign of g, and neither the y_i nor the m_i
-    are drawn.  The rounds are played in blocks of ``_BLOCK``, so a
-    chunk holds one block's arrays whatever ``trials`` is; a block reads
-    its rounds' uniforms in stream order, so the count does not depend
-    on ``_BLOCK``.
+    are drawn.  The rounds are played in blocks of ``_BLOCK``, each
+    written with ``out=`` into ``buffers = _play_buffers(size)``, size >=
+    min(trials, _BLOCK), so a chunk allocates no block-sized array.  A
+    block reads its rounds' uniforms in stream order, so the count does
+    not depend on ``_BLOCK``.
     """
     successes = 0
     for start in range(0, trials, _BLOCK):
-        u = rng.random((min(_BLOCK, trials - start), 2))
-        s_idx = _draw_settings(u[:, 0], cdf, guide)
-        parity = ~(u[:, 1] < 0.5 * (1.0 + corr[s_idx]))
-        successes += int(np.count_nonzero(parity == negative[s_idx]))
+        n = min(_BLOCK, trials - start)
+        u = rng.random(out=buffers[0][: 2 * n])
+        gathered, index, below, bits = (b[:n] for b in buffers[1:])
+        _draw_settings(u[0::2], cdf, guide, index, gathered, below)
+        # below: the parity is +1; a round wins when that differs from g's sign bit
+        np.less(u[1::2], np.take(bias, index, out=gathered, mode="clip"), out=below)
+        np.take(negative, index, out=bits, mode="clip")
+        successes += int(np.count_nonzero(np.not_equal(below, bits, out=bits)))
     return successes
 
 
@@ -315,17 +329,20 @@ def simulate(
     correlator for each settings tuple is the product of the answers, so
     its parity bias is 0 or 1 and the same rounds score exactly as
     broadcasting the answers would.  ``jobs`` splits the trials into
-    independently seeded streams spawned from the master seed; counts
-    merge by addition, so the result depends only on (seed, jobs).
-    ``jobs`` above ``trials`` runs ``trials`` streams of one round each,
-    which is what those ``jobs`` streams would play.  Round r of a stream
-    takes its uniforms 2r and 2r + 1 (see :func:`_simulate_chunk`), and a
-    stream plays in blocks of ``_BLOCK`` rounds, so memory does not grow
-    with ``trials``.  The result's ``analytic`` is the expected success of the
-    correlator table played: :func:`quantum_success` for the state, the
-    strategy's own value under ``strategy``.  Leaving a broadcast out of
-    the guess multiplies it by that player's uniform coin, which is the
-    ``VisibilityModel(0.0)`` control.
+    streams seeded and played one at a time, stream i by
+    ``SeedSequence(seed, spawn_key=(i,))``, child i of
+    ``SeedSequence(seed).spawn(jobs)``; counts merge by addition, so the
+    result depends only on (seed, jobs).  ``jobs`` above ``trials`` runs
+    ``trials`` streams of one round each, which is what those ``jobs``
+    streams would play.  Round r of a stream takes its uniforms 2r and
+    2r + 1 (see :func:`_simulate_chunk`).  The biases (1 + corr) / 2, the
+    same float operations as per round, and the play buffers are made
+    once and shared by every stream; play keeps alive only the cdf, the
+    guide table, the sign bits and the biases, so memory grows with
+    neither ``trials`` nor ``jobs``.  The result's ``analytic`` is the
+    expected success of the correlator table played: that of the state
+    or of ``strategy``.  Leaving a broadcast out of the guess multiplies
+    it by that player's uniform coin: the ``VisibilityModel(0.0)`` control.
     """
     trials = check_count(trials, "trials", 1)
     seed = check_count(seed, "seed", 0)
@@ -343,19 +360,18 @@ def simulate(
         answers = np.array(strategy, dtype=np.int64)
         corr = answers[np.arange(k), components].prod(axis=1)
     analytic = _success(game, float(np.dot(coeffs, corr)))
+    cdf, guide = _guide_table(probs)
+    negative, bias = coeffs < 0, 0.5 * (1.0 + corr)
+    del components, probs, coeffs, corr
 
-    # child i of spawn() does not depend on how many are spawned, and
     # streams past the trial count would play no round
     streams = min(jobs, trials)
-    counts = np.full(streams, trials // streams)
-    counts[: trials % streams] += 1
-    cdf, guide = _guide_table(probs)
-    negative = coeffs < 0
+    buffers = _play_buffers(min(_BLOCK, -(-trials // streams)))
     successes = 0
-    for child, chunk in zip(np.random.SeedSequence(seed).spawn(streams), counts):
-        successes += _simulate_chunk(
-            np.random.default_rng(child), int(chunk), cdf, guide, negative, corr
-        )
+    for i in range(streams):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        rounds = trials // streams + (i < trials % streams)
+        successes += _simulate_chunk(rng, rounds, cdf, guide, negative, bias, buffers)
     rate = successes / trials
     stderr = math.sqrt(max(rate * (1.0 - rate), 1e-300) / trials)
     return SimulationResult(game.name, trials, seed, rate, stderr, analytic)
@@ -535,29 +551,40 @@ def marginal_feasibility(dist: Mapping, n_parties: int) -> FeasibilityResult:
 
 
 def game_to_json(game: GameSpec) -> str:
+    """The text ``json.dumps(payload, sort_keys=True)`` writes.  The tables
+    of :meth:`bell.BellFunctional.to_json` take one ``repr`` (json's
+    spelling of a finite float) per distinct float object, their keys
+    (digits and commas, no escapes) in sorted order, each table dropped
+    once spelled; one join lays out the fields, copying each text once.
+    """
+    functional, tables = game.functional.to_json(), []
+    for name in ("coefficients", "settings_distribution"):
+        table = functional.pop(name)
+        reprs = bell._per_object(repr, list(map(table.__getitem__, keys := sorted(table))))
+        del table
+        tables.append(", ".join(map('"{}": {}'.format, keys, reprs)))
     kind = "ghz_mixture" if isinstance(game.state, GhzMixture) else "visibility"
-    state = {name: getattr(game.state, name) for name in game.state._fields}
-    return json.dumps(
-        {
-            "name": game.name,
-            "functional": game.functional.to_json(),
-            "observables": [
-                [{"plane": "xy", "turns": t} for t in per_party] for per_party in game.turns
-            ],
-            "state": {"kind": kind, **state},
-        },
-        sort_keys=True,
-    )
+    state = {"kind": kind, **{name: getattr(game.state, name) for name in game.state._fields}}
+    observables = [[{"plane": "xy", "turns": t} for t in per_party] for per_party in game.turns]
+    return "".join([
+        '{"functional": {"coefficients": {', tables[0],
+        f'}}, "n_parties": {functional["n_parties"]}, "settings_distribution": {{', tables[1],
+        f'}}, "settings_per_party": {functional["settings_per_party"]}}}, "name": ',
+        json.dumps(game.name), ', "observables": ', json.dumps(observables, sort_keys=True),
+        ', "state": ', json.dumps(state, sort_keys=True), "}",
+    ])
 
 
 def game_from_json(text: str) -> GameSpec:
     """Inverse of :func:`game_to_json`.
 
-    A missing key raises ValueError naming it; a top level that is not
-    an object, or a container or value of the wrong type inside, raises
-    ValueError too.
+    Each distinct JSON float text is read once, by ``float`` as json
+    reads it, through a cache made for the call; every place holding it
+    gets that one float, bit for bit json's.  A missing key raises
+    ValueError naming it; a top level that is not an object, or a
+    container or value of the wrong type inside, raises ValueError too.
     """
-    payload = json.loads(text)
+    payload = json.loads(text, parse_float=functools.lru_cache(maxsize=None)(float))
     if not isinstance(payload, dict):
         raise ValueError("game spec must be a JSON object")
     try:

@@ -9,21 +9,25 @@ point-by-point Dicke threshold and persistency scans, one ``sigma_sum``
 per point, that the library's Krawtchouk recurrences replaced.  Linear:
 the entry-by-entry checks, splits and divisions of a Bell functional's
 table, and its one cosine per geometric settings tuple, that the
-library's whole-table passes replaced.
+library's whole-table passes replaced; and the game file's writer and
+reader through json alone, one float, one repr and one parse per
+number, that the library's once-per-distinct-number routes replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
+from unittest import mock
 
 import numpy as np
 
-from bellpersist import dicke, qstate
+from bellpersist import bell, dicke, qccr, qstate
 from bellpersist.bell import ObservablePair
 from bellpersist.dicke import DickeMixture
 from bellpersist.errors import CapabilityError, NoCrossingError, check_count, check_real
@@ -292,6 +296,35 @@ def gbi_coefficients_by_entries(n: int, grid: int) -> dict[tuple[int, ...], floa
         if abs(g) > 1e-15:
             coeffs[key] = g
     return coeffs
+
+
+def plain_game_to_json(game: "qccr.GameSpec") -> str:
+    """The game file by ``json.dumps(payload, sort_keys=True)``, each
+    table entry made a float and spelled by json on its own."""
+    f = game.functional
+    spp = f.settings_per_party
+    functional = {"n_parties": f.n_parties, "settings_per_party": spp}
+    for name in ("coefficients", "settings_distribution"):
+        table = getattr(f, name)
+        functional[name] = {bell._key_string(k, spp): float(v) for k, v in table.items()}
+    kind = "ghz_mixture" if isinstance(game.state, qccr.GhzMixture) else "visibility"
+    payload = {
+        "name": game.name,
+        "functional": functional,
+        "observables": [[{"plane": "xy", "turns": t} for t in row] for row in game.turns],
+        "state": {"kind": kind, **{name: getattr(game.state, name) for name in game.state._fields}},
+    }
+    return json.dumps(payload, sort_keys=True)
+
+
+_json_loads = json.loads
+
+
+def plain_game_from_json(text: str) -> "qccr.GameSpec":
+    """:func:`qccr.game_from_json` with json's own parse, one new float per
+    number: the reader's ``parse_float`` is set aside."""
+    with mock.patch.object(json, "loads", lambda text, **_: _json_loads(text)):
+        return qccr.game_from_json(text)
 
 
 @dataclass(frozen=True)

@@ -431,6 +431,34 @@ class TestJsonRoundTrip:
         f = BellFunctional(1, {(s,): float(s + 1) for s in range(12)}, settings_per_party=12)
         assert BellFunctional.from_json(f.to_json()) == f
 
+    def test_each_value_object_made_a_float_once(self):
+        # shared objects, equal values in distinct objects, and values
+        # equal across types (1 and 1.0, 0.5 and Fraction(1, 2))
+        calls = []
+
+        class Counted(Fraction):
+            def __float__(self):
+                calls.append(id(self))
+                return super().__float__()
+
+        shared, twin = Counted(1, 3), Counted(1, 3)
+        values = [shared, twin, shared, Counted(-1, 2), 1, 1.0, 0.5, F(1, 2), twin]
+        keys = itertools.product((0, 1, 2), repeat=2)
+        f = BellFunctional(2, dict(zip(keys, values)), settings_per_party=3)
+        payload = f.with_game_distribution().to_json()
+        assert len(calls) == len(set(calls)) == 3
+        written = list(payload["coefficients"].values())
+        assert list(map(type, written)) == [float] * len(values)
+        assert written == [float(v) for v in values]
+        # makb(16): 65 536 entries of 4 coefficient and 1 probability objects
+        f = makb(16).with_game_distribution()
+        payload = f.to_json()
+        for name, objects in (("coefficients", 4), ("settings_distribution", 1)):
+            table = getattr(f, name)
+            assert len({id(v) for v in table.values()}) == objects
+            assert len({id(v) for v in payload[name].values()}) == objects
+            assert list(payload[name].values()) == [float(table[k]) for k in sorted(table)]
+
     def test_distribution_validation(self):
         for dist in (
             {"00": 0.5},

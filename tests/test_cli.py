@@ -572,11 +572,13 @@ class TestGameSpecWorkflow:
         assert run_cli(base).stdout != run_cli(alt).stdout
 
 
-# `qccr make-game` bytes (sha256) and `qccr simulate --trials 200000` rows
-# at seeds 1 and 7 with --jobs 1 and 2, as the Fraction-sum, +-1-product
-# implementation of the game path wrote them, except that the gbi files
-# hold each turn as s / grid itself, not its trip through radians; any
-# rewrite of that path must keep them byte for byte
+# `qccr make-game` bytes (sha256) and `qccr simulate` rows, keyed by
+# (--trials, --seed, --jobs): at 200000 trials as the Fraction-sum,
+# +-1-product implementation of the game path wrote them, except that the
+# gbi files hold each turn as s / grid itself, not its trip through
+# radians; at 98311 = 3 * 2**15 + 7 trials, which leaves each stream a
+# short last block, as the per-block arrays played them before the play
+# buffers; any rewrite of that path must keep them byte for byte
 PINNED_GAMES = {
     "gbi3x32": (
         ["--type", "gbi", "--n", "3"],
@@ -601,22 +603,34 @@ PINNED_GAMES = {
 }
 PINNED_SIMULATE_ROWS = {
     "gbi3x32": {
-        ("1", "1"): "gbi3x32,0+1+2,200000,1,0.894345,0.000687357334197,0.893965613429,",
-        ("1", "2"): "gbi3x32,0+1+2,200000,1,0.894845,0.000685920644007,0.893965613429,",
-        ("7", "1"): "gbi3x32,0+1+2,200000,7,0.894425,0.000687127787879,0.893965613429,",
-        ("7", "2"): "gbi3x32,0+1+2,200000,7,0.894015,0.000688302912151,0.893965613429,",
+        ("200000", "1", "1"): "gbi3x32,0+1+2,200000,1,0.894345,0.000687357334197,0.893965613429,",
+        ("200000", "1", "2"): "gbi3x32,0+1+2,200000,1,0.894845,0.000685920644007,0.893965613429,",
+        ("200000", "7", "1"): "gbi3x32,0+1+2,200000,7,0.894425,0.000687127787879,0.893965613429,",
+        ("200000", "7", "2"): "gbi3x32,0+1+2,200000,7,0.894015,0.000688302912151,0.893965613429,",
+        ("98311", "1", "1"): "gbi3x32,0+1+2,98311,1,0.895332160186,0.000976332319484,0.893965613429,",
+        ("98311", "1", "3"): "gbi3x32,0+1+2,98311,1,0.894955803521,0.000977880462275,0.893965613429,",
+        ("98311", "7", "1"): "gbi3x32,0+1+2,98311,7,0.894437041633,0.000980007970237,0.893965613429,",
+        ("98311", "7", "3"): "gbi3x32,0+1+2,98311,7,0.893409689658,0.000984199490092,0.893965613429,",
     },
     "chsh": {
-        ("1", "1"): "chsh,0+1,200000,1,0.854055,0.000789446188714,0.853553390593,0.75",
-        ("1", "2"): "chsh,0+1,200000,1,0.854675,0.000788053438464,0.853553390593,0.75",
-        ("7", "1"): "chsh,0+1,200000,7,0.85512,0.00078705077854,0.853553390593,0.75",
-        ("7", "2"): "chsh,0+1,200000,7,0.854395,0.000788683028773,0.853553390593,0.75",
+        ("200000", "1", "1"): "chsh,0+1,200000,1,0.854055,0.000789446188714,0.853553390593,0.75",
+        ("200000", "1", "2"): "chsh,0+1,200000,1,0.854675,0.000788053438464,0.853553390593,0.75",
+        ("200000", "7", "1"): "chsh,0+1,200000,7,0.85512,0.00078705077854,0.853553390593,0.75",
+        ("200000", "7", "2"): "chsh,0+1,200000,7,0.854395,0.000788683028773,0.853553390593,0.75",
+        ("98311", "1", "1"): "chsh,0+1,98311,1,0.85382103732,0.00112674283902,0.853553390593,0.75",
+        ("98311", "1", "3"): "chsh,0+1,98311,1,0.854848389295,0.00112345174137,0.853553390593,0.75",
+        ("98311", "7", "1"): "chsh,0+1,98311,7,0.855448525597,0.00112152032116,0.853553390593,0.75",
+        ("98311", "7", "3"): "chsh,0+1,98311,7,0.852844544354,0.00112985331679,0.853553390593,0.75",
     },
     "makb4": {
-        ("1", "1"): "makb4,0+1+2+3,200000,1,0.523655,0.00111678207582,0.52357022604,0.625",
-        ("1", "2"): "makb4,0+1+2+3,200000,1,0.52312,0.00111683809391,0.52357022604,0.625",
-        ("7", "1"): "makb4,0+1+2+3,200000,7,0.524055,0.00111673935405,0.52357022604,0.625",
-        ("7", "2"): "makb4,0+1+2+3,200000,7,0.523505,0.00111679791139,0.52357022604,0.625",
+        ("200000", "1", "1"): "makb4,0+1+2+3,200000,1,0.523655,0.00111678207582,0.52357022604,0.625",
+        ("200000", "1", "2"): "makb4,0+1+2+3,200000,1,0.52312,0.00111683809391,0.52357022604,0.625",
+        ("200000", "7", "1"): "makb4,0+1+2+3,200000,7,0.524055,0.00111673935405,0.52357022604,0.625",
+        ("200000", "7", "2"): "makb4,0+1+2+3,200000,7,0.523505,0.00111679791139,0.52357022604,0.625",
+        ("98311", "1", "1"): "makb4,0+1+2+3,98311,1,0.524071568797,0.0015928140129,0.52357022604,0.625",
+        ("98311", "1", "3"): "makb4,0+1+2+3,98311,1,0.524122427806,0.00159280618645,0.52357022604,0.625",
+        ("98311", "7", "1"): "makb4,0+1+2+3,98311,7,0.523827445555,0.00159285134939,0.52357022604,0.625",
+        ("98311", "7", "3"): "makb4,0+1+2+3,98311,7,0.524305520237,0.00159277787415,0.52357022604,0.625",
     },
 }
 
@@ -633,10 +647,10 @@ class TestPinnedGameOutputs:
     def test_simulate_rows(self, tmp_path, capsys, name):
         spec = tmp_path / "game.json"
         assert main(["qccr", "make-game", *PINNED_GAMES[name][0], "--output", str(spec)]) == 0
-        for (seed, jobs), row in PINNED_SIMULATE_ROWS[name].items():
-            argv = ["--game", str(spec), "--trials", "200000", "--seed", seed, "--jobs", jobs]
+        for (trials, seed, jobs), row in PINNED_SIMULATE_ROWS[name].items():
+            argv = ["--game", str(spec), "--trials", trials, "--seed", seed, "--jobs", jobs]
             assert main(["qccr", "simulate", *argv]) == 0
-            assert capsys.readouterr().out.splitlines()[1] == row, (seed, jobs)
+            assert capsys.readouterr().out.splitlines()[1] == row, (trials, seed, jobs)
 
 
 # every game make-game writes, with each party's turns as its builder

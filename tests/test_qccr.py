@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume as hypothesis_assume
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,13 @@ from bellpersist.qccr import (
     quantum_success,
     simulate,
 )
-from oracles import ghz_mixture_density, outcome_distribution, partial_trace
+from oracles import (
+    ghz_mixture_density,
+    outcome_distribution,
+    partial_trace,
+    plain_game_from_json,
+    plain_game_to_json,
+)
 
 F = Fraction
 
@@ -222,11 +229,8 @@ class TestSimulation:
         _, probs, coeffs, corr = qccr._settings_table(game)
         dense = _dense_correlators(game, qstate.ghz_state(3))
         np.testing.assert_allclose(dense, corr, atol=1e-12)
-        trials, table = 10**5, qccr._guide_table(probs)
-        rates = [
-            qccr._simulate_chunk(np.random.default_rng(29), trials, *table, coeffs < 0, c) / trials
-            for c in (corr, dense)
-        ]
+        trials = 10**5
+        rates = [_play_chunk(29, trials, probs, coeffs, c) / trials for c in (corr, dense)]
         sigma = math.hypot(*(max(math.sqrt(r * (1 - r) / trials), 1e-4) for r in rates))
         assert abs(rates[0] - rates[1]) < 4 * sigma
 
@@ -245,6 +249,63 @@ class TestSimulation:
         # at most four float64 arrays of 2**16 rounds more, fixed here so
         # that a larger block fails too
         assert peaks[1] <= peaks[0] + 4 * 8 * 2**16, peaks
+
+    def test_memory_flat_in_jobs(self):
+        # streams are seeded one at a time and share one set of buffers:
+        # a stream per round peaks within 64 KiB of one stream
+        game = chsh_game()
+        simulate(game, 10, 1)
+        peaks = []
+        for jobs in (1, 20_000):
+            tracemalloc.start()
+            try:
+                simulate(game, 20_000, 1, jobs=jobs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 64 * 1024, peaks
+
+    def test_chunk_peak_flat_in_blocks(self):
+        # the chunk writes every block into its buffers: it peaks alike at
+        # 2 and 30 blocks, within 16 KiB (the interpreter's free lists
+        # refill as it runs), less than a block's smallest array, its 32
+        # KiB of flags; and at most numpy's iterator buffers (8192
+        # elements of 8 bytes each, for the strided and casting passes)
+        # above the buffers themselves, which are made outside
+        _, probs, coeffs, corr = qccr._settings_table(gbi_game(3))
+        table, negative, bias = qccr._guide_table(probs), coeffs < 0, 0.5 * (1.0 + corr)
+        buffers = qccr._play_buffers(qccr._BLOCK)
+        # first-call set-up out of the traced calls
+        qccr._simulate_chunk(np.random.default_rng(5), 2 * qccr._BLOCK, *table, negative, bias, buffers)
+        peaks = []
+        for blocks in (2, 30):
+            rng = np.random.default_rng(5)
+            tracemalloc.start()
+            try:
+                qccr._simulate_chunk(rng, blocks * qccr._BLOCK, *table, negative, bias, buffers)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 16 * 1024, peaks
+        assert max(peaks) <= 2 * 8 * 8192, peaks
+
+    @pytest.mark.parametrize(
+        "trials,jobs", [(40_000, 1), (40_000, 2), (40_000, 3), (40_000, 7), (3_000, 3_000)]
+    )
+    def test_streams_are_spawned_children(self, trials, jobs):
+        # stream i, seeded alone, plays as child i of one spawn(jobs)
+        game, seed = gbi_game(2, grid=16), 9
+        k = game.n_parties
+        components, probs, coeffs, corr = qccr._settings_table(game)
+        counts = [trials // jobs + (i < trials % jobs) for i in range(jobs)]
+        expected = sum(
+            _signed_chunk(
+                np.random.default_rng(child), n, probs, np.sign(coeffs), corr,
+                k, None, components, None,
+            )
+            for child, n in zip(np.random.SeedSequence(seed).spawn(jobs), counts)
+        )
+        assert simulate(game, trials, seed, jobs=jobs).success_rate == expected / trials
 
     def test_jobs_above_trials_run_one_stream_per_trial(self):
         game = chsh_game()
@@ -299,6 +360,15 @@ class TestSimulation:
         assert value == pytest.approx(0.5 * (1 + math.pi / 4), abs=2e-3)
 
 
+def _play_chunk(seed, trials, probs, coeffs, corr):
+    """qccr._simulate_chunk as simulate calls it for one stream."""
+    size = min(trials, qccr._BLOCK)
+    return qccr._simulate_chunk(
+        np.random.default_rng(seed), trials, *qccr._guide_table(probs), coeffs < 0,
+        0.5 * (1.0 + corr), qccr._play_buffers(size),
+    )
+
+
 def _signed_chunk(rng, trials, probs, signs, corr, k, strategy, settings_components, drop_player):
     """The Monte Carlo round as products of +-1 int64 values; the reference
     for the sign-bit form of qccr._simulate_chunk.
@@ -347,13 +417,12 @@ def _assert_chunk_matches_oracle(game, trials, seed):
     components, probs, coeffs, corr = qccr._settings_table(game)
     answers = _answers(game)
     table = np.prod([answers[party, components[:, party]] for party in range(k)], axis=0)
-    guide = qccr._guide_table(probs)
     for strategy, played in ((None, corr), (answers, table)):
         expected = _signed_chunk(
             np.random.default_rng(seed), trials, probs, np.sign(coeffs), corr,
             k, strategy, components, None,
         )
-        got = qccr._simulate_chunk(np.random.default_rng(seed), trials, *guide, coeffs < 0, played)
+        got = _play_chunk(seed, trials, probs, coeffs, played)
         assert got == expected, (game.name, trials, seed, strategy is None)
 
 
@@ -439,7 +508,9 @@ def _assert_draw_matches_choice(probs, seed, trials):
     u = np.random.default_rng(seed).random((trials, 2))[:, 0]
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
-    got = qccr._draw_settings(u, *qccr._guide_table(probs))
+    got = np.full(trials, -1, np.intp)
+    scratch = np.empty(trials), np.empty(trials, bool)
+    qccr._draw_settings(u, *qccr._guide_table(probs), got, *scratch)
     assert np.array_equal(got, cdf.searchsorted(u, side="right"))
 
 
@@ -722,6 +793,120 @@ class TestJsonRoundTrip:
         game = chsh_game()
         with pytest.raises(ValueError):
             GameSpec(game.functional, game.turns, qstate.ghz_state(2))
+
+
+def _bits(values):
+    """Each value as its type and, for a float, its exact bits."""
+    return [(type(v), v.hex() if type(v) is float else v) for v in values]
+
+
+def _loaded_bits(game):
+    f = game.functional
+    return (
+        list(f.coefficients), _bits(f.coefficients.values()),
+        list(f.settings_distribution), _bits(f.settings_distribution.values()),
+        [_bits(row) for row in game.turns], game.state, game.name,
+    )
+
+
+def _assert_plain_json_routes_agree(game):
+    """The writer spells what json.dumps spells, and the reader loads
+    what json's own parse loads, bit for bit."""
+    text = game_to_json(game)
+    assert text == plain_game_to_json(game)
+    assert _loaded_bits(game_from_json(text)) == _loaded_bits(plain_game_from_json(text))
+
+
+# PINNED_GAMES of test_cli.py, makb on 2..16 players, gbi on two players
+# at every grid to 64
+_PLAIN_ROUTE_GAMES = (
+    [
+        pytest.param(chsh_game, id="chsh"),
+        pytest.param(lambda: makb_game(3), id="makb3"),
+        pytest.param(lambda: makb_game(4, 6), id="makb4in6"),
+        pytest.param(lambda: gbi_game(2, grid=16), id="gbi2x16"),
+        pytest.param(lambda: gbi_game(3), id="gbi3x32"),
+    ]
+    + [pytest.param(lambda n=n: makb_game(n), id=f"makb{n}") for n in range(2, 17)]
+    + [pytest.param(lambda g=g: gbi_game(2, grid=g), id=f"gbi2x{g}") for g in range(2, 65)]
+)
+
+# a table value: an int, a float (subnormal, near the float range's ends,
+# spelled with an exponent) or a Fraction
+_TABLE_VALUES = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.sampled_from([5e-324, -2.5e-310, 1e300, -1e-300, 1e22, 1.5e-07, 0.1, -0.0, 0]),
+    st.fractions(-(10**6), 10**6, max_denominator=10**6),
+)
+
+
+def _fresh(value):
+    """A new object of the same type and value as ``value``."""
+    if type(value) is float:
+        return float.fromhex(value.hex())
+    if type(value) is int:
+        return int(str(value))
+    return Fraction(value.numerator, value.denominator)
+
+
+class TestJsonSecondRoutes:
+    @pytest.mark.parametrize("builder", _PLAIN_ROUTE_GAMES)
+    def test_built_games(self, builder):
+        _assert_plain_json_routes_agree(builder())
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 2), (2, 12)]),
+        pool=st.lists(_TABLE_VALUES, min_size=1, max_size=6),
+        data=st.data(),
+    )
+    def test_mixed_tables(self, shape, pool, data):
+        # values shared by several entries, or equal in distinct objects
+        n, spp = shape
+        keys = list(itertools.product(range(spp), repeat=n))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=len(keys), max_size=len(keys)))
+        fresh = data.draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+        values = [_fresh(pool[i]) if new else pool[i] for i, new in zip(picks, fresh)]
+        f = bell.BellFunctional(n, dict(zip(keys, values)), spp)
+        hypothesis_assume(f.coefficients)
+        turns = data.draw(
+            st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 0.1, 1e22]), min_size=spp, max_size=spp)
+        )
+        _assert_plain_json_routes_agree(GameSpec(f, (tuple(turns),) * n, VisibilityModel(0.5)))
+
+    @pytest.mark.parametrize("spelling", ["-0.0", "1E5", "1e400", "NaN", "Infinity"])
+    @pytest.mark.parametrize("where", ["coefficient", "probability", "turns", "visibility"])
+    def test_number_spellings_read_alike(self, spelling, where):
+        game = chsh_game()
+        payload = json.loads(game_to_json(GameSpec(game.functional, game.turns, VisibilityModel(0.5))))
+        f = payload["functional"]
+        holder, key = {
+            "coefficient": (f["coefficients"], "01"),
+            "probability": (f["settings_distribution"], "01"),
+            "turns": (payload["observables"][1][0], "turns"),
+            "visibility": (payload["state"], "v"),
+        }[where]
+        holder[key] = "@"
+        text = json.dumps(payload).replace('"@"', spelling)
+
+        def outcome(read):
+            try:
+                return _loaded_bits(read(text))
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(game_from_json) == outcome(plain_game_from_json)
+
+    def test_loaded_game_holds_each_number_once(self):
+        # gbi3x32 writes 30 741 coefficients, probabilities and 96 turns;
+        # it loads with one float per distinct number text, and one per
+        # distinct derived probability
+        game = game_from_json(game_to_json(gbi_game(3)))
+        f = game.functional
+        floats = [*f.coefficients.values(), *f.settings_distribution.values()]
+        floats += itertools.chain.from_iterable(game.turns)
+        assert len({id(v) for v in floats}) <= 200
 
 
 def _classical_or_error(game):
