@@ -8,26 +8,30 @@ the sum of its squares has a closed combinatorial form that scales
 polynomially in the register size.
 
 In that sum the C(n, m) normalisations of the Dicke components cancel,
-so the sum is one integer S over C(N, M)^2 (see :func:`sigma_sum`):
-threshold cases (sums exactly equal to 1) are decided as S > C(N, M)^2
-on integers, without rational or floating-point arithmetic until the
-final value.  With n = N - L and h = k/2 the inner sum over the lost
-zeros l is a Krawtchouk polynomial (MacWilliams & Sloane, *The Theory
-of Error-Correcting Codes*, 1977, ch. 5 par. 7),
+so with n = N - L it is one integer S over C(N, M)^2,
 
-    sum_l (-1)^l C(L, l) C(n - 2h, M - h - l) = K_{M-h}(L; N - 2h),
+    S = sum_h C(n, 2h) C(2h, h)^2 K_{M-h}(L; N - 2h)^2,
     K_j(x; m) = sum_l (-1)^l C(x, l) C(m - x, j - l),
 
-and it is 0 once h > M or h > N - M, so only h <= min(M, N - M, n // 2)
-contribute.  Three kernels evaluate the same S: :func:`sigma_sum` at one
-(N, M, L), :func:`_sigma_row` along L at fixed (N, M) by a three-term
-recurrence in x, and :func:`_sigma_walk` along N at fixed (M, L) by
-Pascal's rule; each docstring derives its recurrence.  The readable
-route :func:`reduced_dicke` -> :func:`sym_correlation` -> :func:`sym_sigma`
-computes the same sum in exact rationals and is the second route the
-tests compare against; the independent dense cross-check (a partial
-trace of the dense Dicke state) and the point-by-point scans the
-recurrences replaced live in ``tests/oracles.py``.  The line fit
+where h is half the number of x factors and K is a Krawtchouk
+polynomial (MacWilliams & Sloane, *The Theory of Error-Correcting
+Codes*, 1977, ch. 5 par. 7), a signed sum over the l lost zeros;
+``sigma_sum_by_binomials`` in ``tests/oracles.py`` derives S from
+:func:`reduced_dicke` and :func:`xz_component`.  Threshold cases (sums
+exactly equal to 1) are decided as S > C(N, M)^2 on integers, without
+rational or floating-point arithmetic until the final value.  K_{M-h}
+is 0 once h > M or h > N - M, so only h <= min(M, N - M, n // 2)
+contribute.  Two kernels evaluate S, each by its own recurrence:
+:func:`_sigma_row` along L at fixed (N, M) by a three-term recurrence in
+x, which :func:`sigma_sum` reads at one L, and :func:`_sigma_walk`
+along N at fixed (M, L) by Pascal's rule; each docstring derives its
+recurrence.  The readable route :func:`reduced_dicke` ->
+:func:`sym_correlation` -> :func:`sym_sigma` computes the same sum in
+exact rationals and is the second route the tests compare against.
+The reference both kernels are checked against is the binomial double
+sum ``sigma_sum_by_binomials``, one point at a time; ``tests/oracles.py``
+also holds the dense cross-check (a partial trace of the dense Dicke
+state) and the point-by-point scans the kernels replaced.  The line fit
 :func:`fit_n0_line` is exact too, so the module needs no numpy.
 
 For N <= 80 and every M the tests check that no L >= N/2 has
@@ -171,42 +175,28 @@ def sigma_sum(n_total: int, m_zeros: int, n_traced: int) -> Fraction:
     full-correlation Bell inequality; the persistency lower bounds rest
     on it.
 
-    Substituting the weights of :func:`reduced_dicke` into
-    :func:`xz_component`, the C(n, m) factors cancel and, with
-    n = N - L and h = k/2 over even k,
-
-        sigma = S / C(N, M)^2,
-        S = sum_k C(n, k) C(k, h)^2 (sum_l (-1)^(n-(M-l)-h) C(L, l) C(n-k, M-l-h))^2,
-
-    where terms with M-l > n or M-l-h outside 0..n-k vanish exactly as
-    in the readable route.  The sign (-1)^(n-M-h) is common to every
-    term of the inner sum and drops out when it is squared, which leaves
-    the Krawtchouk polynomial K_{M-h}(L; N-2h) of the module docstring.
-    Its sum over l is empty once h > M, and once h > N - M every
-    C(n-k, M-l-h) in it is 0 (M-l-h >= M-L-h > n-k), so k stops at
-    2 min(M, N - M, n // 2).
+    The value is S / C(N, M)^2 read at L from :func:`_sigma_row`, at a
+    cost of O(L min(M, N - M)) integer steps and O(L) memory.
     """
     n_total, m_zeros, n_traced = _check_reduction(n_total, m_zeros, n_traced)
-    n = n_total - n_traced
-    total = 0
-    for h in range(min(m_zeros, n_total - m_zeros, n // 2) + 1):
-        k = 2 * h
-        inner = 0
-        # math.comb is 0 once M-l-h > n-k, which also covers M-l > n
-        for lost in range(min(n_traced, m_zeros - h) + 1):
-            term = math.comb(n_traced, lost) * math.comb(n - k, m_zeros - lost - h)
-            inner += -term if lost % 2 else term
-        total += math.comb(n, k) * math.comb(k, h) ** 2 * inner * inner
-    return Fraction(total, math.comb(n_total, m_zeros) ** 2)
+    row, denom = _sigma_row(n_total, m_zeros, n_traced)
+    return Fraction(row[n_traced], denom)
 
 
-def _sigma_row(n_total: int, m_zeros: int) -> tuple[list[int], int]:
-    """Numerators S of :func:`sigma_sum` for every L = 0..N-1, and C(N, M)^2.
+def _sigma_row(n_total: int, m_zeros: int, last: int) -> tuple[list[int], int]:
+    """Numerators S of :func:`sigma_sum` for L = 0..last, and C(N, M)^2.
 
     ``row[L] / C(N, M)^2`` equals ``sigma_sum(N, M, L)``; needs
-    0 <= M <= N.  For each h <= min(M, N - M) (K_{M-h}(x; N-2h) is 0
-    when M - h > N - 2h) the Krawtchouk values K_j(x; m), m = N - 2h,
-    j = M - h, are walked over x = L = 0..min(m, N-1) with the
+    0 <= M <= N and 0 <= last < N.  The row stops at ``last`` because
+    its callers read different lengths: :func:`sigma_sum` one L, and
+    ``persistency.dicke_persistency`` every L up to N - 2.  Each entry
+    past ``last`` would cost as much as one before it, so a point read
+    off the whole row pays for all N entries (at N = 10^5, M = 2,
+    L = 10 that was 0.12 s and 5 MB more, end to end).
+
+    For each h <= min(M, N - M) (K_{M-h}(x; N-2h) is 0 when
+    M - h > N - 2h) the Krawtchouk values K_j(x; m), m = N - 2h,
+    j = M - h, are walked over x = L = 0..min(m, last) with the
     three-term recurrence
 
         (m - x) K_j(x + 1) = (m - 2j) K_j(x) - x K_j(x - 1),
@@ -216,19 +206,18 @@ def _sigma_row(n_total: int, m_zeros: int) -> tuple[list[int], int]:
     exact.  The weight C(2h, h)^2 C(N - x, 2h) of the term steps with
     C(N - x - 1, 2h) = C(N - x, 2h) (m - x) / (N - x), exact for the same
     reason.  The term of h enters row[x] only while x <= m, which is the
-    bound h <= (N - L) // 2 of :func:`sigma_sum`.  That is O(N min(M, N-M))
-    big-integer steps for the whole row, against O(min(L, M) min(M, N-L))
-    binomials at each single point.
+    bound h <= (N - L) // 2 of the module docstring.  That is
+    O((last + 1) min(M, N - M)) big-integer steps and last + 1 entries.
     """
-    row = [0] * n_total
+    row = [0] * (last + 1)
     for h in range(min(m_zeros, n_total - m_zeros) + 1):
         m, j = n_total - 2 * h, m_zeros - h
         weight = math.comb(2 * h, h) ** 2 * math.comb(n_total, 2 * h)
         below, kraw = 0, math.comb(m, j)
-        last = min(m, n_total - 1)
-        for x in range(last + 1):
+        stop = min(m, last)
+        for x in range(stop + 1):
             row[x] += weight * kraw * kraw
-            if x < last:
+            if x < stop:
                 weight = weight * (m - x) // (n_total - x)
                 below, kraw = kraw, ((m - 2 * j) * kraw - x * below) // (m - x)
     return row, math.comb(n_total, m_zeros) ** 2

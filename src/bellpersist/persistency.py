@@ -225,7 +225,7 @@ def dicke_persistency(n_parties: int, m_zeros: int) -> PersistencyResult:
     """
     n_parties = check_count(n_parties, "party count N", 2)
     m_zeros = check_count(m_zeros, "zeros count M", 0, n_parties)
-    row, denom = dicke._sigma_row(n_parties, m_zeros)
+    row, denom = dicke._sigma_row(n_parties, m_zeros, max(n_parties - 2, 0))
     best = max((traced for traced in range(1, n_parties - 1) if row[traced] > denom), default=0)
     at = max(best, 1) if n_parties > 2 else 0
     # int / int is correctly rounded, as float(Fraction) is

@@ -5,8 +5,10 @@ partial traces, the dense correlation sum, the MAKB halving recursion,
 the sign-function family of full-correlation inequalities (the
 Zukowski-Brukner criterion, PRL 88, 210401, 2002, that a correlation sum
 above 1 gives a violation) and dense game states.  Polynomial: the
-point-by-point Dicke threshold and persistency scans, one ``sigma_sum``
-per point, that the library's Krawtchouk recurrences replaced.  Linear:
+Dicke correlation sum as a double sum of binomials at one point, the
+reference that the library's Krawtchouk row and walk are checked
+against, and the point-by-point Dicke threshold and persistency scans,
+one such sum per point, that those recurrences replaced.  Linear:
 the entry-by-entry checks, splits and divisions of a Bell functional's
 table, and its one cosine per geometric settings tuple, that the
 library's whole-table passes replaced; and the game file's writer and
@@ -27,7 +29,7 @@ from unittest import mock
 
 import numpy as np
 
-from bellpersist import bell, dicke, qccr, qstate
+from bellpersist import bell, qccr, qstate
 from bellpersist.bell import ObservablePair
 from bellpersist.dicke import DickeMixture
 from bellpersist.errors import CapabilityError, NoCrossingError, check_count, check_real
@@ -158,10 +160,42 @@ def dense_sigma_sum(n_total: int, m_zeros: int, n_traced: int) -> float:
     return total
 
 
+def sigma_sum_by_binomials(n_total: int, m_zeros: int, n_traced: int) -> Fraction:
+    """Double-sum version of :func:`bellpersist.dicke.sigma_sum`, one point
+    at a time, sharing no recurrence with the library's Krawtchouk kernels.
+
+    Substituting the weights of :func:`bellpersist.dicke.reduced_dicke`
+    into :func:`bellpersist.dicke.xz_component`, the C(n, m) factors
+    cancel and, with n = N - L and h = k/2 over even k,
+
+        sigma = S / C(N, M)^2,
+        S = sum_k C(n, k) C(k, h)^2 (sum_l (-1)^(n-(M-l)-h) C(L, l) C(n-k, M-l-h))^2,
+
+    where terms with M-l > n or M-l-h outside 0..n-k vanish exactly as
+    in the readable route.  The sign (-1)^(n-M-h) is common to every
+    term of the inner sum and drops out when it is squared, which leaves
+    the Krawtchouk polynomial K_{M-h}(L; N-2h) of the dicke module.  Its
+    sum over l is empty once h > M, and once h > N - M every
+    C(n-k, M-l-h) in it is 0 (M-l-h >= M-L-h > n-k), so k stops at
+    2 min(M, N - M, n // 2).  Costs O(min(L, M) min(M, N - L)) binomials.
+    """
+    n = n_total - n_traced
+    total = 0
+    for h in range(min(m_zeros, n_total - m_zeros, n // 2) + 1):
+        k = 2 * h
+        inner = 0
+        # math.comb is 0 once M-l-h > n-k, which also covers M-l > n
+        for lost in range(min(n_traced, m_zeros - h) + 1):
+            term = math.comb(n_traced, lost) * math.comb(n - k, m_zeros - lost - h)
+            inner += -term if lost % 2 else term
+        total += math.comb(n, k) * math.comb(k, h) ** 2 * inner * inner
+    return Fraction(total, math.comb(n_total, m_zeros) ** 2)
+
+
 def solve_n0_by_points(m_zeros: int, n_traced: int) -> float:
     """Point-scan version of :func:`bellpersist.dicke.solve_n0`.
 
-    Calls :func:`bellpersist.dicke.sigma_sum` once per register size
+    Calls :func:`sigma_sum_by_binomials` once per register size
     instead of walking the Krawtchouk vectors; the scan, the stopping
     rule and the interpolation are the same.
     """
@@ -175,9 +209,9 @@ def solve_n0_by_points(m_zeros: int, n_traced: int) -> float:
     settled = 2 * m_zeros + n_traced + 1
     crossing = None
     seen_below = False
-    prev = dicke.sigma_sum(start, m_zeros, n_traced)
+    prev = sigma_sum_by_binomials(start, m_zeros, n_traced)
     for n in range(start + 1, max_n + 1):
-        cur = dicke.sigma_sum(n, m_zeros, n_traced)
+        cur = sigma_sum_by_binomials(n, m_zeros, n_traced)
         seen_below = seen_below or prev < 1
         if prev < 1 <= cur:
             crossing = Fraction(n - 1) + (1 - prev) / (cur - prev)
@@ -194,7 +228,7 @@ def solve_n0_by_points(m_zeros: int, n_traced: int) -> float:
 def dicke_persistency_by_points(n_parties: int, m_zeros: int) -> PersistencyResult:
     """Point-scan version of :func:`bellpersist.persistency.dicke_persistency`.
 
-    Calls :func:`bellpersist.dicke.sigma_sum` once per traced count
+    Calls :func:`sigma_sum_by_binomials` once per traced count
     instead of computing the Krawtchouk row.
     """
     if not 0 <= m_zeros <= n_parties:
@@ -202,9 +236,9 @@ def dicke_persistency_by_points(n_parties: int, m_zeros: int) -> PersistencyResu
     if n_parties < 2:
         raise ValueError("need at least two parties")
     if n_parties == 2:
-        return PersistencyResult(2, 0, 2, float(dicke.sigma_sum(2, m_zeros, 0)))
+        return PersistencyResult(2, 0, 2, float(sigma_sum_by_binomials(2, m_zeros, 0)))
     sums = {
-        traced: dicke.sigma_sum(n_parties, m_zeros, traced)
+        traced: sigma_sum_by_binomials(n_parties, m_zeros, traced)
         for traced in range(1, n_parties - 1)
     }
     best = max((traced for traced, value in sums.items() if value > 1), default=0)

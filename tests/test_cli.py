@@ -635,6 +635,48 @@ PINNED_SIMULATE_ROWS = {
 }
 
 
+# the data row of `dicke sigma --n N --m M --l L`, as the binomial double
+# sum gave it: the edges of the argument checks, a half-filled register
+# traced far along L, a long row at small M and a register of 10^5
+PINNED_SIGMA_ROWS = {
+    ("1", "0", "0"): "1,0,0,1,1,false",
+    ("2", "1", "0"): "2,1,0,2,2,true",
+    ("24", "0", "23"): "24,0,23,1,1,false",
+    ("24", "24", "0"): "24,24,0,1,1,false",
+    ("24", "12", "23"): "24,12,23,0,0,false",
+    ("600", "300", "290"): (
+        "600,300,290,11568894943863493869858913453485920935838117117527787574031100128556"
+        "52571446802818461259699637342003113537487743881636623239436851548875582793106074"
+        "43223260934636169653129791546762695348581239241686544884488009769912705515371339"
+        "4069967917526646477046161523488528564093529401055115578708694538199197350/539870"
+        "73965610244886395945980590473807481588543315636858998106423147595130756315759139"
+        "64407319507901004538268188732322968234561680000920041354927360631276589365198134"
+        "58746404293506241528844943948520981692731465003395192978029865974971825536892886"
+        "77614809022078735601395737874890621693818114631349186381,0.0214290090091,false"
+    ),
+    ("1000", "500", "480"): (
+        "1000,500,480,2425697457878803575873025111551909375422753451502172974958128884083"
+        "90542786151553537426355794322755150596407410000139986762048154074660223602819199"
+        "44241639352633994385223544014772681573214001090796607695310663827659608128426217"
+        "99627200301614908628862004442302608886415728147171290398598750214432659725123772"
+        "23770400472551185248717230478713868563060782608236428421044116639240897253621345"
+        "16010553596208706186063532595083286826928144975338181872537707646210972389971447"
+        "260910579764290289001168159832332305997910551568/1102007974857004965473240866345"
+        "76998698774317345909831603880684918924480631001263092752009673612977096651011476"
+        "34475425740641437995744389933679474821875023907451305577585276081449517760116094"
+        "26920895925565684584466255871899493116842204731472781965638166441580849262440514"
+        "31895567008078248098188373816748327605620771740222899076333268357836070706142128"
+        "88219739196898465536231879352768035042525721267736318322724849945192768323766466"
+        "29729314142836655585130559136178405754422402365902589047448766937835470299287120"
+        "044575,0.0220116143732,false"
+    ),
+    ("20000", "3", "19000"): (
+        "20000,3,19000,7915637474995954813/14105115096980600000,0.561189144546,false"
+    ),
+    ("100000", "2", "10"): "100000,2,10,231346017544923131/15431790125000000,14.9915217658,true",
+}
+
+
 class TestPinnedGameOutputs:
     @pytest.mark.parametrize("name", sorted(PINNED_GAMES))
     def test_make_game_bytes(self, tmp_path, name):
@@ -651,6 +693,19 @@ class TestPinnedGameOutputs:
             argv = ["--game", str(spec), "--trials", trials, "--seed", seed, "--jobs", jobs]
             assert main(["qccr", "simulate", *argv]) == 0
             assert capsys.readouterr().out.splitlines()[1] == row, (trials, seed, jobs)
+
+
+class TestPinnedSigmaRows:
+    @pytest.mark.parametrize("point", sorted(PINNED_SIGMA_ROWS), ids="-".join)
+    def test_csv_and_json_rows(self, capsys, point):
+        n, m, l = point
+        argv = ["dicke", "sigma", "--n", n, "--m", m, "--l", l]
+        assert main(argv) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert row == PINNED_SIGMA_ROWS[point]
+        assert main([*argv, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert rows == [dict(zip(header.split(","), row.split(",")))]
 
 
 # every game make-game writes, with each party's turns as its builder

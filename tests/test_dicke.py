@@ -20,7 +20,7 @@ from bellpersist.dicke import (
 from bellpersist.errors import NoCrossingError
 from oracles import (
     dense_mixture, dense_sigma_sum, dicke_state, optimize_wwwzb_angles, partial_trace,
-    solve_n0_by_points,
+    sigma_sum_by_binomials, solve_n0_by_points,
 )
 
 F = Fraction
@@ -227,21 +227,21 @@ def _n0_or_error(solver, m, l):
 
 
 class TestKrawtchoukKernels:
-    """The row and walk recurrences against the single-point kernel."""
+    """The row and walk recurrences against the binomial double sum."""
 
     def test_row_matches_sigma_sum(self):
         for n in range(1, 41):
             for m in range(n + 1):
-                row, denom = dicke._sigma_row(n, m)
+                row, denom = dicke._sigma_row(n, m, n - 1)
                 assert len(row) == n and denom == math.comb(n, m) ** 2
                 for l in range(n):
-                    assert _equal(row[l], denom, sigma_sum(n, m, l)), (n, m, l)
+                    assert _equal(row[l], denom, sigma_sum_by_binomials(n, m, l)), (n, m, l)
 
     @pytest.mark.parametrize("m", [7, 150, 299])
     def test_row_matches_sigma_sum_n300(self, m):
-        row, denom = dicke._sigma_row(300, m)
+        row, denom = dicke._sigma_row(300, m, 299)
         for l in [*range(0, 300, 23), 1, 150, 298, 299]:
-            assert _equal(row[l], denom, sigma_sum(300, m, l)), (m, l)
+            assert _equal(row[l], denom, sigma_sum_by_binomials(300, m, l)), (m, l)
 
     def test_walk_matches_sigma_sum(self):
         for m in range(10):
@@ -250,7 +250,7 @@ class TestKrawtchoukKernels:
                 walk = dicke._sigma_walk(m, l, window.start)
                 for n, (total, denom) in zip(window, walk):
                     assert denom == math.comb(n, m) ** 2
-                    assert _equal(total, denom, sigma_sum(n, m, l)), (n, m, l)
+                    assert _equal(total, denom, sigma_sum_by_binomials(n, m, l)), (n, m, l)
 
     def test_no_sigma_violation_from_half_the_register(self):
         # checked, not proved, over N <= 80: the sigma > 1 criterion never
@@ -258,7 +258,7 @@ class TestKrawtchoukKernels:
         best = Fraction(0)
         for n in range(2, 81):
             for m in range(n + 1):
-                row, denom = dicke._sigma_row(n, m)
+                row, denom = dicke._sigma_row(n, m, n - 1)
                 for l, total in enumerate(row):
                     if total > denom:
                         assert 2 * l < n, (n, m, l)

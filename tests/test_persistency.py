@@ -13,7 +13,7 @@ from bellpersist.persistency import (
     gamma_crit,
     ghz_persistency,
 )
-from oracles import dicke_persistency_by_points
+from oracles import dicke_persistency_by_points, sigma_sum_by_binomials
 
 # pi to 50 decimals, rounded down, and one unit of the last digit above it
 PI_LO = Fraction(314159265358979323846264338327950288419716939937510, 10**50)
@@ -240,9 +240,10 @@ class TestDickePersistency:
 
         monkeypatch.setattr(dicke, "_sigma_row", counting)
         result = dicke_persistency(n, m)
-        assert seen == [(n, m)]
+        # the row stops at the largest L the scan reads
+        assert seen == [(n, m, max(n - 2, 0))]
         margin_l = max(result.max_traced, 1) if n > 2 else 0
-        assert result.margin == float(dicke.sigma_sum(n, m, margin_l))
+        assert result.margin == float(sigma_sum_by_binomials(n, m, margin_l))
 
     def test_matches_point_scan(self):
         cases = [(n, m) for n in range(2, 41) for m in range(n + 1)]
@@ -264,7 +265,8 @@ class TestDickePersistency:
             for m in range(n + 1):
                 result = dicke_persistency(n, m)
                 assert result.witness_m == n - max(result.max_traced, 1), (n, m)
-                assert result.margin == float(dicke.sigma_sum(n, m, n - result.witness_m))
+                margin_l = n - result.witness_m
+                assert result.margin == float(sigma_sum_by_binomials(n, m, margin_l))
             ghz = ghz_persistency("makb", n)
             assert ghz.witness_m == n - max(ghz.max_traced, 1), n
         assert dicke_persistency(2, 1).witness_m == 2
