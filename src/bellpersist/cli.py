@@ -162,7 +162,7 @@ def _cmd_dicke_sigma(args) -> None:
 def _cmd_persistency_ghz(args) -> None:
     rows = []
     for n in args.n:
-        result = persistency.ghz_persistency(args.family, n, exact=not args.asymptotic)
+        result = persistency.ghz_persistency(args.family, n)
         rows.append(
             {
                 "N": n,
@@ -353,10 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = pers_sub.add_parser("ghz", help="symmetrized GHZ-block mixtures")
     p.add_argument("--family", choices=("makb", "gbi"), required=True)
     p.add_argument("--n", type=_parse_range, required=True, help="party count or range LO:HI")
+    # kept so that command lines passing it still parse; it selects nothing
     p.add_argument(
         "--asymptotic",
         action="store_true",
-        help="use the b*a^M growth model instead of exact certificates",
+        help="accepted and ignored: every row is certified",
     )
     _add_common(p)
     p.set_defaults(func=_cmd_persistency_ghz)

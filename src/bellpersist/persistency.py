@@ -46,9 +46,6 @@ from .errors import check_count
 # continued-fraction convergents (p, q) of pi, just below and just above it
 _PI_LO, _PI_HI = (103993, 33102), (104348, 33215)
 
-# log k! for k = 0, 1, 2, ..., grown on demand by _log_factorials
-_log_factorial_cache: list[float] = [0.0]
-
 # the growth model (a, b) of ratio(M) = b * a^M for each family
 _GROWTH = {"makb": (math.sqrt(2.0), 1.0 / math.sqrt(2.0)), "gbi": (math.pi / 2.0, 0.5)}
 
@@ -112,15 +109,6 @@ def gamma_crit(a: float) -> float:
     return lo
 
 
-def _log_factorials(n: int) -> list[float]:
-    """log k! for 0 <= k <= n (at least), by a left-to-right running sum
-    of log k, cached incrementally."""
-    cache = _log_factorial_cache
-    while len(cache) <= n:
-        cache.append(cache[-1] + math.log(len(cache)))
-    return cache
-
-
 def _log_condition(family: str, m: int, log_binom: float) -> float:
     """log(C(N, M)^-1 b a^M), given log C(N, M): the one float form of the
     condition, for the float proposal and for the margin.
@@ -137,14 +125,15 @@ def _log_condition(family: str, m: int, log_binom: float) -> float:
     return math.log(b) + m * math.log(a) - log_binom
 
 
-def _violates(family: str, n: int, m: int) -> bool:
-    """Certified C(n, m)^-1 b a^m > 1 for the family, 2 <= m < n."""
+def _violates(family: str, m: int, binom: int) -> bool:
+    """Certified C(n, m)^-1 b a^m > 1 for the family, 2 <= m < n, given
+    the integer binom = C(n, m)."""
     if family == "makb":
         # (1/sqrt2) sqrt2^m > C(n, m)  <=>  2^(m-1) > C(n, m)^2
-        return 2 ** (m - 1) > math.comb(n, m) ** 2
+        return 1 << (m - 1) > binom * binom
     # (2/pi) / C_m > C(n, m) <=> (pi/2)^m > 2 (1 + eps) C(n, m), |eps| < 2 / 3^(m+1);
     # both sides times 3^(m+1) (2q)^m for a bracket p/q of pi
-    three, binom = 3 ** (m + 1), math.comb(n, m)
+    three = 3 ** (m + 1)
     (p_lo, q_lo), (p_hi, q_hi) = _PI_LO, _PI_HI
     if p_lo**m * three > 2 * (2 * q_lo) ** m * (three + 2) * binom:
         return True
@@ -153,7 +142,7 @@ def _violates(family: str, n: int, m: int) -> bool:
     raise RuntimeError("pi bracket too coarse to certify the frontier")
 
 
-def ghz_persistency(family: str, n_parties: int, exact: bool = True) -> PersistencyResult:
+def ghz_persistency(family: str, n_parties: int) -> PersistencyResult:
     """Largest number of parties that may be traced out of the
     symmetrized GHZ-block mixture while some subgroup still violates the
     ``family`` inequality, "makb" or "gbi".
@@ -162,8 +151,7 @@ def ghz_persistency(family: str, n_parties: int, exact: bool = True) -> Persiste
     parties satisfy C(N, M)^-1 b a^M > 1 (zero if even t = 1 fails);
     ``witness_m`` is the subgroup size at that frontier (N - 1 when
     nothing may be traced) and ``margin`` the condition value there.
-    ``exact`` (the default) certifies each row in integers at any N;
-    ``exact=False`` returns the float proposal below unchecked.
+    Every row is certified in integers at any N; floats only propose.
 
     The condition's logarithm f(M) = log b + M log a - log C(N, M) is
     convex in M on 2 <= M <= N-1: log C(N, M) has second difference
@@ -174,12 +162,16 @@ def ghz_persistency(family: str, n_parties: int, exact: bool = True) -> Persiste
     violates in either family: for makb 2 < C(N, 2)^2 since C(N, 2) >= 3,
     and for gbi 4/pi < 3 <= C(N, 2).  So the violating M are a suffix
     {M >= M_f}, and the float proposal M_f is found by bisection from
-    lo = 2.
+    lo = 2, with log C(N, M) read off math.lgamma.
 
-    Certified runs step the proposal until M violates exactly and
-    M - 1 does not (or M - 1 < 2).  That pair fixes the frontier
-    because, for both families on 2 <= M <= N-1, the violating
-    set is {M >= M*}: no M <= N/2 violates, and above N/2 the condition
+    The proposal is then stepped until M violates exactly and M - 1 does
+    not (or M - 1 < 2).  One math.comb forms C(N, M_f); each step moves
+    it by an exact ratio, C(N, M+1) = C(N, M) (N-M) / (M+1) and
+    C(N, M-1) = C(N, M) M / (N-M+1), and the margin takes the log of the
+    same integer (of C(N, N-1) = N when nothing may be traced).  The
+    stepped pair fixes the frontier because, for both families on
+    2 <= M <= N-1, the violating set is {M >= M*}: no M <= N/2
+    violates, and above N/2 the condition
     grows with M (the ratio of successive values is a (M+1) / (N-M) > 1
     in the b a^M form and (C_M / C_(M+1)) (M+1) / (N-M) > 1 for the
     exact geometric constants).
@@ -187,24 +179,24 @@ def ghz_persistency(family: str, n_parties: int, exact: bool = True) -> Persiste
     if family not in ("makb", "gbi"):
         raise ValueError(f"unknown Bell family {family!r}; use 'makb' or 'gbi'")
     n = check_count(n_parties, "party count N", 2)
-    lf = _log_factorials(n)
+    log_n_fact = math.lgamma(n + 1)
 
     # first float-violating m in [2, n-1], or m == n when none violates
     lo, m = 2, n  # lo does not violate; m violates or is n
     while m - lo > 1:
         mid = (lo + m) // 2
-        # log C(n, mid) = lf[n] - lf[mid] - lf[n - mid]
-        if _log_condition(family, mid, lf[n] - lf[mid] - lf[n - mid]) > 0:
+        log_binom = log_n_fact - math.lgamma(mid + 1) - math.lgamma(n - mid + 1)
+        if _log_condition(family, mid, log_binom) > 0:
             m = mid
         else:
             lo = mid
-    if exact:
-        while m < n and not _violates(family, n, m):
-            m += 1
-        while m > 2 and _violates(family, n, m - 1):
-            m -= 1
+    binom = math.comb(n, m)
+    while m < n and not _violates(family, m, binom):
+        m, binom = m + 1, binom * (n - m) // (m + 1)
+    while m > 2 and _violates(family, m - 1, below := binom * m // (n - m + 1)):
+        m, binom = m - 1, below
     witness = min(m, n - 1)
-    margin = _log_condition(family, witness, math.log(math.comb(n, witness)))
+    margin = _log_condition(family, witness, math.log(binom if m < n else n))
     return PersistencyResult(n, n - m, witness, math.exp(margin))
 
 

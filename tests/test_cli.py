@@ -676,6 +676,17 @@ PINNED_SIGMA_ROWS = {
     ("100000", "2", "10"): "100000,2,10,231346017544923131/15431790125000000,14.9915217658,true",
 }
 
+# persistency ghz rows at large N, (N, family) -> the csv data row
+PINNED_GHZ_ROWS = {
+    ("10000", "makb"): "10000,makb,950,9050,2.41878193032",
+    ("30000", "makb"): "30000,makb,2848,27152,1.6474280469",
+    ("100000", "makb"): "100000,makb,9490,90510,1.55045262232",
+    ("1000000", "makb"): "1000000,makb,94884,905116,3.50170853902",
+    ("10000", "gbi"): "10000,gbi,1329,8671,2.22306393451",
+    ("30000", "gbi"): "30000,gbi,3985,26015,1.10437237558",
+    ("100000", "gbi"): "100000,gbi,13279,86721,2.68512483208",
+}
+
 
 class TestPinnedGameOutputs:
     @pytest.mark.parametrize("name", sorted(PINNED_GAMES))
@@ -693,6 +704,15 @@ class TestPinnedGameOutputs:
             argv = ["--game", str(spec), "--trials", trials, "--seed", seed, "--jobs", jobs]
             assert main(["qccr", "simulate", *argv]) == 0
             assert capsys.readouterr().out.splitlines()[1] == row, (trials, seed, jobs)
+
+
+class TestPinnedGhzRows:
+    @pytest.mark.parametrize("point", sorted(PINNED_GHZ_ROWS), ids="-".join)
+    @pytest.mark.parametrize("flags", [[], ["--asymptotic"]], ids=["default", "asymptotic"])
+    def test_rows(self, capsys, point, flags):
+        n, family = point
+        assert main(["persistency", "ghz", "--family", family, "--n", n, *flags]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == PINNED_GHZ_ROWS[point]
 
 
 class TestPinnedSigmaRows:

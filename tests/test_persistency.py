@@ -135,14 +135,6 @@ class TestGhzPersistency:
         assert r7.witness_m == 6
         assert r7.margin == pytest.approx(1440 / (427 * math.pi), abs=1e-9)
 
-    def test_exact_and_float_agree(self):
-        # includes the makb tie at N = 8, where 2^6 = C(8, 7)^2
-        for family in ("makb", "gbi"):
-            for n in range(2, 2601):
-                exact = ghz_persistency(family, n, exact=True)
-                approx = ghz_persistency(family, n, exact=False)
-                assert exact.max_traced == approx.max_traced, (family, n)
-
     def test_gbi_constant_closed_form_bound(self):
         # C_M = 2 (2/pi)^(M+1) (1 + eps_M) with |eps_M| < 2 * 3^-(M+1), the
         # bound the certificate relies on; past M ~ 90 the 50-digit pi
@@ -161,7 +153,7 @@ class TestGhzPersistency:
     def test_certified_matches_per_m_scan(self, family):
         for n in range(2, 301):
             frontier = next((m for m in range(2, n) if _violates_by_scan(family, n, m)), n)
-            result = ghz_persistency(family, n, exact=True)
+            result = ghz_persistency(family, n)
             assert (result.max_traced, result.witness_m) == (n - frontier, min(frontier, n - 1)), n
             m = result.witness_m
             if m >= 2:
@@ -180,17 +172,26 @@ class TestGhzPersistency:
         for family in ("makb", "gbi"):
             for n in range(2, 121):
                 frontier = next((m for m in range(2, n) if _violates_by_scan(family, n, m)), n)
-                assert ghz_persistency(family, n, exact=True).max_traced == n - frontier, (family, n)
-
-    def test_log_factorials_match_numpy_cumsum(self):
-        lf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, 2601)))))
-        assert persistency._log_factorials(2600)[:2601] == lf.tolist()
+                assert ghz_persistency(family, n).max_traced == n - frontier, (family, n)
 
     @pytest.mark.parametrize("family", ["makb", "gbi"])
-    def test_float_proposal_matches_row_scan(self, family):
+    def test_rows_match_row_scan(self, family):
+        # includes the makb tie at N = 8, where 2^6 = C(8, 7)^2
         for n in range(2, 2601):
-            result = ghz_persistency(family, n, exact=False)
+            result = ghz_persistency(family, n)
             assert (result.max_traced, result.witness_m, result.margin) == _row_scan(family, n), n
+
+    def test_one_binomial_per_row(self, monkeypatch):
+        # the certificate and the margin share one math.comb; every other
+        # binomial is an exact ratio step from it
+        calls = []
+        comb = math.comb
+        monkeypatch.setattr(math, "comb", lambda n, k: calls.append((n, k)) or comb(n, k))
+        for family in ("makb", "gbi"):
+            for n in range(2, 301):
+                calls.clear()
+                ghz_persistency(family, n)
+                assert len(calls) == 1, (family, n, calls)
 
     def test_monotone_in_n(self):
         for family in ("makb", "gbi"):
