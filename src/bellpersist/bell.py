@@ -20,7 +20,7 @@ import math
 import operator
 import sys
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Collection, Mapping, Sequence, Union
 
 from . import qstate
 from ._record import frozen
@@ -38,12 +38,30 @@ def _key_string(key: tuple[int, ...], settings_per_party: int) -> str:
     return ("" if settings_per_party <= 10 else ",").join(map(str, key))
 
 
-def _per_object(fn, values: list) -> map:
+def _per_object(fn, values: Collection) -> map:
     """``map(fn, values)``, calling ``fn`` once per distinct object, told
-    apart by ``id`` (``values`` keeps each alive): no value is hashed, a
-    Fraction slowly, and 0.0 and -0.0, or 1 and 1.0, stay apart."""
+    apart by ``id`` (``values``, iterated twice, keeps each alive): no value
+    is hashed, a Fraction slowly, and 0.0 and -0.0, or 1 and 1.0, stay apart."""
     done = {i: fn(v) for i, v in dict(zip(map(id, values), values)).items()}
     return map(done.__getitem__, map(id, values))
+
+
+class _Pairs:
+    """Parsed keys beside a table's values, read as a mapping's ``items()``
+    and ``values()``, each pass anew: :class:`BellFunctional` checks them
+    into the one dict it keeps, so a file's table is built once."""
+
+    def __init__(self, keys: list, values: Collection):
+        self._keys, self._values = keys, values
+
+    def __iter__(self):
+        return zip(self._keys, self._values)
+
+    def items(self) -> "_Pairs":
+        return self
+
+    def values(self) -> Collection:
+        return self._values
 
 
 @frozen
@@ -56,19 +74,25 @@ class BellFunctional:
     built here carries no settings distribution; :meth:`with_game_distribution`
     attaches the one a game uses, P(s) = |g(s)| / sum |g|.  Derived from
     the fields, it is no field itself, so equality does not compare it.
+    It is held as one share per distinct |g|, not key by key:
+    ``coefficients`` is the one table with an entry per settings tuple.
     """
 
     n_parties: int
     coefficients: Mapping[tuple[int, ...], Number]
     settings_per_party: int = 2
-    settings_distribution = None  # no field: with_game_distribution shadows it
+    # no field: with_game_distribution shadows it by {(float?, |g(s)|): P(s)}
+    _shares = None
 
     def __post_init__(self):
         """Whole-table passes accept finite plain int, float or Fraction
         values and, on the nonzero entries, keys of ``n_parties`` plain
         ints in range.  Else each entry is checked in turn, value before
         key and zeros dropped unseen, which converts numpy integers and
-        other Real types and words the first refusal."""
+        other Real types and words the first refusal.  Either way the
+        entries are copied into a new dict, read through ``items()`` and
+        ``values()`` alone; :meth:`from_json` passes a :class:`_Pairs`,
+        so that dict is the one a file's table is built into."""
         object.__setattr__(self, "n_parties", check_count(self.n_parties, "party count", 1))
         spp = check_count(self.settings_per_party, "settings count", 2)
         object.__setattr__(self, "settings_per_party", spp)
@@ -139,39 +163,66 @@ class BellFunctional:
         float coefficient P(s) is the float ``n(s) / T``: int/int true
         division is correctly rounded, so it equals ``float(Fraction(|g(s)|)
         / abs_total())`` bit for bit.  Any other coefficient gets the exact
-        ``Fraction(n(s), T)``, each divided once per distinct pair of n(s)
-        and float or not.  A sum |g| past the largest float raises
-        ValueError: a game's success probabilities divide by it.
+        ``Fraction(n(s), T)``.  Only these shares are recorded, one per
+        distinct pair of n(s) and float or not, each divided once; no table
+        with an entry per key is kept (see :attr:`settings_distribution`).
+        A sum |g| past the largest float raises ValueError: a game's
+        success probabilities divide by it.
         """
-        if self.settings_distribution is not None:
+        if self._shares is not None:
             return self
-        game = copy.copy(self)
         numerators, common = self._numerators()
-        numerators = list(map(abs, numerators))
-        total = sum(numerators)
+        total = sum(map(abs, numerators))
         if Fraction(total, common) > sys.float_info.max:
             raise ValueError("game coefficients' sum |g| exceeds the largest float")
-        kinds = list(map(isinstance, self.coefficients.values(), itertools.repeat(float)))
-        pairs = set(zip(kinds, numerators))
-        share = {(f, n): n / total if f else Fraction(n, total) for f, n in pairs}
-        dist = dict(zip(self.coefficients, map(share.__getitem__, zip(kinds, numerators))))
-        object.__setattr__(game, "settings_distribution", dist)
+        game = copy.copy(self)
+        kinds = map(isinstance, self.coefficients.values(), itertools.repeat(float))
+        pairs = set(zip(kinds, map(abs, numerators)))
+        shares = {(f, Fraction(n, common)): n / total if f else Fraction(n, total) for f, n in pairs}
+        object.__setattr__(game, "_shares", shares)
         return game
 
-    def to_json(self) -> dict:
-        """The functional as a JSON object, keys spelled by :func:`_key_string`,
-        each distinct value object made a float once (:func:`_per_object`)."""
-        keys = sorted(self.coefficients)
-        # _key_string over the whole table, each distinct setting spelled once
-        spell = {s: str(s) for s in set(itertools.chain.from_iterable(keys))}
+    def _entry_shares(self) -> map:
+        """Each entry's P(s), the one share object of its pair, in the order
+        of ``coefficients``: looked up once per distinct coefficient object
+        (:func:`_per_object`) by float or not and |g(s)| made exact."""
+        def share(c: Number) -> Number:
+            return self._shares[isinstance(c, float), abs(Fraction(c))]
+
+        return _per_object(share, self.coefficients.values())
+
+    @property
+    def settings_distribution(self) -> dict | None:
+        """P(s) key by key, in the order of ``coefficients``: None without
+        :meth:`with_game_distribution`, else a dict built on each read from
+        the shares, so every key of one pair maps to one share object."""
+        if self._shares is None:
+            return None
+        return dict(zip(self.coefficients, self._entry_shares()))
+
+    def _json_columns(self) -> tuple[list[str], list[list]]:
+        """The keys spelled as :func:`_key_string` writes them, in sorted
+        order, and in the same order the coefficients and, when attached,
+        each P(s).  Each distinct setting is spelled once and the texts are
+        sorted once: up to ten settings per party text order is tuple order,
+        above ten it is not ("10,0" sorts before "2,0"), and a file is
+        written in text order."""
+        spell = {s: str(s) for s in set(itertools.chain.from_iterable(self.coefficients))}
         sep = "" if self.settings_per_party <= 10 else ","
-        texts = list(map(sep.join, map(map, itertools.repeat(spell.__getitem__), keys)))
+        texts = list(map(sep.join, map(map, itertools.repeat(spell.__getitem__), self.coefficients)))
+        columns = [list(self.coefficients.values())]
+        if self._shares is not None:
+            columns.append(list(self._entry_shares()))
+        order = sorted(range(len(texts)), key=texts.__getitem__)
+        return [texts[i] for i in order], [[column[i] for i in order] for column in columns]
+
+    def to_json(self) -> dict:
+        """The functional as a JSON object: the tables of :meth:`_json_columns`,
+        each distinct value object made a float once (:func:`_per_object`)."""
+        texts, columns = self._json_columns()
         payload = {"n_parties": self.n_parties, "settings_per_party": self.settings_per_party}
-        # the distribution, when present, has the coefficients' key set
-        for name in ("coefficients", "settings_distribution"):
-            if (table := getattr(self, name)) is not None:
-                floats = _per_object(float, list(map(table.__getitem__, keys)))
-                payload[name] = dict(zip(texts, floats))
+        for name, column in zip(("coefficients", "settings_distribution"), columns):
+            payload[name] = dict(zip(texts, _per_object(float, column)))
         return payload
 
     @classmethod
@@ -183,9 +234,11 @@ class BellFunctional:
         A ``settings_distribution`` in the payload must name the nonzero
         coefficients' keys and give each P(s) of
         :meth:`with_game_distribution` to within 1e-12 relative; the
-        result then carries the derived distribution, not the file's.
+        result then carries the derived shares, not the file's numbers.
         Keys and float probabilities pass in whole-table passes that only
-        accept; else the key-by-key parse and check word each refusal.
+        accept: the file's P(s) is compared once per distinct pair of file
+        value and derived share, and no derived table is built.  Else the
+        key-by-key parse and check word each refusal.
         """
         spp = check_count(payload.get("settings_per_party", 2), "settings count")
         coefficients = payload["coefficients"]
@@ -209,21 +262,21 @@ class BellFunctional:
                     if (spelled := _key_string(key, spp)) != text:
                         raise ValueError(f"settings key {text!r} must be spelled {spelled!r}")
                 keys.append(key)
-        values = map(operator.itemgetter(1), coefficients.items())
-        f = cls(payload["n_parties"], dict(zip(keys, values)), spp)
+        f = cls(payload["n_parties"], _Pairs(keys, coefficients.values()), spp)
         dist = payload.get("settings_distribution")
         if dist is None:
             return f
         f = f.with_game_distribution()
-        derived = f.settings_distribution
-        # the file's P(s) in the derived order, checked per distinct pair;
-        # keys are distinct strings, so equal counts and every key found
-        # make the key sets equal
-        given = list(map(dist.get, itertools.compress(coefficients, coefficients.values())))
-        if len(dist) == len(derived) and set(map(type, given)) == {float} and all(
-            abs(v - float(p)) <= 1e-12 * float(p) for v, p in set(zip(given, derived.values()))
+        # the file's P(s) in the order of f.coefficients beside the derived
+        # shares, checked once per distinct pair; keys are distinct strings,
+        # so equal counts and every key found make the key sets equal
+        given = map(dist.get, itertools.compress(coefficients, coefficients.values()))
+        if len(dist) == len(f.coefficients) and set(map(type, dist.values())) == {float} and all(
+            v is not None and abs(v - float(p)) <= 1e-12 * float(p)
+            for v, p in set(zip(given, f._entry_shares()))
         ):
             return f
+        derived = f.settings_distribution
         parsed = dict(zip(coefficients, keys))
         if len(dist) != len(derived) or not all(
             (p := derived.get(parsed.get(text))) is not None

@@ -197,13 +197,19 @@ def _cmd_gbi_constants(args) -> None:
     rows = []
     for n in range(2, args.max_n + 1):
         c = bell.gbi_classical(n)
+        try:
+            qcr = bell.gbi_qcr(n)
+        except OverflowError:
+            raise ValueError(
+                f"qcr at n = {n} exceeds the largest float; use --max-n {n - 1} or less"
+            ) from None
         rows.append(
             {
                 "n": n,
                 "classical": c,
                 "classical_float": float(c),
                 "quantum": bell.gbi_quantum(n),
-                "qcr": bell.gbi_qcr(n),
+                "qcr": qcr,
             }
         )
     _emit(args, rows)

@@ -34,6 +34,13 @@ also holds the dense cross-check (a partial trace of the dense Dicke
 state) and the point-by-point scans the kernels replaced.  The line fit
 :func:`fit_n0_line` is exact too, so the module needs no numpy.
 
+Every sum here is taken in the x/z measuring plane: each party measures
+sigma_x or sigma_z, the same pair at every party, so sigma =
+:func:`sigma_sum` and every ``persistency dicke`` row are x/z values.
+The Zukowski-Brukner condition holds for any local plane; no other plane
+is computed, so a row that fails in x/z is not thereby decided in
+another.
+
 For N <= 80 and every M the tests check that no L >= N/2 has
 S > C(N, M)^2.  That is checked, not proved, and it bounds what the
 sigma > 1 criterion can certify, not Bell violation itself.
@@ -173,7 +180,9 @@ def sigma_sum(n_total: int, m_zeros: int, n_traced: int) -> Fraction:
     Exceeding 1 is the Zukowski-Brukner sufficient condition (PRL 88,
     210401, 2002) for the reduced state to violate a two-setting
     full-correlation Bell inequality; the persistency lower bounds rest
-    on it.
+    on it.  The tensor is that of sigma_x / sigma_z products, so the sum
+    is taken in the x/z measuring plane; the condition holds in any local
+    plane, and no other is computed.
 
     The value is S / C(N, M)^2 read at L from :func:`_sigma_row`, at a
     cost of O(L min(M, N - M)) integer steps and O(L) memory.

@@ -29,6 +29,8 @@ Dicke-state persistency uses the squared-correlation indicator from the
 dicke module: a correlation sum above 1 is the Zukowski-Brukner
 sufficient condition for a two-setting full-correlation violation, so
 tracing L parties keeps a violation as long as the sum stays above 1.
+That sum is taken in the x/z measuring plane (sigma_x or sigma_z at
+every party), so every Dicke row here is an x/z row.
 
 Everything here is a lower bound: better inequalities can only raise
 the numbers.  Upper bounds (for single-zero Dicke states half the
@@ -211,7 +213,8 @@ def dicke_persistency(n_parties: int, m_zeros: int) -> PersistencyResult:
     ``witness_m`` the N - L parties left there.
 
     The sums of every L come from one Krawtchouk row of the dicke
-    module, as integers S over C(N, M)^2, and "exceeds 1" is
+    module, as integers S over C(N, M)^2, taken in the x/z measuring
+    plane as :func:`dicke.sigma_sum` is, and "exceeds 1" is
     S > C(N, M)^2.  Every L is tested: near half filling the violating L
     do not form a prefix, so no scan may stop at the first failure.
     """

@@ -41,6 +41,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -106,7 +107,9 @@ class GameSpec:
     sin(2 pi a) sy at setting s, stored as floats; the parity model plays
     cos(sum of angles), the correlator of equatorial settings only.  The
     functional is stored with its game distribution
-    P(s) = |g(s)| / sum |g| attached."""
+    P(s) = |g(s)| / sum |g| attached, held as one share per distinct |g|
+    (:meth:`bell.BellFunctional.with_game_distribution`): the game's one
+    table with an entry per settings tuple is its coefficients."""
 
     functional: bell.BellFunctional
     turns: tuple[tuple[float, ...], ...]
@@ -167,21 +170,56 @@ def gbi_game(n: int, grid: int = 32) -> GameSpec:
     return GameSpec(f, turns, VisibilityModel(1.0), name=f"gbi{n}x{grid}")
 
 
+def _sort_order(components):
+    """The order that sorts the rows of ``components`` lexicographically,
+    or None when they are in that order already, as the rows of every
+    built game and of a file with up to ten settings per party are.  The
+    rows are compared pairwise first, column by column, so a table in
+    order runs no sort: a process's first numpy sort raises its resident
+    memory by about 128 KB (numpy 2.4.6)."""
+    a, b = components[:-1], components[1:]
+    less, equal = np.zeros(len(a), bool), np.ones(len(a), bool)
+    for column in range(components.shape[1]):
+        less |= equal & (a[:, column] < b[:, column])
+        equal &= a[:, column] == b[:, column]
+    if less.all():
+        return None
+    # lexsort's last key is the primary one; the tuples are distinct
+    return np.lexsort(components.T[::-1])
+
+
 def _settings_table(game: GameSpec):
     """Settings tuples in sorted order, as an int array of shape (count,
-    parties), with their probabilities, coefficients and correlators."""
+    parties), with their probabilities, coefficients and correlators.
+
+    Each column is read off the functional in its own order into an
+    array, put in sorted order by :func:`_sort_order` when it is not, so
+    no Python list or dict is built per entry: a probability is its
+    pair's share, and every array holds the bits a sorted list of the
+    tuples would give.
+    """
     f = game.functional
-    keys = sorted(f.settings_distribution)
-    count, flat = len(keys), itertools.chain.from_iterable(keys)
+    count, flat = len(f.coefficients), itertools.chain.from_iterable(f.coefficients)
     components = np.fromiter(flat, np.int64, count * game.n_parties).reshape(count, -1)
-    probs = np.fromiter(map(f.settings_distribution.__getitem__, keys), float, count)
-    coeffs = np.fromiter(map(f.coefficients.__getitem__, keys), float, count)
-    # added left to right, party by party, as sum() adds a tuple's angles
-    angle_sums = 0
+    order = _sort_order(components)
+
+    def in_order(column):
+        return column if order is None else column[order]
+
+    # one column at a time, each read in the functional's order dropped
+    # once put in sorted order
+    components = in_order(components)
+    probs = in_order(np.fromiter(f._entry_shares(), float, count))
+    coeffs = in_order(np.fromiter(f.coefficients.values(), float, count))
+    del order
+    # added left to right, party by party, as sum() adds a tuple's angles,
+    # in place: 0.0 + x is 0 + x, and x * v is v * x
+    angle_sums = np.zeros(count)
     for party, per_party in enumerate(game.turns):
         angles = 2.0 * math.pi * np.array(per_party)
-        angle_sums = angle_sums + angles[components[:, party]]
-    corr = game.state.visibility(game.n_parties) * np.cos(angle_sums)
+        angle_sums += angles[components[:, party]]
+    corr = np.cos(angle_sums, out=angle_sums)
+    corr *= game.state.visibility(game.n_parties)
     return components, probs, coeffs, corr
 
 
@@ -360,9 +398,11 @@ def simulate(
         answers = np.array(strategy, dtype=np.int64)
         corr = answers[np.arange(k), components].prod(axis=1)
     analytic = _success(game, float(np.dot(coeffs, corr)))
-    cdf, guide = _guide_table(probs)
+    # each table array dropped once read, before the guide table is built
     negative, bias = coeffs < 0, 0.5 * (1.0 + corr)
-    del components, probs, coeffs, corr
+    del components, coeffs, corr
+    cdf, guide = _guide_table(probs)
+    del probs
 
     # streams past the trial count would play no round
     streams = min(jobs, trials)
@@ -551,25 +591,30 @@ def marginal_feasibility(dist: Mapping, n_parties: int) -> FeasibilityResult:
 
 
 def game_to_json(game: GameSpec) -> str:
-    """The text ``json.dumps(payload, sort_keys=True)`` writes.  The tables
-    of :meth:`bell.BellFunctional.to_json` take one ``repr`` (json's
-    spelling of a finite float) per distinct float object, their keys
-    (digits and commas, no escapes) in sorted order, each table dropped
-    once spelled; one join lays out the fields, copying each text once.
+    """The text ``json.dumps(payload, sort_keys=True)`` writes.  Both tables
+    are laid out from the one sorted key order of
+    :meth:`bell.BellFunctional._json_columns`, its keys (digits and commas,
+    no escapes) spelled and quoted once; each distinct value object takes
+    one ``repr`` (json's spelling of a finite float) of its float.  One
+    join lays out the fields, copying each text once.
     """
-    functional, tables = game.functional.to_json(), []
-    for name in ("coefficients", "settings_distribution"):
-        table = functional.pop(name)
-        reprs = bell._per_object(repr, list(map(table.__getitem__, keys := sorted(table))))
-        del table
-        tables.append(", ".join(map('"{}": {}'.format, keys, reprs)))
+    f = game.functional
+    texts, columns = f._json_columns()
+    # each key quoted once, for both tables
+    keys = list(map('"{}": '.format, texts))
+    del texts
+    tables = [
+        ", ".join(map(operator.add, keys, bell._per_object(lambda v: repr(float(v)), column)))
+        for column in columns
+    ]
+    del keys, columns
     kind = "ghz_mixture" if isinstance(game.state, GhzMixture) else "visibility"
     state = {"kind": kind, **{name: getattr(game.state, name) for name in game.state._fields}}
     observables = [[{"plane": "xy", "turns": t} for t in per_party] for per_party in game.turns]
     return "".join([
         '{"functional": {"coefficients": {', tables[0],
-        f'}}, "n_parties": {functional["n_parties"]}, "settings_distribution": {{', tables[1],
-        f'}}, "settings_per_party": {functional["settings_per_party"]}}}, "name": ',
+        f'}}, "n_parties": {f.n_parties}, "settings_distribution": {{', tables[1],
+        f'}}, "settings_per_party": {f.settings_per_party}}}, "name": ',
         json.dumps(game.name), ', "observables": ', json.dumps(observables, sort_keys=True),
         ', "state": ', json.dumps(state, sort_keys=True), "}",
     ])

@@ -199,6 +199,14 @@ class TestExitCodes:
         assert result.returncode == 1
         assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
 
+    def test_gbi_constants_past_float_range_names_column_and_n(self):
+        # qcr at 1570 is 4.05e307, at 1571 past the largest float
+        result = run_cli(["gbi", "constants", "--max-n", "1571"])
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == (
+            "bellpersist: qcr at n = 1571 exceeds the largest float; use --max-n 1570 or less\n"
+        )
+
     @pytest.mark.parametrize("key", ["functional", "observables", "state"])
     def test_game_spec_missing_key_exit_one(self, tmp_path, key):
         spec = json.loads((DATA / "chsh_game.json").read_text())
@@ -310,6 +318,34 @@ class TestExitCodes:
         result = run_cli(["qccr", "simulate", "--game", str(path), "--trials", "10"])
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr == "bellpersist: game coefficients' sum |g| exceeds the largest float\n"
+
+    @pytest.mark.parametrize(
+        "grid,n", [(16, 2), (32, 3)], ids=["gbi2x16", "gbi3x32"],
+    )
+    @pytest.mark.parametrize("nudge,code", [(1e-11, 1), (1e-13, 0)], ids=["1e-11", "1e-13"])
+    def test_one_probability_nudged(self, tmp_path, capsys, grid, n, nudge, code):
+        # the file's P(s) is checked once per distinct pair of file value and
+        # derived share: one entry off among the many of its share is caught
+        text = qccr.game_to_json(qccr.gbi_game(n, grid))
+        spec = json.loads(text)
+        dist = spec["functional"]["settings_distribution"]
+        key = sorted(dist)[len(dist) // 2]
+        nudged = dist[key] * (1 + nudge)
+        assert nudged != dist[key] and list(dist.values()).count(dist[key]) > 1
+        dist[key] = nudged
+        paths = tmp_path / "made.json", tmp_path / "nudged.json"
+        paths[0].write_text(text)
+        paths[1].write_text(json.dumps(spec))
+        outcomes = []
+        for path in paths:
+            code_of = main(["qccr", "simulate", "--game", str(path), "--trials", "100", "--seed", "3"])
+            outcomes.append((code_of, *capsys.readouterr()))
+        if code:
+            assert outcomes[1] == (1, "", "bellpersist: settings probabilities are not "
+                                   "|coefficient| / sum |coefficients|\n")
+        else:
+            # accepted, the nudged file plays the derived P(s) as the made one does
+            assert outcomes[1] == outcomes[0] and outcomes[0][0] == 0
 
     @pytest.mark.parametrize(
         "where,value,name",

@@ -1,9 +1,11 @@
+import gc
 import itertools
 import json
 import math
 import subprocess
 import sys
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +30,9 @@ from bellpersist.qccr import (
     simulate,
 )
 from oracles import (
+    game_distribution_by_entries,
     ghz_mixture_density,
+    numerators_by_entries,
     outcome_distribution,
     partial_trace,
     plain_game_from_json,
@@ -36,6 +40,21 @@ from oracles import (
 )
 
 F = Fraction
+
+
+# PINNED_GAMES of test_cli.py, makb on 2..16 players, gbi on two players
+# at every grid to 64
+_PLAIN_ROUTE_GAMES = (
+    [
+        pytest.param(chsh_game, id="chsh"),
+        pytest.param(lambda: makb_game(3), id="makb3"),
+        pytest.param(lambda: makb_game(4, 6), id="makb4in6"),
+        pytest.param(lambda: gbi_game(2, grid=16), id="gbi2x16"),
+        pytest.param(lambda: gbi_game(3), id="gbi3x32"),
+    ]
+    + [pytest.param(lambda n=n: makb_game(n), id=f"makb{n}") for n in range(2, 17)]
+    + [pytest.param(lambda g=g: gbi_game(2, grid=g), id=f"gbi2x{g}") for g in range(2, 65)]
+)
 
 
 class TestAnalyticValues:
@@ -560,31 +579,102 @@ class TestGameDistributionExactRoute:
         # the former route: an exact Fraction sum, each P rounded from it
         total = sum((abs(Fraction(c)) for c in f.coefficients.values()), Fraction(0))
         assert f.abs_total() == total
-        assert f.settings_distribution.keys() == f.coefficients.keys()
+        # built on each read, so read once
+        dist = f.settings_distribution
+        assert dist.keys() == f.coefficients.keys()
         for key, c in f.coefficients.items():
-            p, exact = f.settings_distribution[key], abs(Fraction(c)) / total
+            p, exact = dist[key], abs(Fraction(c)) / total
             if isinstance(c, float):
                 assert type(p) is float and p == float(exact), key
             else:
                 assert type(p) is Fraction and p == exact, key
 
     @pytest.mark.parametrize(
-        "builder", [lambda: gbi_game(3), lambda: makb_game(4, 6), chsh_game],
-        ids=["gbi3x32", "makb4in6", "chsh"],
+        "builder",
+        _PLAIN_ROUTE_GAMES + [
+            # tables out of tuple order: a file above ten settings per
+            # party, and a functional built in reverse
+            pytest.param(lambda: game_from_json(game_to_json(gbi_game(3))), id="gbi3x32-json"),
+            pytest.param(
+                lambda: GameSpec(
+                    bell.BellFunctional(3, dict(reversed(bell.makb(3).coefficients.items()))),
+                    makb_game(3).turns, VisibilityModel(0.5),
+                ),
+                id="makb3-reversed",
+            ),
+        ],
     )
     def test_settings_table_matches_entry_lists(self, builder):
-        # the arrays as built from one Python list per column
+        # the arrays as built from one Python list per column, the tuples
+        # sorted by Python
         game = builder()
         f = game.functional
-        keys = sorted(f.settings_distribution)
+        dist = f.settings_distribution
+        keys = sorted(dist)
         expected = (
             np.array(keys, dtype=np.int64),
-            np.array([f.settings_distribution[k] for k in keys], dtype=float),
+            np.array([dist[k] for k in keys], dtype=float),
             np.array([f.coefficients[k] for k in keys], dtype=float),
         )
         for got, want in zip(qccr._settings_table(game), expected):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def _large_containers(root, size, skip):
+    """Every sized object of at least ``size`` entries reachable from
+    ``root`` through references, types and modules aside, not entering
+    the objects of ``skip``."""
+    seen, stack, found = {id(s) for s in skip}, [root], []
+    while stack:
+        for ref in gc.get_referents(stack.pop()):
+            if id(ref) in seen or isinstance(ref, (type, types.ModuleType)):
+                continue
+            seen.add(id(ref))
+            if hasattr(ref, "__len__") and not isinstance(ref, (str, bytes)) and len(ref) >= size:
+                found.append(ref)
+            stack.append(ref)
+    return found
+
+
+class TestOneEntryTable:
+    """A game holds one table with an entry per settings tuple, its
+    coefficients: P(s) is held per distinct pair and read key by key only
+    when asked for."""
+
+    @pytest.mark.parametrize("read_back", [False, True], ids=["built", "from-json"])
+    def test_gbi3x32_holds_only_its_coefficients(self, read_back):
+        game = gbi_game(3)
+        if read_back:
+            game = game_from_json(game_to_json(game))
+        f = game.functional
+        assert len(f.coefficients) == 30_741
+        assert _large_containers(game, 30_741, [f.coefficients]) == []
+        assert _large_containers(game, 30_741, []) == [f.coefficients]
+
+    @pytest.mark.parametrize(
+        "builder",
+        [lambda: gbi_game(3), lambda: game_from_json(game_to_json(gbi_game(3))), chsh_game,
+         lambda: makb_game(4, 6)],
+        ids=["gbi3x32", "gbi3x32-json", "chsh", "makb4in6"],
+    )
+    def test_read_distribution_is_the_entry_route(self, builder):
+        f = builder().functional
+        dist = f.settings_distribution
+        expected = game_distribution_by_entries(f.coefficients)
+        assert list(dist) == list(expected)
+        assert _bits(dist.values()) == _bits(expected.values())
+        # one share object per distinct pair of n(s) and float or not
+        numerators, _ = numerators_by_entries(f.coefficients)
+        kinds = [isinstance(c, float) for c in f.coefficients.values()]
+        objects = {}
+        for pair, p in zip(zip(kinds, map(abs, numerators)), dist.values()):
+            objects.setdefault(pair, set()).add(id(p))
+        assert all(len(ids) == 1 for ids in objects.values())
+        assert len({id(p) for p in dist.values()}) == len(objects) == len(f._shares)
+        # each read builds a new dict of the same objects
+        again = f.settings_distribution
+        assert again is not dist and list(map(id, again.values())) == list(map(id, dist.values()))
 
 
 class TestMarginalFeasibility:
@@ -816,20 +906,6 @@ def _assert_plain_json_routes_agree(game):
     assert text == plain_game_to_json(game)
     assert _loaded_bits(game_from_json(text)) == _loaded_bits(plain_game_from_json(text))
 
-
-# PINNED_GAMES of test_cli.py, makb on 2..16 players, gbi on two players
-# at every grid to 64
-_PLAIN_ROUTE_GAMES = (
-    [
-        pytest.param(chsh_game, id="chsh"),
-        pytest.param(lambda: makb_game(3), id="makb3"),
-        pytest.param(lambda: makb_game(4, 6), id="makb4in6"),
-        pytest.param(lambda: gbi_game(2, grid=16), id="gbi2x16"),
-        pytest.param(lambda: gbi_game(3), id="gbi3x32"),
-    ]
-    + [pytest.param(lambda n=n: makb_game(n), id=f"makb{n}") for n in range(2, 17)]
-    + [pytest.param(lambda g=g: gbi_game(2, grid=g), id=f"gbi2x{g}") for g in range(2, 65)]
-)
 
 # a table value: an int, a float (subnormal, near the float range's ends,
 # spelled with an exponent) or a Fraction
