@@ -170,30 +170,12 @@ def gbi_game(n: int, grid: int = 32) -> GameSpec:
     return GameSpec(f, turns, VisibilityModel(1.0), name=f"gbi{n}x{grid}")
 
 
-def _sort_order(components):
-    """The order that sorts the rows of ``components`` lexicographically,
-    or None when they are in that order already, as the rows of every
-    built game and of a file with up to ten settings per party are.  The
-    rows are compared pairwise first, column by column, so a table in
-    order runs no sort: a process's first numpy sort raises its resident
-    memory by about 128 KB (numpy 2.4.6)."""
-    a, b = components[:-1], components[1:]
-    less, equal = np.zeros(len(a), bool), np.ones(len(a), bool)
-    for column in range(components.shape[1]):
-        less |= equal & (a[:, column] < b[:, column])
-        equal &= a[:, column] == b[:, column]
-    if less.all():
-        return None
-    # lexsort's last key is the primary one; the tuples are distinct
-    return np.lexsort(components.T[::-1])
-
-
 def _settings_table(game: GameSpec):
     """Settings tuples in sorted order, as an int array of shape (count,
     parties), with their probabilities, coefficients and correlators.
 
     Each column is read off the functional in its own order into an
-    array, put in sorted order by :func:`_sort_order` when it is not, so
+    array and put in sorted order by one ``np.lexsort`` of the tuples, so
     no Python list or dict is built per entry: a probability is its
     pair's share, and every array holds the bits a sorted list of the
     tuples would give.
@@ -201,16 +183,13 @@ def _settings_table(game: GameSpec):
     f = game.functional
     count, flat = len(f.coefficients), itertools.chain.from_iterable(f.coefficients)
     components = np.fromiter(flat, np.int64, count * game.n_parties).reshape(count, -1)
-    order = _sort_order(components)
-
-    def in_order(column):
-        return column if order is None else column[order]
-
+    # lexsort's last key is the primary one; the tuples are distinct
+    order = np.lexsort(components.T[::-1])
     # one column at a time, each read in the functional's order dropped
     # once put in sorted order
-    components = in_order(components)
-    probs = in_order(np.fromiter(f._entry_shares(), float, count))
-    coeffs = in_order(np.fromiter(f.coefficients.values(), float, count))
+    components = components[order]
+    probs = np.fromiter(f._entry_shares(), float, count)[order]
+    coeffs = np.fromiter(f.coefficients.values(), float, count)[order]
     del order
     # added left to right, party by party, as sum() adds a tuple's angles,
     # in place: 0.0 + x is 0 + x, and x * v is v * x
