@@ -17,17 +17,22 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import numbers
 import operator
 import sys
+from collections.abc import ItemsView, Iterable, Mapping, ValuesView
 from fractions import Fraction
-from typing import Collection, Mapping, Sequence, Union
+from typing import Collection, Sequence, Union
 
 from . import qstate
 from ._record import frozen
 from .errors import CapabilityError, check_count, check_float, check_real
 
 LR_MAX_PARTY_CAP = 16
-_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_DIGITS = b"0123456789"
+# the settings 0..9 as their digit characters, and back
+_DIGIT_TEXTS = bytes.maketrans(bytes(range(10)), _DIGITS)
+_DIGIT_VALUES = bytes.maketrans(_DIGITS, bytes(range(10)))
 
 Number = Union[int, float, Fraction]
 ObservablePair = tuple["qstate.SiteOperator", "qstate.SiteOperator"]
@@ -46,22 +51,191 @@ def _per_object(fn, values: Collection) -> map:
     return map(done.__getitem__, map(id, values))
 
 
-class _Pairs:
-    """Parsed keys beside a table's values, read as a mapping's ``items()``
-    and ``values()``, each pass anew: :class:`BellFunctional` checks them
-    into the one dict it keeps, so a file's table is built once."""
+def _split(c: Number) -> tuple[int, int]:
+    """``c`` as numerator and denominator in plain ints: an int's, float's or
+    Fraction's own ratio, another Rational's through Fraction, and any other
+    Real's (such as a numpy float32, which construction checks to equal its
+    float) through ``float``."""
+    if isinstance(c, (float, int, Fraction)):
+        ratio = c.as_integer_ratio()
+    else:
+        ratio = (Fraction(c) if isinstance(c, numbers.Rational) else float(c)).as_integer_ratio()
+    return tuple(map(int, ratio))
 
-    def __init__(self, keys: list, values: Collection):
-        self._keys, self._values = keys, values
+
+def _check_coefficient(value) -> Number:
+    """:func:`check_real`'s ``value``, which is rational, a float or a Real
+    equal to its float, so that :func:`_split` takes it exactly."""
+    check_real(value, "coefficient")
+    if not isinstance(value, (float, numbers.Rational)) and float(value) != value:
+        raise ValueError(f"coefficient {value!r} is neither rational nor a float")
+    return value
+
+
+def _width(settings_per_party: int) -> int:
+    """Bytes per setting in a packed key: the byte length of the largest."""
+    return ((settings_per_party - 1).bit_length() + 7) // 8
+
+
+def _packed(settings: Iterable[int], width: int) -> bytes:
+    """Plain int settings, each below 256 ** ``width``, each written
+    big-endian in ``width`` bytes, one after the other."""
+    if width == 1:
+        return bytes(settings)
+    return b"".join(map(int.to_bytes, settings, itertools.repeat(width), itertools.repeat("big")))
+
+
+def _cuts(size: int, step: int) -> map:
+    """Slices cutting ``size`` items into consecutive runs of ``step``."""
+    return map(slice, range(0, size, step), range(step, size + step, step))
+
+
+class _Table(Mapping):
+    """A read-only mapping from settings tuples to values, held as two
+    objects whatever its size, both in insertion order.
+
+    The keys are one bytes buffer: each setting is written big-endian in
+    ``width`` bytes, a key is its ``n_parties`` settings one after the
+    other, and the keys follow each other.  As every key has the same
+    length and each setting the same width, byte order of two keys is
+    tuple order.  The values are one list of the objects given.  A key
+    tuple is built only as it is iterated; lookup by tuple builds a
+    position index on first use.  ``len``, ``==`` and ``repr`` are the
+    dict's of the same entries.  The caller hands distinct keys.
+    """
+
+    __slots__ = ("_keys", "_values", "_n", "_width", "_index")
+
+    def __init__(self, keys: bytes, values: list, n_parties: int, width: int):
+        self._keys, self._values, self._n, self._width = keys, values, n_parties, width
+        self._index = None
+
+    @classmethod
+    def product(cls, values: list, n_parties: int, settings_per_party: int) -> "_Table":
+        """``values[i]`` at the i-th tuple of ``itertools.product(range(
+        settings_per_party), repeat=n_parties)``, its false entries (zero
+        or None) left out."""
+        tuples = itertools.product(range(settings_per_party), repeat=n_parties)
+        width = _width(settings_per_party)
+        keys = _packed(itertools.chain.from_iterable(itertools.compress(tuples, values)), width)
+        return cls(keys, list(itertools.compress(values, values)), n_parties, width)
+
+    def _settings(self) -> Iterable[int]:
+        """Every key's settings in turn, as plain ints."""
+        if self._width == 1:
+            return iter(self._keys)
+        chunks = map(self._keys.__getitem__, _cuts(len(self._keys), self._width))
+        return map(int.from_bytes, chunks, itertools.repeat("big"))
+
+    def _nonzero(self) -> "_Table":
+        """The table without its zero entries: itself when it has none."""
+        if all(self._values):
+            return self
+        records = map(self._keys.__getitem__, _cuts(len(self._keys), self._n * self._width))
+        keys = b"".join(itertools.compress(records, self._values))
+        return _Table(keys, list(itertools.compress(self._values, self._values)), self._n, self._width)
 
     def __iter__(self):
-        return zip(self._keys, self._values)
+        return zip(*[self._settings()] * self._n)
 
-    def items(self) -> "_Pairs":
-        return self
+    def __len__(self) -> int:
+        return len(self._values)
 
-    def values(self) -> Collection:
-        return self._values
+    def __getitem__(self, key):
+        if self._index is None:
+            self._index = dict(zip(self, range(len(self._values))))
+        return self._values[self._index[key]]
+
+    def items(self) -> "_Items":
+        return _Items(self)
+
+    def values(self) -> "_Values":
+        return _Values(self)
+
+    def __eq__(self, other):
+        if isinstance(other, _Table) and (self._keys, self._n, self._width) == (
+            other._keys, other._n, other._width
+        ):
+            return self._values == other._values
+        return dict(self.items()) == other if isinstance(other, Mapping) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _Items(ItemsView):
+    """A :class:`_Table`'s entries, zipped from its keys and value list."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._values)
+
+    def __reversed__(self):
+        return reversed(list(self))
+
+
+class _Values(ValuesView):
+    """A :class:`_Table`'s value list, read only."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping._values)
+
+
+def _spelled_settings(parts: set[str], settings_per_party: int) -> dict[str, int]:
+    """{str(s): s for s in range(settings_per_party)}, cut to ``parts``, so
+    a large settings count costs nothing."""
+    spp = settings_per_party
+    return {t: int(t) for t in parts if t.isdecimal() and str(int(t)) == t and int(t) < spp}
+
+
+def _packed_texts(texts: Collection[str], n_parties, settings_per_party: int) -> bytes | None:
+    """The keys as :class:`_Table` packs them, read in whole-buffer passes
+    from their texts, if each is :func:`_key_string`'s spelling of
+    ``n_parties`` settings; else None.  Up to ten settings per party the
+    texts are joined, encoded and translated digit by digit, after a check
+    of every length and that every byte is a digit; above ten each distinct
+    comma-separated part is read once.  :class:`BellFunctional` checks the
+    range on the packed bytes."""
+    spp = settings_per_party
+    if type(n_parties) is not int:
+        return None
+    if spp <= 10:
+        if not set(map(len, texts)) <= {n_parties} or not (text := "".join(texts)).isascii():
+            return None
+        raw = text.encode()
+        return None if raw.translate(None, _DIGITS) else raw.translate(_DIGIT_VALUES)
+    if not set(map(str.count, texts, itertools.repeat(","))) <= {n_parties - 1}:
+        return None
+    parts = ",".join(texts).split(",")
+    settings = _spelled_settings(set(parts), spp)
+    try:
+        return _packed(map(settings.__getitem__, parts), _width(spp))
+    except KeyError:
+        return None
+
+
+def _parsed_keys(texts: Collection[str], settings_per_party: int) -> list[tuple[int, ...]]:
+    """Each text's settings tuple, parsed key by key; a text no int parse
+    reads, or one not spelled as :func:`_key_string` writes it, raises
+    ValueError naming it.  The tuples are not checked against the arity or
+    the settings count."""
+    spp, commas = settings_per_party, settings_per_party > 10
+    table = _spelled_settings(set(",".join(texts).split(",") if commas else "".join(texts)), spp)
+    keys = []
+    for text in texts:
+        key = tuple(map(table.get, text.split(",") if commas else text))
+        if None in key:
+            try:
+                key = tuple(map(int, text.split(",") if "," in text else text))
+            except ValueError:
+                raise ValueError(f"settings key {text!r} is not spelled in digits") from None
+            if (spelled := _key_string(key, spp)) != text:
+                raise ValueError(f"settings key {text!r} must be spelled {spelled!r}")
+        keys.append(key)
+    return keys
 
 
 @frozen
@@ -70,12 +244,16 @@ class BellFunctional:
     Bell scenario.
 
     ``coefficients`` maps settings tuples (one entry per party, each in
-    ``range(settings_per_party)``) to nonzero real weights.  A functional
-    built here carries no settings distribution; :meth:`with_game_distribution`
-    attaches the one a game uses, P(s) = |g(s)| / sum |g|.  Derived from
-    the fields, it is no field itself, so equality does not compare it.
-    It is held as one share per distinct |g|, not key by key:
-    ``coefficients`` is the one table with an entry per settings tuple.
+    ``range(settings_per_party)``) to nonzero real weights.  It is kept as
+    a read-only :class:`_Table`: the keys packed into one bytes buffer,
+    each setting big-endian in the byte length of ``settings_per_party -
+    1`` (one byte up to 256 settings), so byte order of keys is tuple
+    order, and the values in one list, both in the order given.  A
+    functional built here carries no settings distribution;
+    :meth:`with_game_distribution` attaches the one a game uses, P(s) =
+    |g(s)| / sum |g|.  Derived from the fields, it is no field itself, so
+    equality does not compare it.  It is held as one share per distinct
+    |g|, not key by key.
     """
 
     n_parties: int
@@ -87,30 +265,38 @@ class BellFunctional:
     def __post_init__(self):
         """Whole-table passes accept finite plain int, float or Fraction
         values and, on the nonzero entries, keys of ``n_parties`` plain
-        ints in range.  Else each entry is checked in turn, value before
-        key and zeros dropped unseen, which converts numpy integers and
-        other Real types and words the first refusal.  Either way the
-        entries are copied into a new dict, read through ``items()`` and
-        ``values()`` alone; :meth:`from_json` passes a :class:`_Pairs`,
-        so that dict is the one a file's table is built into."""
-        object.__setattr__(self, "n_parties", check_count(self.n_parties, "party count", 1))
+        ints in range; a :class:`_Table` packed at this functional's
+        layout has its range checked on the buffer, and is kept as it is
+        when no entry is zero.  Else each entry is checked in turn, value
+        before key and zeros dropped unseen, which converts numpy integers
+        and other Real types and words the first refusal.  Either way the
+        entries are packed into a :class:`_Table`."""
+        n = check_count(self.n_parties, "party count", 1)
+        object.__setattr__(self, "n_parties", n)
         spp = check_count(self.settings_per_party, "settings count", 2)
         object.__setattr__(self, "settings_per_party", spp)
-        items, values, checked = self.coefficients.items(), self.coefficients.values(), None
+        table, width, checked = self.coefficients, _width(spp), None
+        values, flat = table.values(), itertools.chain.from_iterable
         # NaN is the one value unequal to itself
         if (types := set(map(type, values))) <= {int, float, Fraction} and (float not in types or (
             not {math.inf, -math.inf} & (d := set(values)) and all(map(operator.eq, d, d))
         )):
-            checked = dict(itertools.compress(items, values))
-            keys, flat = checked.keys(), itertools.chain.from_iterable
-            if not (
-                set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {self.n_parties}
-                and set(map(type, flat(keys))) <= {int}
-                and all(map(range(spp).__contains__, set(flat(keys))))
-            ):
-                checked = None
+            if isinstance(table, _Table) and (table._n, table._width) == (n, width):
+                checked = table._nonzero()
+                if max(checked._settings(), default=0) >= spp:
+                    checked = None
+            else:
+                kept = dict(itertools.compress(table.items(), values))
+                keys = kept.keys()
+                if (
+                    set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {n}
+                    and set(map(type, flat(keys))) <= {int}
+                    and all(map(range(spp).__contains__, set(flat(keys))))
+                ):
+                    checked = _Table(_packed(flat(keys), width), list(kept.values()), n, width)
         if checked is None:
-            checked = {self._check_key(k): v for k, v in items if check_real(v, "coefficient") != 0}
+            kept = {self._check_key(k): v for k, v in table.items() if _check_coefficient(v) != 0}
+            checked = _Table(_packed(flat(kept), width), list(kept.values()), n, width)
         object.__setattr__(self, "coefficients", checked)
 
     def _check_key(self, key: tuple[int, ...]) -> tuple[int, ...]:
@@ -134,16 +320,15 @@ class BellFunctional:
         A float's ``as_integer_ratio`` has a power-of-two denominator, so
         for float coefficients D is the largest of them; the numerators
         follow the order of ``coefficients``.  Each distinct int or float
-        is split once, a Fraction (slow to hash) or other Real entry by
-        entry; each distinct ratio is scaled once, in plain ints.
+        is split once, any other value (:func:`_split`) entry by entry;
+        each distinct ratio is scaled once, in plain ints.
         """
         ratios = values = self.coefficients.values()
         if set(map(type, values)) <= {int, float}:
             ratios = {c: c.as_integer_ratio() for c in set(values)}
         else:
-            plain = (float, int, Fraction)
-            values = [(c if isinstance(c, plain) else Fraction(c)).as_integer_ratio() for c in values]
-            ratios = {r: tuple(map(int, r)) for r in set(values)}
+            values = list(map(_split, values))
+            ratios = {r: r for r in set(values)}
         common = math.lcm(*{d for _, d in ratios.values()})
         scaled = {c: p * (common // d) for c, (p, d) in ratios.items()}
         return list(map(scaled.__getitem__, values)), common
@@ -187,7 +372,7 @@ class BellFunctional:
         of ``coefficients``: looked up once per distinct coefficient object
         (:func:`_per_object`) by float or not and |g(s)| made exact."""
         def share(c: Number) -> Number:
-            return self._shares[isinstance(c, float), abs(Fraction(c))]
+            return self._shares[isinstance(c, float), abs(Fraction(*_split(c)))]
 
         return _per_object(share, self.coefficients.values())
 
@@ -203,14 +388,20 @@ class BellFunctional:
     def _json_columns(self) -> tuple[list[str], list[list]]:
         """The keys spelled as :func:`_key_string` writes them, in sorted
         order, and in the same order the coefficients and, when attached,
-        each P(s).  Each distinct setting is spelled once and the texts are
-        sorted once: up to ten settings per party text order is tuple order,
-        above ten it is not ("10,0" sorts before "2,0"), and a file is
-        written in text order."""
-        spell = {s: str(s) for s in set(itertools.chain.from_iterable(self.coefficients))}
-        sep = "" if self.settings_per_party <= 10 else ","
-        texts = list(map(sep.join, map(map, itertools.repeat(spell.__getitem__), self.coefficients)))
-        columns = [list(self.coefficients.values())]
+        each P(s).  The keys are spelled from the packed buffer, up to ten
+        settings per party by one translation of its bytes to digits, above
+        ten with each distinct setting spelled once; the texts are sorted
+        once: up to ten settings per party text order is tuple order, above
+        ten it is not ("10,0" sorts before "2,0"), and a file is written in
+        text order."""
+        table, n = self.coefficients, self.n_parties
+        if self.settings_per_party <= 10:
+            text = table._keys.translate(_DIGIT_TEXTS).decode()
+            texts = list(map(text.__getitem__, _cuts(len(text), n)))
+        else:
+            spell = {s: str(s) for s in set(table._settings())}
+            texts = list(map(",".join, zip(*[map(spell.__getitem__, table._settings())] * n)))
+        columns = [list(table.values())]
         if self._shares is not None:
             columns.append(list(self._entry_shares()))
         order = sorted(range(len(texts)), key=texts.__getitem__)
@@ -231,38 +422,28 @@ class BellFunctional:
         writes it raises ValueError naming the key, so no two keys name one
         tuple.
 
-        A ``settings_distribution`` in the payload must name the nonzero
+        Keys spelled so and of the right arity are packed in whole-buffer
+        passes (:func:`_packed_texts`) into the table the functional keeps,
+        which range-checks the packed bytes; else the key-by-key parse
+        (:func:`_parsed_keys`) and the entry-by-entry check word each
+        refusal.  A
+        ``settings_distribution`` in the payload must name the nonzero
         coefficients' keys and give each P(s) of
         :meth:`with_game_distribution` to within 1e-12 relative; the
         result then carries the derived shares, not the file's numbers.
-        Keys and float probabilities pass in whole-table passes that only
-        accept: the file's P(s) is compared once per distinct pair of file
-        value and derived share, and no derived table is built.  Else the
-        key-by-key parse and check word each refusal.
+        Float probabilities pass in a whole-table pass that only accepts:
+        the file's P(s) is compared once per distinct pair of file value
+        and derived share, and no derived table is built.  Else they are
+        checked key by key, against the shares keyed by key text.
         """
         spp = check_count(payload.get("settings_per_party", 2), "settings count")
-        coefficients = payload["coefficients"]
-        # keys parse by lookups in {str(s): s for s in range(spp)}, cut to
-        # the parts the keys use so a large spp costs nothing
-        commas = spp > 10
-        parts = set(",".join(coefficients).split(",") if commas else "".join(coefficients))
-        table = {t: int(t) for t in parts if t.isdecimal() and str(int(t)) == t and int(t) < spp}
-        texts = map(str.split, coefficients, itertools.repeat(",")) if commas else coefficients
-        try:
-            keys = list(map(tuple, map(map, itertools.repeat(table.__getitem__), texts)))
-        except KeyError:  # a part misses: the general parse, key by key
-            keys = []
-            for text in coefficients:
-                key = tuple(map(table.get, text.split(",") if commas else text))
-                if None in key:
-                    try:
-                        key = tuple(map(int, text.split(",") if "," in text else text))
-                    except ValueError:
-                        raise ValueError(f"settings key {text!r} is not spelled in digits") from None
-                    if (spelled := _key_string(key, spp)) != text:
-                        raise ValueError(f"settings key {text!r} must be spelled {spelled!r}")
-                keys.append(key)
-        f = cls(payload["n_parties"], _Pairs(keys, coefficients.values()), spp)
+        coefficients, n = payload["coefficients"], payload.get("n_parties")
+        keys = _packed_texts(coefficients, n, spp)
+        if keys is None:
+            table = dict(zip(_parsed_keys(coefficients, spp), coefficients.values()))
+        else:
+            table = _Table(keys, list(coefficients.values()), n, _width(spp))
+        f = cls(payload["n_parties"], table, spp)
         dist = payload.get("settings_distribution")
         if dist is None:
             return f
@@ -270,16 +451,16 @@ class BellFunctional:
         # the file's P(s) in the order of f.coefficients beside the derived
         # shares, checked once per distinct pair; keys are distinct strings,
         # so equal counts and every key found make the key sets equal
-        given = map(dist.get, itertools.compress(coefficients, coefficients.values()))
+        texts = list(itertools.compress(coefficients, coefficients.values()))
+        given = map(dist.get, texts)
         if len(dist) == len(f.coefficients) and set(map(type, dist.values())) == {float} and all(
             v is not None and abs(v - float(p)) <= 1e-12 * float(p)
             for v, p in set(zip(given, f._entry_shares()))
         ):
             return f
-        derived = f.settings_distribution
-        parsed = dict(zip(coefficients, keys))
+        derived = dict(zip(texts, f._entry_shares()))
         if len(dist) != len(derived) or not all(
-            (p := derived.get(parsed.get(text))) is not None
+            (p := derived.get(text)) is not None
             and abs(check_float(value, "probability") - float(p)) <= 1e-12 * float(p)
             for text, value in dist.items()
         ):
@@ -318,8 +499,8 @@ def makb(n: int) -> BellFunctional:
         a, b = a - b, a + b  # (a + bi)(1 + i)
     by_count = [Fraction(c, 1 << (n - 1)) for c in (a, b, -a, -b)]
     # the i-th tuple in lexicographic order spells i in binary
-    keys = enumerate(itertools.product((0, 1), repeat=n))
-    return BellFunctional(n, {key: c for i, key in keys if (c := by_count[i.bit_count() % 4])})
+    values = [by_count[i.bit_count() % 4] for i in range(1 << n)]
+    return BellFunctional(n, _Table.product(values, n, 2))
 
 
 def makb_xy_settings(n: int) -> tuple[float, float]:
@@ -351,8 +532,11 @@ def lr_max(f: BellFunctional) -> float:
         raise CapabilityError(f"LR maxima capped at {LR_MAX_PARTY_CAP} parties")
     numerators, common = f._numerators()
     table = [0] * (1 << n)
-    for key, p in zip(f.coefficients, numerators):  # settings are index bits
-        table[int(bytes(key).translate(_BINARY_DIGITS), 2)] = p
+    # settings are index bits: each packed key, spelled in binary digits,
+    # is its index
+    bits = f.coefficients._keys.translate(_DIGIT_TEXTS)
+    for cut, p in zip(_cuts(len(bits), n), numerators):
+        table[int(bits[cut], 2)] = p
     # each stage transforms the lowest index bit and moves it to the top
     for _ in range(n):
         even, odd = table[::2], table[1::2]

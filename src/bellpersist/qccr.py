@@ -164,8 +164,7 @@ def gbi_game(n: int, grid: int = 32) -> GameSpec:
     # cos once per distinct sum(key), the zeros of cos left out
     cos_of = {t: g for t in range(n * grid) if abs(g := math.cos(2.0 * math.pi * t / grid)) > 1e-15}
     values = list(map(cos_of.get, map(sum, itertools.product(range(grid), repeat=n))))
-    keys = itertools.product(range(grid), repeat=n)
-    f = bell.BellFunctional(n, dict(itertools.compress(zip(keys, values), values)), grid)
+    f = bell.BellFunctional(n, bell._Table.product(values, n, grid), grid)
     turns = (tuple(s / grid for s in range(grid)),) * n
     return GameSpec(f, turns, VisibilityModel(1.0), name=f"gbi{n}x{grid}")
 
@@ -174,22 +173,24 @@ def _settings_table(game: GameSpec):
     """Settings tuples in sorted order, as an int array of shape (count,
     parties), with their probabilities, coefficients and correlators.
 
-    Each column is read off the functional in its own order into an
-    array and put in sorted order by one ``np.lexsort`` of the tuples, so
-    no Python list or dict is built per entry: a probability is its
-    pair's share, and every array holds the bits a sorted list of the
-    tuples would give.
+    The settings are read straight off the functional's packed key buffer
+    (:class:`bell._Table`): each is big-endian at one fixed width, so
+    ``np.frombuffer`` at dtype ``>u{width}`` gives one row per key, in the
+    functional's order.  Every column is read in that order into an array
+    and put in sorted order by one ``np.lexsort`` of the rows, so no Python
+    list or dict is built per entry: a probability is its pair's share,
+    and every array holds the bits a sorted list of the tuples would give.
     """
     f = game.functional
-    count, flat = len(f.coefficients), itertools.chain.from_iterable(f.coefficients)
-    components = np.fromiter(flat, np.int64, count * game.n_parties).reshape(count, -1)
+    table, count = f.coefficients, len(f.coefficients)
+    components = np.frombuffer(table._keys, f">u{table._width}").reshape(count, game.n_parties)
     # lexsort's last key is the primary one; the tuples are distinct
     order = np.lexsort(components.T[::-1])
     # one column at a time, each read in the functional's order dropped
     # once put in sorted order
-    components = components[order]
+    components = components[order].astype(np.int64)
     probs = np.fromiter(f._entry_shares(), float, count)[order]
-    coeffs = np.fromiter(f.coefficients.values(), float, count)[order]
+    coeffs = np.fromiter(table.values(), float, count)[order]
     del order
     # added left to right, party by party, as sum() adds a tuple's angles,
     # in place: 0.0 + x is 0 + x, and x * v is v * x

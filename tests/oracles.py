@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -292,16 +293,27 @@ def checked_by_entries(
                 raise ValueError(f"settings tuple {key} out of range")
         return key
 
-    return {check_key(k): v for k, v in coefficients.items() if check_real(v, "coefficient") != 0}
+    def check_value(value):
+        # a Real neither rational nor a float must be one exactly, as a
+        # numpy float32 is
+        check_real(value, "coefficient")
+        if not isinstance(value, (float, numbers.Rational)) and float(value) != value:
+            raise ValueError(f"coefficient {value!r} is neither rational nor a float")
+        return value
+
+    return {check_key(k): v for k, v in coefficients.items() if check_value(v) != 0}
+
+
+def _exact(c) -> Fraction:
+    """A checked coefficient exactly: Fraction's reading of a rational or a
+    float, else the reading of its float."""
+    return Fraction(c) if isinstance(c, (float, numbers.Rational)) else Fraction(float(c))
 
 
 def numerators_by_entries(coefficients) -> tuple[list[int], int]:
     """Each coefficient as n / D over one common denominator D, split
     entry by entry into plain ints."""
-    ratios = [
-        tuple(map(int, (c if isinstance(c, (float, int, Fraction)) else Fraction(c)).as_integer_ratio()))
-        for c in coefficients.values()
-    ]
+    ratios = [tuple(map(int, _exact(c).as_integer_ratio())) for c in coefficients.values()]
     denominators = {d for _, d in ratios}
     common = math.lcm(*denominators)
     scale = {d: common // d for d in denominators}

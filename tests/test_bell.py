@@ -413,6 +413,7 @@ class TestJsonRoundTrip:
         "n,spp,key,message",
         [
             (2, 2, "0,1", "settings key '0,1' must be spelled '01'"),
+            (2, 2, "\x01\x00", "settings key '\\x01\\x00' is not spelled in digits"),
             (2, 2, " 0,+1", "settings key ' 0,+1' must be spelled '01'"),
             (2, 12, "01", "settings key '01' must be spelled '0,1'"),
             (1, 2, "5", "settings tuple (5,) out of range"),
@@ -490,6 +491,26 @@ class TestSettingsKeys:
         assert all(type(s) is int for s in next(iter(f.coefficients)))
 
 
+class TestCoefficientTypes:
+    def test_numpy_float32_splits_exactly(self):
+        f = BellFunctional(2, {(0, 0): np.float32(0.5), (1, 1): 1.0})
+        assert f.abs_total() == Fraction(3, 2)
+        assert f._numerators() == ([1, 2], 2)
+        # only a float coefficient gets a float share
+        dist = f.with_game_distribution().settings_distribution
+        assert _typed(dist) == _typed({(0, 0): F(1, 3), (1, 1): 2 / 3})
+
+    def test_real_off_the_floats_refused(self):
+        # a long double that no float holds would not split exactly
+        value = np.longdouble(1) + np.finfo(np.longdouble).eps
+        if float(value) == value:  # a long double that is a double
+            assert BellFunctional(1, {(0,): value}).abs_total() == Fraction(float(value))
+        else:
+            with pytest.raises(ValueError) as info:
+                BellFunctional(1, {(0,): value})
+            assert str(info.value) == f"coefficient {value!r} is neither rational nor a float"
+
+
 def _typed(table):
     """A table's entries in order with the types of keys and values: equal
     lists mean bit-identical tables (no zero, NaN or inf is kept)."""
@@ -526,6 +547,7 @@ _VALUES = (
     | st.floats(-4.0, 4.0)
     | st.fractions(max_denominator=12).filter(lambda q: abs(q) < 5)
     | st.sampled_from([math.nan, math.inf, -math.inf, True, np.int64(3), np.float64(-0.25)])
+    | st.sampled_from([np.float32(1.5), np.float32(-0.1)])
 )
 
 
@@ -568,3 +590,62 @@ class TestWholeTablePasses:
         ]))
         entries = data.draw(st.lists(st.tuples(key, _VALUES), max_size=12))
         _assert_matches_entry_route(n, dict(entries), 3)
+
+
+def _table_settings(spp):
+    """A setting in range, as a plain int or a numpy integer that converts."""
+    setting = st.integers(0, spp - 1)
+    return setting | setting.map(np.int64) | setting.map(np.uint16)
+
+
+class TestPackedTable:
+    """The packed table a functional keeps reads as the dict of the
+    entry-by-entry route, at one and two bytes per setting."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_reads_as_the_entry_route_dict(self, data):
+        spp = data.draw(st.sampled_from([2, 3, 12, 300]))
+        n = data.draw(st.integers(1, 4))
+        key = st.tuples(*[_table_settings(spp)] * n)
+        value = st.sampled_from([0, 1, 1.0, -0.0, F(1, 2), np.int64(3)]) | st.floats(-4.0, 4.0)
+        entries = data.draw(st.lists(st.tuples(key, value), max_size=12))
+        expected = checked_by_entries(n, dict(entries), spp)
+        table = BellFunctional(n, dict(entries), spp).coefficients
+        assert type(table) is bell._Table and table._width == (2 if spp == 300 else 1)
+        # order and types of keys and values, and the value objects themselves
+        assert _typed(table) == _typed(expected) and len(table) == len(expected)
+        assert list(table.items()) == list(expected.items())
+        assert list(map(id, table.values())) == list(map(id, expected.values()))
+        assert list(reversed(table.items())) == list(reversed(expected.items()))
+        for probe in [*expected, *data.draw(st.lists(key, max_size=4))]:
+            assert (probe in table) == (probe in expected)
+            if probe in expected:
+                assert table[probe] is expected[probe]
+            else:
+                with pytest.raises(KeyError):
+                    table[probe]
+        assert table == expected and expected == table and not table != expected
+        assert repr(table) == repr(expected)
+        # against another table, equal or not, in or out of the same order
+        other = dict(data.draw(st.permutations(list(expected.items()))))
+        if other and data.draw(st.booleans()):
+            other[next(iter(other))] = 7
+        assert (BellFunctional(n, other, spp).coefficients == table) == (other == expected)
+        assert (table == BellFunctional(n, other, spp).coefficients) == (expected == other)
+        # a table handed back in, at its own layout and at another; kept as
+        # it is when the whole-table pass takes its values
+        again, wider = BellFunctional(n, table, spp).coefficients, BellFunctional(n, table, 300).coefficients
+        assert _typed(again) == _typed(wider) == _typed(expected)
+        if set(map(type, table.values())) <= {int, float, F}:
+            assert again is table
+        # read from its key texts: packed in whole-buffer passes, zero
+        # entries dropped from the packed table
+        texts = {bell._key_string(tuple(map(int, k)), spp): v for k, v in dict(entries).items()}
+        payload = {"n_parties": n, "settings_per_party": spp, "coefficients": texts}
+        assert _typed(BellFunctional.from_json(payload).coefficients) == _typed(expected)
+
+    def test_two_byte_settings_are_big_endian(self):
+        table = BellFunctional(2, {(299, 1): 1.0, (1, 256): -1.0}, 300).coefficients
+        assert table._keys == bytes([1, 43, 0, 1, 0, 1, 1, 0])
+        assert list(table) == [(299, 1), (1, 256)]

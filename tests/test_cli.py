@@ -614,7 +614,8 @@ class TestGameSpecWorkflow:
 # gbi files hold each turn as s / grid itself, not its trip through
 # radians; at 98311 = 3 * 2**15 + 7 trials, which leaves each stream a
 # short last block, as the per-block arrays played them before the play
-# buffers; any rewrite of that path must keep them byte for byte
+# buffers; gbi2x300 as the game path wrote it before settings keys were
+# packed; any rewrite of that path must keep them byte for byte
 PINNED_GAMES = {
     "gbi3x32": (
         ["--type", "gbi", "--n", "3"],
@@ -623,6 +624,11 @@ PINNED_GAMES = {
     "gbi2x16": (
         ["--type", "gbi", "--n", "2", "--grid", "16"],
         "42941490cf8dc0e6d14b788a7b321433eed7f16c5d9012c32727a70a2f37cf3e",
+    ),
+    # 300 settings per party: two bytes per setting in the packed keys
+    "gbi2x300": (
+        ["--type", "gbi", "--n", "2", "--grid", "300"],
+        "e83bb39b67f2edef8ba5bb560e0b416ee96a162cbbf44a7003e9193e012a2c3a",
     ),
     "makb3": (
         ["--type", "makb", "--n", "3"],
@@ -647,6 +653,9 @@ PINNED_SIMULATE_ROWS = {
         ("98311", "1", "3"): "gbi3x32,0+1+2,98311,1,0.894955803521,0.000977880462275,0.893965613429,",
         ("98311", "7", "1"): "gbi3x32,0+1+2,98311,7,0.894437041633,0.000980007970237,0.893965613429,",
         ("98311", "7", "3"): "gbi3x32,0+1+2,98311,7,0.893409689658,0.000984199490092,0.893965613429,",
+    },
+    "gbi2x300": {
+        ("200000", "1", "1"): "gbi2x300,0+1,200000,1,0.893415,0.000690016803328,0.892713437086,",
     },
     "chsh": {
         ("200000", "1", "1"): "chsh,0+1,200000,1,0.854055,0.000789446188714,0.853553390593,0.75",

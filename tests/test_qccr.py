@@ -51,6 +51,7 @@ _PLAIN_ROUTE_GAMES = (
         pytest.param(lambda: makb_game(4, 6), id="makb4in6"),
         pytest.param(lambda: gbi_game(2, grid=16), id="gbi2x16"),
         pytest.param(lambda: gbi_game(3), id="gbi3x32"),
+        pytest.param(lambda: gbi_game(2, grid=300), id="gbi2x300"),
     ]
     + [pytest.param(lambda n=n: makb_game(n), id=f"makb{n}") for n in range(2, 17)]
     + [pytest.param(lambda g=g: gbi_game(2, grid=g), id=f"gbi2x{g}") for g in range(2, 65)]
@@ -621,36 +622,61 @@ class TestGameDistributionExactRoute:
             assert got.tobytes() == want.tobytes()
 
 
-def _large_containers(root, size, skip):
-    """Every sized object of at least ``size`` entries reachable from
-    ``root`` through references, types and modules aside, not entering
-    the objects of ``skip``."""
-    seen, stack, found = {id(s) for s in skip}, [root], []
+def _large_containers(root, size):
+    """Every sized object of at least ``size`` entries, byte strings
+    included, reachable from ``root`` through references, types and
+    modules aside."""
+    seen, stack, found = set(), [root], []
     while stack:
         for ref in gc.get_referents(stack.pop()):
             if id(ref) in seen or isinstance(ref, (type, types.ModuleType)):
                 continue
             seen.add(id(ref))
-            if hasattr(ref, "__len__") and not isinstance(ref, (str, bytes)) and len(ref) >= size:
+            if hasattr(ref, "__len__") and len(ref) >= size:
                 found.append(ref)
             stack.append(ref)
     return found
 
 
+def _gbi3x32_builders():
+    text = game_to_json(gbi_game(3))
+    return {"built": lambda: gbi_game(3), "from-json": lambda: game_from_json(text)}
+
+
 class TestOneEntryTable:
     """A game holds one table with an entry per settings tuple, its
-    coefficients: P(s) is held per distinct pair and read key by key only
-    when asked for."""
+    coefficients, as two objects: the packed keys and the value list.
+    P(s) is held per distinct pair and read key by key only when asked
+    for."""
 
-    @pytest.mark.parametrize("read_back", [False, True], ids=["built", "from-json"])
-    def test_gbi3x32_holds_only_its_coefficients(self, read_back):
-        game = gbi_game(3)
-        if read_back:
-            game = game_from_json(game_to_json(game))
-        f = game.functional
-        assert len(f.coefficients) == 30_741
-        assert _large_containers(game, 30_741, [f.coefficients]) == []
-        assert _large_containers(game, 30_741, []) == [f.coefficients]
+    @pytest.mark.parametrize("how", ["built", "from-json"])
+    def test_gbi3x32_holds_only_its_coefficients(self, how):
+        game = _gbi3x32_builders()[how]()
+        table = game.functional.coefficients
+        assert len(table) == 30_741
+        # no container of key tuples: the table, its one bytes buffer of
+        # three one-byte settings per key and its value list, nothing else
+        found = _large_containers(game, 30_741)
+        assert {id(x) for x in found} == {id(table), id(table._keys), id(table._values)}
+        assert len(found) == 3
+        assert type(table._keys) is bytes and len(table._keys) == 3 * 30_741
+        assert type(table._values) is list and len(table._values) == 30_741
+
+    @pytest.mark.parametrize("how", ["built", "from-json"])
+    def test_gbi3x32_keeps_under_a_megabyte(self, how):
+        # 92 223 key bytes, a list of 30 741 pointers and under a hundred
+        # distinct floats
+        build = _gbi3x32_builders()[how]
+        build()  # first-call set-up out of the traced call
+        gc.collect()
+        tracemalloc.start()
+        try:
+            game = build()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(game.functional.coefficients) == 30_741
+        assert kept <= 1 << 20, kept
 
     @pytest.mark.parametrize(
         "builder",
